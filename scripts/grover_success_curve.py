@@ -1,9 +1,11 @@
-"""Measure maximum-finding success rates on the statevector simulator.
+"""Measure maximum-finding success rates of the simulated Grover search.
 
-Two curves: the single Grover search frequency against the closed form
-sin^2((2r+1) * theta), and the un-amplified threshold-loop success rate
-for maximum finding on planted permutations, per domain size.  Rates are
-sampled, so expect binomial noise of roughly 1/sqrt(trials).
+Each search trial samples the exact two-amplitude measurement law, the
+same law a dense statevector simulation gives.  Two curves: the single
+Grover search frequency against the closed form sin^2((2r+1) * theta),
+and the un-amplified threshold-loop success rate for maximum finding on
+planted permutations, per domain size.  Rates are sampled, so expect
+binomial noise of roughly 1/sqrt(trials).
 """
 
 from __future__ import annotations

@@ -77,7 +77,6 @@ from .grover_sim import (
     DomainTooLargeError,
     MaxOracle,
     QueryLedger,
-    Statevector,
     cost_report,
     grover_search_sim,
     grover_trial,

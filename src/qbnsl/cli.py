@@ -87,6 +87,14 @@ class RunConfig:
                 raise InvalidKError(f"block size k={self.k} must be even and >= 2")
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1 (anything else exits 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbnsl",
@@ -118,10 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_stats = sub.add_parser("cover-stats", help="cover counts and the cost report")
-    p_stats.add_argument("--n", type=int, required=True)
+    p_stats.add_argument("--n", type=positive_int, required=True)
     p_stats.add_argument("--k", type=int, required=True)
     p_stats.add_argument(
-        "--entries", type=int, default=None, help="table size F (default n * 2^(n-1))"
+        "--entries",
+        type=positive_int,
+        default=None,
+        help="table size F (default n * 2^(n-1))",
     )
     p_stats.add_argument("--report", help="also write the key-value lines to this path")
 
@@ -129,10 +140,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--suite", choices=SUITES, default="oracle")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
-        "--instances", type=int, default=500, help="oracle suite: instance count"
+        "--instances",
+        type=positive_int,
+        default=500,
+        help="oracle suite: instance count",
     )
     p_bench.add_argument(
-        "--trials", type=int, default=2000, help="grover suite: trials per domain size"
+        "--trials",
+        type=positive_int,
+        default=2000,
+        help="grover suite: trials per domain size",
     )
     p_bench.add_argument("--report", help="also write the key-value lines to this path")
 

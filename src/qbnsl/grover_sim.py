@@ -1,12 +1,14 @@
-"""Statevector-simulated Grover maximum finding plus an analytic cost model.
+"""Simulated Grover maximum finding plus an analytic cost model.
 
 The simulator is honest about what a quantum computer would and would not
-do: amplitude arithmetic is exact dense linear algebra, every oracle
-application is charged to a query ledger, and the truth-table load that a
-QRAM-equipped machine would perform in superposition is built once per
-search without being metered (that assumption is spelled out in the cost
-report).  Classical evaluations of the objective are counted separately,
-so classical-vs-quantum comparisons never mix units.
+do: each search samples the exact measurement law of the Grover iterate
+(a two-amplitude closed form, equal in law and in seeded outcome to dense
+statevector arithmetic), every oracle application is charged to a query
+ledger, and the oracle diagonal that a QRAM-equipped machine would load in
+superposition is built once per search without being metered (that
+assumption is spelled out in the cost report).  Classical evaluations of
+the objective are counted separately, so classical-vs-quantum comparisons
+never mix units.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from .bucket_cover import cover_size, downset_count_formula
 from .seeding import rng_for, seed_sequence
 
 MAX_SIM_DOMAIN = 4096
-NORM_TOL = 1e-9
+_PROB_TOL = 1e-9  # allowed drift of a trial's total measurement probability from 1
 _GROWTH = 1.2  # iteration-count growth per trial when the marked count is unknown
 _EXTRA_TRIALS = 8  # saturated-schedule retries before reporting absence
 
 
 class DomainTooLargeError(ValueError):
-    """The search domain exceeds the dense-simulation cap."""
+    """The search domain exceeds the simulation cap."""
 
 
 @dataclass
@@ -43,7 +45,6 @@ class QueryLedger:
 
     classical_evals: int = 0
     charged_quantum_queries: int = 0
-    notes: dict[str, float] = field(default_factory=dict)
 
     def count_classical(self, amount: int = 1) -> None:
         self.classical_evals += amount
@@ -54,8 +55,6 @@ class QueryLedger:
     def merge(self, other: "QueryLedger") -> None:
         self.classical_evals += other.classical_evals
         self.charged_quantum_queries += other.charged_quantum_queries
-        for key, value in other.notes.items():
-            self.notes[key] = self.notes.get(key, 0.0) + value
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -97,54 +96,6 @@ class MaxOracle:
         return self._table
 
 
-class Statevector:
-    """Dense complex amplitudes over a power-of-two register."""
-
-    __slots__ = ("amps",)
-
-    def __init__(self, amps: np.ndarray) -> None:
-        amps = np.asarray(amps, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size == 0 or amps.size & (amps.size - 1):
-            raise ValueError("amplitude vector length must be a power of two")
-        self.amps = amps
-        self._check_norm()
-
-    @classmethod
-    def uniform(cls, size: int) -> "Statevector":
-        if size < 1 or size & (size - 1):
-            raise ValueError("size must be a power of two")
-        return cls(np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128))
-
-    def norm(self) -> float:
-        return float(np.sqrt((np.abs(self.amps) ** 2).sum()))
-
-    def _check_norm(self) -> None:
-        drift = abs(self.norm() - 1.0)
-        if drift > NORM_TOL:
-            raise RuntimeError(f"statevector norm drifted by {drift:.3e}")
-
-    def apply_phase_flip(self, marks: np.ndarray) -> None:
-        """Multiply marked amplitudes by -1 (the phase-oracle action)."""
-        marks = np.asarray(marks, dtype=bool)
-        if marks.shape != self.amps.shape:
-            raise ValueError("marks must match the register size")
-        self.amps[marks] *= -1.0
-        self._check_norm()
-
-    def apply_diffusion(self) -> None:
-        """Reflect all amplitudes about their mean."""
-        self.amps = 2.0 * self.amps.mean() - self.amps
-        self._check_norm()
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-    def measure(self, rng: np.random.Generator) -> int:
-        probs = self.probabilities()
-        probs = probs / probs.sum()
-        return int(rng.choice(probs.size, p=probs))
-
-
 def padded_size(m: int) -> int:
     """Smallest power of two >= max(m, 2)."""
     if m < 1:
@@ -165,41 +116,69 @@ def success_probability(domain: int, marked: int, iterations: int) -> float:
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
+def _trial_probabilities(marks: np.ndarray, iterations: int) -> np.ndarray:
+    """Per-point measurement law after r Grover iterations from uniform.
+
+    From the uniform start the state stays in the span of the uniform
+    marked and unmarked superpositions.  With k of the N points marked and
+    theta = asin(sqrt(k/N)), each marked point ends with probability
+    sin^2((2r+1) theta) / k and each unmarked one cos^2((2r+1) theta) / (N-k).
+    """
+    size = marks.size
+    marked = int(np.count_nonzero(marks))
+    angle = (2 * iterations + 1) * math.asin(math.sqrt(marked / size))
+    hit = math.sin(angle) ** 2 / marked if marked else 0.0
+    miss = math.cos(angle) ** 2 / (size - marked) if marked < size else 0.0
+    return np.where(marks, hit, miss)
+
+
 def grover_trial(
     marks: np.ndarray,
     iterations: int,
     rng: np.random.Generator,
     ledger: QueryLedger | None = None,
 ) -> int:
-    """One prepare/iterate/measure pass; charges one query per iteration."""
-    size = int(np.asarray(marks).size)
-    state = Statevector.uniform(size)
-    for _ in range(iterations):
-        state.apply_phase_flip(marks)
-        state.apply_diffusion()
-        if ledger is not None:
-            ledger.charge_quantum()
-    return state.measure(rng)
+    """One prepare/iterate/measure pass; charges one query per iteration.
+
+    The outcome is drawn by inverting the cumulative distribution of the
+    exact measurement law at one uniform variate: the same draw and lookup
+    that ``Generator.choice(size, p=probs)`` makes.
+    """
+    marks = np.asarray(marks, dtype=bool)
+    if marks.size < 1:
+        raise ValueError("marks must be nonempty")
+    if iterations < 0:
+        raise ValueError("iterations must be nonnegative")
+    if ledger is not None:
+        ledger.charge_quantum(iterations)
+    cdf = np.cumsum(_trial_probabilities(marks, iterations))
+    total = cdf[-1]
+    if abs(total - 1.0) > _PROB_TOL:
+        raise RuntimeError(f"trial probabilities drifted from 1 by {total - 1.0:.3e}")
+    return int(np.searchsorted(cdf / total, rng.random(), side="right"))
 
 
 def grover_search_sim(
-    predicate: Callable[[int], bool],
-    m: int,
+    marks: np.ndarray,
     rng_seed: int | None = None,
     *,
     rng: np.random.Generator | None = None,
     ledger: QueryLedger | None = None,
 ) -> int | None:
-    """Find some x in [0, m) with predicate(x), or None if none was certified.
+    """Find some marked x in [0, m), or None if none was certified.
 
-    The marked count is unknown, so trial iteration counts grow
-    geometrically and saturate at ceil((pi/4) sqrt(N)); each measured
-    candidate is verified classically (metered) before being returned.
-    Bounded error: when marked points exist, the return is None with
-    probability well below 1/3; when none exist the return is always None.
-    The predicate is evaluated over the whole domain once, unmetered, to
-    build the simulator's oracle diagonal.
+    ``marks`` is the oracle diagonal: a boolean array of length m whose
+    true entries are the points the phase oracle flips.  The marked count
+    is unknown, so trial iteration counts grow geometrically and saturate
+    at floor((pi/4) sqrt(N)); each measured candidate is verified
+    classically (metered) before being returned.  Bounded error: when
+    marked points exist, the return is None with probability well below
+    1/3; when none exist the return is always None.
     """
+    diagonal = np.asarray(marks, dtype=bool)
+    if diagonal.ndim != 1:
+        raise ValueError("the oracle diagonal must be one-dimensional")
+    m = diagonal.size
     if m < 1:
         raise ValueError("domain must be nonempty")
     if m > MAX_SIM_DOMAIN:
@@ -207,20 +186,19 @@ def grover_search_sim(
     if rng is None:
         rng = rng_for(0 if rng_seed is None else rng_seed, "grover-search")
     size = padded_size(m)
-    marks = np.zeros(size, dtype=bool)
-    for x in range(m):
-        marks[x] = bool(predicate(x))
+    padded = np.zeros(size, dtype=bool)
+    padded[:m] = diagonal
     saturation = max(1, math.floor((math.pi / 4.0) * math.sqrt(size)))
     trials = (
         math.ceil(math.log(saturation) / math.log(_GROWTH)) if saturation > 1 else 0
     ) + _EXTRA_TRIALS
     for t in range(trials):
         iterations = min(math.ceil(_GROWTH**t), saturation)
-        outcome = grover_trial(marks, iterations, rng, ledger)
+        outcome = grover_trial(padded, iterations, rng, ledger)
         if outcome < m:
             if ledger is not None:
                 ledger.count_classical()
-            if predicate(outcome):
+            if diagonal[outcome]:
                 return outcome
     return None
 
@@ -242,10 +220,7 @@ def _threshold_run(
     best_x = int(rng.integers(m))
     best_v = oracle.eval(best_x)
     while True:
-        threshold = best_v
-        found = grover_search_sim(
-            lambda y: bool(values[y] > threshold), m, rng=rng, ledger=oracle.ledger
-        )
+        found = grover_search_sim(values[:m] > best_v, rng=rng, ledger=oracle.ledger)
         if found is None:
             return best_x, best_v
         best_x = found
@@ -262,7 +237,7 @@ def max_find(
 ) -> tuple[int, float, QueryLedger]:
     """Maximum of the oracle over [0, m) by threshold-driven search.
 
-    ``mode='sim'`` runs the statevector simulation; each repetition is an
+    ``mode='sim'`` runs the simulated search; each repetition is an
     independent bounded-error pass and the best outcome is kept, so the
     failure probability decays exponentially in ``repetitions`` (the
     default 7 brings (1/3)^7 < 5e-4).  ``mode='cost-model'`` evaluates the

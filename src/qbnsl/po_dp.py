@@ -259,7 +259,7 @@ def solve_cover(
     member = covering_member(partition, topological_order(opt_dag))
     score, dag = solve_member(table, member)
     ledger.count_classical()
-    if abs(score - opt_score) > 1e-6:
+    if abs(score - opt_score) > 1e-9:
         raise RuntimeError("cover identity violated: member optimum != DP optimum")
     ledger.charge_quantum(quantum_charge(members))
     return score, dag, ledger

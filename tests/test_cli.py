@@ -90,6 +90,26 @@ def test_infeasible_configurations_exit_two(score_file, tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--suite", "grover", "--trials", "0"),
+        ("bench", "--suite", "grover", "--trials", "-2"),
+        ("bench", "--suite", "oracle", "--instances", "-3"),
+        ("bench", "--suite", "oracle", "--instances", "0"),
+        ("cover-stats", "--n", "0", "--k", "2"),
+        ("cover-stats", "--n", "8", "--k", "4", "--entries", "-1"),
+        ("bench", "--suite", "grover", "--trials", "two"),
+    ],
+)
+def test_nonpositive_counts_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_io_and_parse_errors_exit_three(tmp_path, capsys):
     code, _, err = run(capsys, "solve", tmp_path / "missing.scores")
     assert code == 3 and "error:" in err
