@@ -55,9 +55,7 @@ from .bucket_cover import (
     NotADownsetError,
     cover_size,
     covering_member,
-    downset_count,
     downset_count_formula,
-    downsets_per_member,
     is_downset,
     member_by_index,
     index_of_member,

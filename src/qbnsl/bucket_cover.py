@@ -12,6 +12,13 @@ Members and downsets both get canonical dense indices so that search
 routines can treat a member family as a plain integer domain.  Member
 indexing uses colexicographic ranking of each block's first half, which
 matches sorting by bitmask and needs no enumeration even for huge blocks.
+
+Relabelled by slot (block, half, rank within the half), every member of
+a partition has the same downset lattice.  :class:`LatticeTemplate`
+builds it once per partition: the downsets as slot masks and the
+covering edges as CSR arrays in cardinality layers.  A
+:class:`DownsetIndex` is a thin view that adds one member's slot -> node
+map.
 """
 
 from __future__ import annotations
@@ -227,26 +234,17 @@ def index_of_member(member: CoverMember) -> int:
 
 
 def downset_count_formula(n: int, k: int) -> int:
-    """Per-member downset count for (n, k): prod of 2^ceil(s/2) + 2^floor(s/2) - 1.
+    """Downsets of every (n, k) member: prod of 2^ceil(s/2) + 2^floor(s/2) - 1.
 
-    Pure arithmetic over block sizes, usable for report-only n beyond the
-    instance cap.
+    The count is split-independent, so this is the one downset count for
+    any member or partition.  Pure arithmetic over block sizes, usable for
+    report-only n beyond the instance cap.
     """
     total = 1
     for size in _block_sizes(n, k):
         first = _half(size)
         total *= (1 << first) + (1 << (size - first)) - 1
     return total
-
-
-def downsets_per_member(partition: BlockPartition) -> int:
-    """Downset count of any member of the partition (split-independent)."""
-    return downset_count_formula(partition.n, partition.k)
-
-
-def downset_count(member: CoverMember) -> int:
-    """Number of downward-closed subsets of the member's order (split-independent)."""
-    return downsets_per_member(member.partition)
 
 
 def is_downset(member: CoverMember, subset: "NodeSet | int") -> bool:
@@ -282,120 +280,247 @@ def covering_member(partition: BlockPartition, order: LinearOrder) -> CoverMembe
     return CoverMember(partition, tuple(splits))
 
 
+
+
+def closure_digit(local, h: int):
+    """Local digit of the downward closure of a block's slot pattern(s).
+
+    Touching the second half pulls in the whole first half, so a pattern
+    with second-half part c > 0 closes to digit 2^h-1+c and any other
+    pattern is its own first-half counter.  Works elementwise on arrays.
+    """
+    second = local >> h
+    return np.where(second != 0, ((1 << h) - 1) + second, local)
+
+
+class LatticeTemplate:
+    """The downset lattice shared by every member of one partition.
+
+    Nodes are relabelled by slot: block t owns the slots ``offsets[t]``
+    onwards, first its member's first half, then its second half, each in
+    ascending node order.  In slot space every member of the partition has
+    the same downsets, so the lattice is built once and a member is just
+    its slot -> node map (see :class:`DownsetIndex`).
+
+    Per block of size s with first half h, the local traces are the
+    subsets of the first-half slots in counter order (digits 0..2^h-1),
+    followed by the full first half plus each nonempty subset of the
+    second-half slots (digit 2^h-1+c for second-half counter c).  Global
+    indices are mixed radix over the local digits with block 0 most
+    significant, so the lattice is the product of the block lattices.
+    ``masks[d]`` is downset d as a slot bitmask.
+    """
+
+    def __init__(self, partition: BlockPartition) -> None:
+        self.partition = partition
+        self.block_sizes = tuple(len(block) for block in partition.blocks)
+        self.halves = tuple(_half(size) for size in self.block_sizes)
+        offsets = [0]
+        for size in self.block_sizes[:-1]:
+            offsets.append(offsets[-1] + size)
+        self.offsets = tuple(offsets)
+        self.radices = tuple(
+            (1 << h) + (1 << (size - h)) - 1
+            for size, h in zip(self.block_sizes, self.halves)
+        )
+        weights = [1] * len(self.radices)
+        for t in range(len(weights) - 2, -1, -1):
+            weights[t] = weights[t + 1] * self.radices[t + 1]
+        self.weights = tuple(weights)
+        self.size = math.prod(self.radices)
+        masks = np.zeros(1, dtype=np.int64)
+        for t, offset in enumerate(self.offsets):
+            local = self.local_traces(t) << offset
+            masks = (masks[:, None] | local[None, :]).ravel()
+        self.masks = masks
+        self._layers: LatticeLayers | None = None
+
+    def local_traces(self, t: int) -> np.ndarray:
+        """Block t's local traces as slot patterns, in digit order."""
+        h = self.halves[t]
+        first = np.arange(1 << h, dtype=np.int64)
+        second = np.arange(1, 1 << (self.block_sizes[t] - h), dtype=np.int64)
+        return np.concatenate([first, ((1 << h) - 1) | (second << h)])
+
+    def index_of_slots(self, slot_mask: int) -> int | None:
+        """Index of the downset with this slot bitmask, or None if not closed."""
+        index = 0
+        for t, (offset, size, h) in enumerate(
+            zip(self.offsets, self.block_sizes, self.halves)
+        ):
+            local = (slot_mask >> offset) & ((1 << size) - 1)
+            second = local >> h
+            if second and local & ((1 << h) - 1) != (1 << h) - 1:
+                return None
+            index += int(closure_digit(local, h)) * self.weights[t]
+        return index
+
+    @property
+    def layers(self) -> "LatticeLayers":
+        """The covering edges in cardinality layers, built on first use."""
+        if self._layers is None:
+            self._layers = LatticeLayers.build(self)
+        return self._layers
+
+
+@dataclass(frozen=True)
+class LatticeLayers:
+    """A template's covering edges as CSR arrays in cardinality layers.
+
+    ``order`` lists downset indices by (cardinality, index) and
+    ``position`` inverts it.  The downset at order position p has the
+    edges ``edge_ptr[p]:edge_ptr[p + 1]``: ``edge_slot`` is the removed
+    slot and ``edge_child`` the index of the downset left behind.  The
+    removable slots of a block trace are its second-half part if nonempty,
+    else all of it.  ``steps[c - 1]`` holds cardinality c's downsets, its
+    edge slice, those edges' children and the per-downset segment offsets
+    into that slice, ready for one ``reduceat`` per layer.
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    edge_ptr: np.ndarray
+    edge_slot: np.ndarray
+    edge_child: np.ndarray
+    steps: tuple[tuple[np.ndarray, slice, np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def build(cls, template: LatticeTemplate) -> "LatticeLayers":
+        size = template.size
+        index = np.arange(size, dtype=np.int64)
+        cardinality = np.bitwise_count(template.masks)
+        order = np.argsort(cardinality, kind="stable")
+        position = np.empty(size, dtype=np.int64)
+        position[order] = index
+        parents, slots, children = [], [], []
+        for t, (offset, size_t, h) in enumerate(
+            zip(template.offsets, template.block_sizes, template.halves)
+        ):
+            weight = template.weights[t]
+            digits = (index // weight) % template.radices[t]
+            second_bits = ((1 << size_t) - 1) ^ ((1 << h) - 1)
+            for digit, local in enumerate(template.local_traces(t).tolist()):
+                movable = (local & second_bits) or local
+                downsets = index[digits == digit]
+                while movable:
+                    low = movable & -movable
+                    movable ^= low
+                    child = int(closure_digit(local ^ low, h))
+                    parents.append(downsets)
+                    slots.append(np.full(len(downsets), offset + low.bit_length() - 1))
+                    children.append(downsets + (child - digit) * weight)
+        parent = np.concatenate(parents)
+        slot = np.concatenate(slots)
+        child = np.concatenate(children)
+        by_position = np.lexsort((slot, position[parent]))
+        edge_slot = slot[by_position]
+        edge_child = child[by_position]
+        edge_ptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(position[parent], minlength=size), out=edge_ptr[1:])
+        layer_ptr = np.zeros(template.partition.n + 2, dtype=np.int64)
+        np.cumsum(
+            np.bincount(cardinality, minlength=template.partition.n + 1),
+            out=layer_ptr[1:],
+        )
+        steps = []
+        for c in range(1, template.partition.n + 1):
+            lo, hi = int(layer_ptr[c]), int(layer_ptr[c + 1])
+            first, last = int(edge_ptr[lo]), int(edge_ptr[hi])
+            steps.append(
+                (order[lo:hi], slice(first, last), edge_child[first:last],
+                 edge_ptr[lo:hi] - first)
+            )
+        return cls(order, position, edge_ptr, edge_slot, edge_child, tuple(steps))
+
+
 class DownsetIndex:
     """Dense canonical indexing of one member's downset lattice.
 
-    Per block, the valid local traces are the subsets of the first half
-    (bitmask-ascending) followed by first-half-union-nonempty-subset of the
-    second half (bitmask-ascending); global indices are mixed radix with
-    block 0 most significant.  Index 0 is the empty set and the last index
-    is the full node set.
+    A thin view over the partition's :class:`LatticeTemplate`:
+    ``nodes[slot]`` is the member's node in each slot, and index d is the
+    downset whose slots are ``template.masks[d]``.  Per block the traces
+    are the subsets of the first half (bitmask-ascending) followed by the
+    first half plus each nonempty subset of the second half
+    (bitmask-ascending); indices are mixed radix with block 0 most
+    significant.  Index 0 is the empty set and the last index is the full
+    node set.
 
     The covering lattice is exposed as, per downset, the list of single
     elements whose removal yields again a downset: the removable elements
     of a block trace are its second-half part if nonempty, else all of it.
     """
 
-    __slots__ = (
-        "member",
-        "size",
-        "_block_bits",
-        "_split_bits",
-        "_second_bits",
-        "_traces",
-        "_digit_maps",
-        "_weights",
-        "_masks",
-        "_by_cardinality",
-        "_edges",
-    )
+    __slots__ = ("member", "template", "size", "nodes", "_node_masks")
 
-    def __init__(self, member: CoverMember) -> None:
+    def __init__(
+        self, member: CoverMember, template: LatticeTemplate | None = None
+    ) -> None:
+        if template is None:
+            template = LatticeTemplate(member.partition)
+        elif template.partition != member.partition:
+            raise ValueError("template was built for another partition")
         self.member = member
-        partition = member.partition
-        self._block_bits = tuple(b.bits for b in partition.blocks)
-        self._split_bits = tuple(s.bits for s in member.splits)
-        self._second_bits = tuple(
-            b & ~s for b, s in zip(self._block_bits, self._split_bits)
-        )
-        traces: list[tuple[int, ...]] = []
-        for split_bits, second_bits in zip(self._split_bits, self._second_bits):
-            split_elems = list(NodeSet(split_bits))
-            second_elems = list(NodeSet(second_bits))
-            local: list[int] = []
-            for c in range(1 << len(split_elems)):
-                local.append(_spread(c, split_elems))
-            for c in range(1, 1 << len(second_elems)):
-                local.append(split_bits | _spread(c, second_elems))
-            traces.append(tuple(local))
-        self._traces = tuple(traces)
-        self._digit_maps = tuple(
-            {mask: d for d, mask in enumerate(local)} for local in traces
-        )
-        weights = [1] * len(traces)
-        for t in range(len(traces) - 2, -1, -1):
-            weights[t] = weights[t + 1] * len(traces[t + 1])
-        self._weights = tuple(weights)
-        self.size = math.prod(len(local) for local in traces)
-        masks = np.zeros(self.size, dtype=np.int64)
-        for idx, combo in enumerate(product(*traces)):
-            acc = 0
-            for part in combo:
-                acc |= part
-            masks[idx] = acc
-        self._masks = masks
-        self._by_cardinality: list[tuple[int, int]] | None = None
-        self._edges: list[list[tuple[int, int]]] | None = None
-
-    @property
-    def block_bits(self) -> tuple[int, ...]:
-        return self._block_bits
-
-    @property
-    def split_bits(self) -> tuple[int, ...]:
-        return self._split_bits
-
-    @property
-    def second_bits(self) -> tuple[int, ...]:
-        return self._second_bits
+        self.template = template
+        self.size = template.size
+        nodes: list[int] = []
+        for t, split in enumerate(member.splits):
+            nodes.extend(split)
+            nodes.extend(member.second_half(t))
+        self.nodes = tuple(nodes)
+        self._node_masks: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.size
 
+    def slot_weights(self) -> np.ndarray:
+        """Per node, 2^slot of its slot.
+
+        A node bitmask's bit vector dotted with this is its slot mask.
+        """
+        weights = np.zeros(len(self.nodes), dtype=np.int64)
+        weights[list(self.nodes)] = 1 << np.arange(len(self.nodes), dtype=np.int64)
+        return weights
+
+    def _masks(self) -> np.ndarray:
+        if self._node_masks is None:
+            slot_masks = self.template.masks
+            out = np.zeros_like(slot_masks)
+            for slot, node in enumerate(self.nodes):
+                out |= ((slot_masks >> slot) & 1) << node
+            self._node_masks = out
+        return self._node_masks
+
     def downset_by_index(self, index: int) -> NodeSet:
         if not 0 <= index < self.size:
             raise IndexOutOfRangeError(f"downset index {index} not in [0, {self.size})")
-        return NodeSet(int(self._masks[index]))
+        return NodeSet(int(self._masks()[index]))
 
     def index_of_downset(self, subset: "NodeSet | int") -> int:
         bits = _bits(subset)
         if bits >> self.member.partition.n:
             raise NotADownsetError("subset references nodes outside the partition")
-        index = 0
-        for t, block_bits in enumerate(self._block_bits):
-            digit = self._digit_maps[t].get(bits & block_bits)
-            if digit is None:
-                raise NotADownsetError(
-                    f"subset {bits:#x} violates block {t}'s precedence constraints"
-                )
-            index += digit * self._weights[t]
+        slot_mask = 0
+        for slot, node in enumerate(self.nodes):
+            slot_mask |= ((bits >> node) & 1) << slot
+        index = self.template.index_of_slots(slot_mask)
+        if index is None:
+            raise NotADownsetError(
+                f"subset {bits:#x} violates the member's precedence constraints"
+            )
         return index
 
     def by_cardinality(self) -> list[tuple[int, int]]:
         """(index, bitmask) pairs sorted by (cardinality, index)."""
-        if self._by_cardinality is None:
-            pairs = [(idx, int(mask)) for idx, mask in enumerate(self._masks)]
-            pairs.sort(key=lambda p: (p[1].bit_count(), p[0]))
-            self._by_cardinality = pairs
-        return self._by_cardinality
+        order = self.template.layers.order
+        return list(zip(order.tolist(), self._masks()[order].tolist()))
 
     def removable_elements(self, subset: "NodeSet | int") -> NodeSet:
         """Elements whose removal keeps the subset downward closed."""
         bits = _bits(subset)
         out = 0
-        for t, block_bits in enumerate(self._block_bits):
-            local = bits & block_bits
-            in_second = local & self._second_bits[t]
+        for block, split in zip(self.member.partition.blocks, self.member.splits):
+            local = bits & block.bits
+            in_second = local & ~split.bits
             out |= in_second if in_second else local
         return NodeSet(out)
 
@@ -407,38 +532,13 @@ class DownsetIndex:
         downset has at least one removable element, so the lattice is
         connected from the empty set.
         """
-        if self._edges is not None:
-            return self._edges
-        digit_maps = self._digit_maps
-        weights = self._weights
-        second_bits = self._second_bits
-        out: list[list[tuple[int, int]]] = []
-        enumerated = [list(enumerate(local)) for local in self._traces]
-        for combo in product(*enumerated):
-            base = 0
-            for t, (digit, _) in enumerate(combo):
-                base += digit * weights[t]
-            links: list[tuple[int, int]] = []
-            for t, (digit, local) in enumerate(combo):
-                in_second = local & second_bits[t]
-                movable = in_second if in_second else local
-                while movable:
-                    low = movable & -movable
-                    movable ^= low
-                    child_digit = digit_maps[t][local ^ low]
-                    links.append(
-                        (low.bit_length() - 1, base + (child_digit - digit) * weights[t])
-                    )
-            links.sort()
-            out.append(links)
-        self._edges = out
+        layers = self.template.layers
+        ptr = layers.edge_ptr.tolist()
+        slots = layers.edge_slot.tolist()
+        children = layers.edge_child.tolist()
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.size)]
+        for p, d in enumerate(layers.order.tolist()):
+            out[d] = sorted(
+                (self.nodes[slots[e]], children[e]) for e in range(ptr[p], ptr[p + 1])
+            )
         return out
-
-
-def _spread(counter: int, elems: Sequence[int]) -> int:
-    """Map a local combination counter onto the given (ascending) elements."""
-    mask = 0
-    for j, e in enumerate(elems):
-        if (counter >> j) & 1:
-            mask |= 1 << e
-    return mask

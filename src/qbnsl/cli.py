@@ -95,6 +95,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for bounds: an integer >= 0 (anything else exits 2)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not a non-negative integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbnsl",
@@ -105,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", help="compute BIC local scores from a CSV")
     p_score.add_argument("data", help="CSV with a header row and integer cells")
-    p_score.add_argument("--max-indegree", type=int, default=2)
+    p_score.add_argument("--max-indegree", type=non_negative_int, default=2)
     p_score.add_argument("--max-entries", type=int, default=1_000_000)
     p_score.add_argument("--out", help="score file to write (default: stdout)")
 

@@ -343,25 +343,11 @@ class LinearOrder:
             bits |= 1 << v
 
 
-def is_acyclic(dag: Dag) -> bool:
-    """True iff the graph admits a topological order."""
-    placed = 0
-    remaining = set(range(dag.n))
-    while remaining:
-        sink = None
-        for i in sorted(remaining):
-            if dag.parents[i].bits & ~placed == 0:
-                sink = i
-                break
-        if sink is None:
-            return False
-        placed |= 1 << sink
-        remaining.discard(sink)
-    return True
+def _sink_first_order(dag: Dag) -> list[int] | None:
+    """Place nodes whose parents are all placed, smallest index first.
 
-
-def topological_order(dag: Dag) -> LinearOrder:
-    """A topological order of the DAG; ties pick the smallest node index."""
+    Returns the full order, or None when a cycle blocks the walk.
+    """
     order: list[int] = []
     placed = 0
     remaining = set(range(dag.n))
@@ -372,10 +358,23 @@ def topological_order(dag: Dag) -> LinearOrder:
                 ready = i
                 break
         if ready is None:
-            raise CyclicGraphError("graph contains a cycle")
+            return None
         order.append(ready)
         placed |= 1 << ready
         remaining.discard(ready)
+    return order
+
+
+def is_acyclic(dag: Dag) -> bool:
+    """True iff the graph admits a topological order."""
+    return _sink_first_order(dag) is not None
+
+
+def topological_order(dag: Dag) -> LinearOrder:
+    """A topological order of the DAG; ties pick the smallest node index."""
+    order = _sink_first_order(dag)
+    if order is None:
+        raise CyclicGraphError("graph contains a cycle")
     return LinearOrder(tuple(order))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +16,11 @@ from qbnsl.bucket_cover import (
     DownsetIndex,
     IndexOutOfRangeError,
     InvalidKError,
+    LatticeTemplate,
     NotADownsetError,
     cover_size,
     covering_member,
-    downset_count,
     downset_count_formula,
-    downsets_per_member,
     index_of_member,
     is_downset,
     member_by_index,
@@ -86,8 +86,9 @@ def test_downset_count_values():
     assert downset_count_formula(12, 6) == 225
     assert downset_count_formula(12, 4) == 343
     p = BlockPartition.contiguous(8, 4)
-    assert downsets_per_member(p) == 49
-    assert downset_count(member_by_index(p, 0)) == 49
+    assert downset_count_formula(p.n, p.k) == 49
+    member = member_by_index(p, 0)
+    assert downset_count_formula(member.partition.n, member.partition.k) == 49
 
 
 def test_member_by_index_two_node_canonical_order():
@@ -231,6 +232,46 @@ def test_downset_removal_keeps_downsets(seed):
     for elem in s:
         if elem not in idx.removable_elements(s):
             assert not is_downset(member, s.remove(elem))
+
+
+def brute_downsets_in_index_order(member: CoverMember) -> list[int]:
+    """Every downset, enumerated per block and combined block 0 first.
+
+    Per block: the downward-closed subsets that miss the second half,
+    then those that touch it, each group bitmask-ascending.
+    """
+    per_block = []
+    for block, split in zip(member.partition.blocks, member.splits):
+        subsets = [
+            sum(1 << e for e in combo)
+            for r in range(len(block) + 1)
+            for combo in itertools.combinations(list(block), r)
+        ]
+        closed = [b for b in subsets if brute_is_downset(member, b)]
+        second = block.bits & ~split.bits
+        per_block.append(
+            sorted(b for b in closed if not b & second)
+            + sorted(b for b in closed if b & second)
+        )
+    return [sum(parts) for parts in itertools.product(*per_block)]
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("n,k", [(2, 2), (8, 4), (9, 4), (10, 6), (12, 4)])
+def test_template_slot_masks_match_brute_downsets(n, k, shuffled):
+    if shuffled:
+        partition = BlockPartition.shuffled(n, k, seed=n * 10 + k)
+    else:
+        partition = BlockPartition.contiguous(n, k)
+    template = LatticeTemplate(partition)
+    assert template.size == downset_count_formula(n, k)
+    for m in range(cover_size(n, k)):
+        member = member_by_index(partition, m)
+        nodes = DownsetIndex(member, template).nodes
+        mapped = np.zeros(template.size, dtype=np.int64)
+        for slot, node in enumerate(nodes):
+            mapped |= ((template.masks >> slot) & 1) << node
+        assert mapped.tolist() == brute_downsets_in_index_order(member)
 
 
 def test_covering_member_demo_order(demo_partition, demo_order, demo_member):

@@ -100,6 +100,8 @@ def test_infeasible_configurations_exit_two(score_file, tmp_path, capsys):
         ("cover-stats", "--n", "0", "--k", "2"),
         ("cover-stats", "--n", "8", "--k", "4", "--entries", "-1"),
         ("bench", "--suite", "grover", "--trials", "two"),
+        ("score", "data.csv", "--max-indegree", "-1"),
+        ("score", "data.csv", "--max-indegree", "x"),
     ],
 )
 def test_nonpositive_counts_exit_two(capsys, argv):

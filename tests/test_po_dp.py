@@ -16,6 +16,7 @@ from qbnsl.bucket_cover import (
     member_by_index,
 )
 from qbnsl.dp_exact import solve_dp
+from qbnsl.grover_sim import MaxOracle, QueryLedger, max_find
 from qbnsl.instance import (
     Dag,
     InstanceTooLargeError,
@@ -40,6 +41,99 @@ from qbnsl.tables import random_table
 def random_member(rng, n, k):
     partition = BlockPartition.contiguous(n, k)
     return member_by_index(partition, int(rng.integers(cover_size(n, k))))
+
+
+# Pure-Python references: the per-edge sweep with (cardinality, bitmask)
+# argmax bookkeeping and the per-member DP that the numpy template path
+# replaced.  The library must reproduce their values and witnesses exactly.
+
+
+def _tighter(mask_a, mask_b):
+    return (mask_a.bit_count(), mask_a) < (mask_b.bit_count(), mask_b)
+
+
+def reference_best_parents(table, member, index):
+    """(values, argmax) per node and downset, by one cardinality sweep."""
+    order = index.by_cardinality()
+    edges = index.edges()
+    values, argmax = [], []
+    for i in range(table.n):
+        vals = [float("-inf")] * len(index)
+        args = [0] * len(index)
+        for mask, score in table.items(i):
+            d = index.index_of_downset(downward_closure(member, mask))
+            if score > vals[d] or (score == vals[d] and _tighter(mask, args[d])):
+                vals[d] = score
+                args[d] = mask
+        for d, _mask in order:
+            best_v, best_a = vals[d], args[d]
+            for _elem, child in edges[d]:
+                cv = vals[child]
+                if cv > best_v or (
+                    cv == best_v and cv != float("-inf") and _tighter(args[child], best_a)
+                ):
+                    best_v, best_a = cv, args[child]
+            vals[d], args[d] = best_v, best_a
+        values.append(vals)
+        argmax.append(args)
+    return values, argmax
+
+
+def reference_solve_member(table, member):
+    """Downset DP with first-strict-max sinks over ascending elements."""
+    index = DownsetIndex(member)
+    values, argmax = reference_best_parents(table, member, index)
+    edges = index.edges()
+    value = [float("-inf")] * len(index)
+    value[0] = 0.0
+    sink = [-1] * len(index)
+    for d, _mask in index.by_cardinality():
+        if d == 0:
+            continue
+        for elem, child in edges[d]:
+            cand = value[child] + values[elem][child]
+            if cand > value[d]:
+                value[d], sink[d] = cand, elem
+    parents = [NodeSet(0)] * table.n
+    mask = (1 << table.n) - 1
+    d = index.index_of_downset(mask)
+    while mask:
+        i = sink[d]
+        mask ^= 1 << i
+        d = index.index_of_downset(mask)
+        parents[i] = NodeSet(argmax[i][d])
+    dag = Dag(table.n, tuple(parents))
+    return total_score(dag, table), dag
+
+
+def reference_solve_cover(results, strategy, seed):
+    """classical-scan or grover-sim over per-member reference results."""
+    members = len(results)
+    ledger = QueryLedger()
+    for _ in results:
+        ledger.count_classical()
+    if strategy == "classical-scan":
+        best = results[0]
+        for result in results[1:]:
+            if result[0] > best[0]:
+                best = result
+        return best[0], best[1], ledger
+    oracle = MaxOracle(members, [r[0] for r in results].__getitem__, ledger)
+    best_idx, _, _ = max_find(oracle, members, "sim", rng_seed=seed, repetitions=7)
+    ledger.count_classical()
+    return results[best_idx][0], results[best_idx][1], ledger
+
+
+def tie_heavy_table(rng, n):
+    """random_table's parent sets with small integer scores, so ties abound."""
+    base = random_table(rng, n)
+    return LocalScoreTable(
+        n,
+        [
+            {mask: float(rng.integers(-2, 3)) for mask, _ in base.items(i)}
+            for i in range(n)
+        ],
+    )
 
 
 def test_downward_closure_minimal_rule(demo_member):
@@ -82,7 +176,9 @@ def test_downset_best_parents_demo_values(demo_member):
     at = idx.index_of_downset
     assert best.values[5][at(NodeSet.of(6, 7))] == 2.0
     assert best.values[5][at(NodeSet.of(2, 3, 6, 7))] == 3.0
-    assert best.argmax[5][at(NodeSet.of(2, 3, 6, 7))] == (1 << 3) | (1 << 6)
+    _, reference_argmax = reference_best_parents(table, demo_member, idx)
+    assert reference_argmax[5][at(NodeSet.of(2, 3, 6, 7))] == (1 << 3) | (1 << 6)
+    assert best_parents_in(table, 5, NodeSet.of(2, 3, 6, 7))[1] == NodeSet.of(3, 6)
     assert best.values[5][at(NodeSet(0))] == 0.0
 
 
@@ -96,12 +192,13 @@ def test_downset_best_parents_equals_scan_oracle(seed):
     member = random_member(rng, n, k)
     idx = DownsetIndex(member)
     best = downset_best_parents(table, member, idx)
+    _, reference_argmax = reference_best_parents(table, member, idx)
     for d in range(len(idx)):
         s = int(idx.downset_by_index(d))
         for i in range(n):
             score, parents = best_parents_in(table, i, s & ~(1 << i))
             assert best.values[i][d] == pytest.approx(score, abs=0)
-            assert best.argmax[i][d] == int(parents)
+            assert reference_argmax[i][d] == int(parents)
 
 
 @given(st.integers(0, 2**31))
@@ -131,6 +228,47 @@ def test_downset_best_parents_edge_budget(seed):
     idx = DownsetIndex(member)
     best = downset_best_parents(table, member, idx)
     assert best.edge_visits <= n * n * len(idx)
+
+
+@given(st.integers(0, 2**31), st.booleans(), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_template_path_matches_python_reference(seed, tie_heavy, shuffled):
+    rng = rng_for(seed, "template-reference")
+    n = int(rng.integers(2, 11))
+    k = int(rng.choice([e for e in (2, 4, 6) if e <= n]))
+    table = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
+    if shuffled:
+        partition = BlockPartition.shuffled(n, k, seed)
+    else:
+        partition = BlockPartition.contiguous(n, k)
+    member = member_by_index(partition, int(rng.integers(cover_size(n, k))))
+    idx = DownsetIndex(member)
+    best = downset_best_parents(table, member, idx)
+    reference_values, _ = reference_best_parents(table, member, idx)
+    assert best.values.tolist() == reference_values
+    assert solve_member(table, member) == reference_solve_member(table, member)
+
+
+@given(st.integers(0, 2**31), st.booleans(), st.booleans())
+@settings(max_examples=8, deadline=None)
+def test_solve_cover_matches_python_reference(seed, tie_heavy, shuffled):
+    rng = rng_for(seed, "cover-reference")
+    n = int(rng.integers(2, 11))
+    k = int(rng.choice([e for e in (2, 4, 6) if e <= n]))
+    table = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
+    if shuffled:
+        partition = BlockPartition.shuffled(n, k, seed)
+    else:
+        partition = BlockPartition.contiguous(n, k)
+    results = [
+        reference_solve_member(table, member_by_index(partition, idx))
+        for idx in range(cover_size(n, k))
+    ]
+    for strategy in ("classical-scan", "grover-sim"):
+        score, dag, ledger = solve_cover(table, partition, strategy, seed=seed)
+        ref_score, ref_dag, ref_ledger = reference_solve_cover(results, strategy, seed)
+        assert (score, dag) == (ref_score, ref_dag)
+        assert ledger.as_dict() == ref_ledger.as_dict()
 
 
 def test_solve_member_all_empty_tables(demo_member):
