@@ -39,7 +39,6 @@ from .scores_io import (
     write_scores,
 )
 from .dp_exact import (
-    SubsetTable,
     best_parents_all_subsets,
     brute_force_dags,
     brute_force_orders,
@@ -65,7 +64,6 @@ from .po_dp import (
     DownsetScoreTable,
     StrategyUnavailableError,
     downset_best_parents,
-    downward_closure,
     solve_cover,
     solve_member,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,34 +58,6 @@ ALGORITHMS = ("dp", "cover", "cover-grover", "brute-orders", "brute-dags")
 SUITES = ("oracle", "grover", "scaling")
 
 
-@dataclass
-class RunConfig:
-    """One parsed invocation: subcommand plus its knobs and caps."""
-
-    subcommand: str
-    input_path: str | None = None
-    algo: str = "dp"
-    k: int = 2
-    seed: int = 0
-    out: str | None = None
-    report: str | None = None
-    max_indegree: int = 2
-    max_entries: int = 1_000_000
-    n: int = 8
-    entries: int | None = None
-    suite: str = "oracle"
-    instances: int = 500
-    trials: int = 2000
-    dp_cap: int = DP_CAP
-    sim_cap: int = MAX_SIM_DOMAIN
-    shuffle_blocks: bool = False
-
-    def __post_init__(self) -> None:
-        if self.subcommand == "solve" and self.algo in ("cover", "cover-grover"):
-            if self.k < 2 or self.k % 2:
-                raise InvalidKError(f"block size k={self.k} must be even and >= 2")
-
-
 def positive_int(text: str) -> int:
     """argparse type for counts: an integer >= 1 (anything else exits 2)."""
     value = int(text)
@@ -100,6 +71,14 @@ def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{value} is not a non-negative integer")
+    return value
+
+
+def dp_cap_int(text: str) -> int:
+    """argparse type for --dp-cap: an integer in 1..DP_CAP (anything else exits 2)."""
+    value = int(text)
+    if not 1 <= value <= DP_CAP:
+        raise argparse.ArgumentTypeError(f"{value} is not in 1..{DP_CAP}")
     return value
 
 
@@ -125,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", help="edge-list path; a .dot sibling is written too")
-    p_solve.add_argument("--dp-cap", type=int, default=DP_CAP)
+    p_solve.add_argument("--dp-cap", type=dp_cap_int, default=DP_CAP)
     p_solve.add_argument("--sim-cap", type=int, default=MAX_SIM_DOMAIN)
     p_solve.add_argument(
         "--shuffle-blocks",
@@ -164,35 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    for name in (
-        "algo",
-        "k",
-        "seed",
-        "out",
-        "report",
-        "max_indegree",
-        "max_entries",
-        "n",
-        "entries",
-        "suite",
-        "instances",
-        "trials",
-        "dp_cap",
-        "sim_cap",
-        "shuffle_blocks",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if args.subcommand == "score":
-        cfg.input_path = args.data
-    elif args.subcommand == "solve":
-        cfg.input_path = args.scores
-    cfg.__post_init__()
-    return cfg
-
-
 def _emit(lines: list[str], report_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
@@ -218,48 +168,48 @@ def _dot(dag: Dag, names: tuple[str, ...]) -> str:
     return "\n".join(rows) + "\n"
 
 
-def cmd_score(cfg: RunConfig) -> int:
-    text = Path(cfg.input_path).read_text(encoding="utf-8")
+def cmd_score(args: argparse.Namespace) -> int:
+    text = Path(args.data).read_text(encoding="utf-8")
     data = DiscreteDataset.from_csv(text)
-    table = bic_scores(data, cfg.max_indegree, max_entries=cfg.max_entries)
+    table = bic_scores(data, args.max_indegree, max_entries=args.max_entries)
     out_text = write_scores(table)
     lines = [f"F = {table.total_entries}"]
     for i in range(table.n):
         lines.append(f"parent_sets[{table.names[i]}] = {table.set_count(i)}")
     sys.stdout.write("\n".join(lines) + "\n")
-    if cfg.out:
-        Path(cfg.out).write_text(out_text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(out_text, encoding="utf-8")
     else:
         sys.stdout.write(out_text)
     return 0
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    table = parse_scores(Path(cfg.input_path).read_text(encoding="utf-8"))
+def cmd_solve(args: argparse.Namespace) -> int:
+    table = parse_scores(Path(args.scores).read_text(encoding="utf-8"))
     names = table.names or tuple(f"X{i}" for i in range(table.n))
     ledger = None
     dag = None
-    if cfg.algo == "dp":
-        score, dag = solve_dp(table, cap=cfg.dp_cap)
-    elif cfg.algo == "brute-orders":
+    if args.algo == "dp":
+        score, dag = solve_dp(table, cap=args.dp_cap)
+    elif args.algo == "brute-orders":
         score = brute_force_orders(table)
-    elif cfg.algo == "brute-dags":
+    elif args.algo == "brute-dags":
         score = brute_force_dags(table)
     else:
-        if cfg.shuffle_blocks:
-            partition = BlockPartition.shuffled(table.n, cfg.k, cfg.seed)
+        if args.shuffle_blocks:
+            partition = BlockPartition.shuffled(table.n, args.k, args.seed)
         else:
-            partition = BlockPartition.contiguous(table.n, cfg.k)
-        strategy = "classical-scan" if cfg.algo == "cover" else "grover-sim"
+            partition = BlockPartition.contiguous(table.n, args.k)
+        strategy = "classical-scan" if args.algo == "cover" else "grover-sim"
         score, dag, ledger = solve_cover(
             table,
             partition,
             strategy,
-            seed=cfg.seed,
-            sim_cap=cfg.sim_cap,
-            dp_cap=cfg.dp_cap,
+            seed=args.seed,
+            sim_cap=args.sim_cap,
+            dp_cap=args.dp_cap,
         )
-    lines = [f"score = {score:.9f}", f"algo = {cfg.algo}"]
+    lines = [f"score = {score:.9f}", f"algo = {args.algo}"]
     if ledger is not None:
         lines.append(f"classical_evals = {ledger.classical_evals}")
         lines.append(f"charged_quantum_queries = {ledger.charged_quantum_queries}")
@@ -269,9 +219,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         if abs(check - score) > 1e-9:
             raise RuntimeError("witness DAG does not rescore to the printed value")
         edge_text = _edge_list(dag, names)
-        if cfg.out:
-            Path(cfg.out).write_text(edge_text, encoding="utf-8")
-            Path(cfg.out).with_suffix(".dot").write_text(
+        if args.out:
+            Path(args.out).write_text(edge_text, encoding="utf-8")
+            Path(args.out).with_suffix(".dot").write_text(
                 _dot(dag, names), encoding="utf-8"
             )
         else:
@@ -279,13 +229,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_cover_stats(cfg: RunConfig) -> int:
-    members = cover_size(cfg.n, cfg.k)
-    downsets = downset_count_formula(cfg.n, cfg.k)
-    report = cost_report(cfg.n, cfg.entries, cfg.k)
+def cmd_cover_stats(args: argparse.Namespace) -> int:
+    members = cover_size(args.n, args.k)
+    downsets = downset_count_formula(args.n, args.k)
+    report = cost_report(args.n, args.entries, args.k)
     lines = report.lines()
     lines.append(f"work_proxy = {members * downsets}")
-    _emit(lines, cfg.report)
+    _emit(lines, args.report)
     return 0
 
 
@@ -408,14 +358,14 @@ def _bench_scaling(seed: int) -> tuple[list[str], bool]:
     return lines, ok
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    if cfg.suite == "oracle":
-        lines, ok = _bench_oracle(cfg.seed, cfg.instances)
-    elif cfg.suite == "grover":
-        lines, ok = _bench_grover(cfg.seed, cfg.trials)
+def cmd_bench(args: argparse.Namespace) -> int:
+    if args.suite == "oracle":
+        lines, ok = _bench_oracle(args.seed, args.instances)
+    elif args.suite == "grover":
+        lines, ok = _bench_grover(args.seed, args.trials)
     else:
-        lines, ok = _bench_scaling(cfg.seed)
-    _emit(lines, cfg.report)
+        lines, ok = _bench_scaling(args.seed)
+    _emit(lines, args.report)
     return 0 if ok else 1
 
 
@@ -423,14 +373,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        if cfg.subcommand == "score":
-            return cmd_score(cfg)
-        if cfg.subcommand == "solve":
-            return cmd_solve(cfg)
-        if cfg.subcommand == "cover-stats":
-            return cmd_cover_stats(cfg)
-        return cmd_bench(cfg)
+        if args.subcommand == "score":
+            return cmd_score(args)
+        if args.subcommand == "solve":
+            return cmd_solve(args)
+        if args.subcommand == "cover-stats":
+            return cmd_cover_stats(args)
+        return cmd_bench(args)
     except (
         InstanceTooLargeError,
         InvalidKError,

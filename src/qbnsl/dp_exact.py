@@ -1,15 +1,16 @@
 """Classical exact solvers: subset dynamic programming and brute forcers.
 
 The subset DP runs in O(2^n * n^2) after per-node subset-max tables are
-built, and is the reference solver for n up to ~20.  The brute forcers
-exist purely as oracles for the test suite: one maximizes over all node
-orderings, one over all parent assignments that form a DAG.
+built, and is the reference solver for n up to ~20.  The subset-max
+tables hold values only; the traceback recovers each witness parent set
+with ``best_parents_in``.  The brute forcers exist purely as oracles for
+the test suite: one maximizes over all node orderings, one over all
+parent assignments that form a DAG.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +28,6 @@ DP_CAP = 20
 ORDER_BRUTE_CAP = 8
 DAG_BRUTE_CAP = 4
 
-# argmax tie keys pack (cardinality, bitmask) into one int64; n <= 30 so a
-# mask needs at most 30 bits and the packed key stays far below 2^63.
-_KEY_SHIFT = 30
-_UNSET_KEY = np.int64(1) << 62
-
 
 def popcounts(size: int, n: int) -> np.ndarray:
     """Bit-count of every integer in [0, size) as an int64 array."""
@@ -42,57 +38,30 @@ def popcounts(size: int, n: int) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
-class SubsetTable:
-    """Best listed parent score (and argmax set) for one node, per subset.
-
-    ``values[S]`` is max{ s_i(J) : J listed for i, J subset of S } and
-    ``argmax[S]`` the witness bitmask, ties preferring smaller cardinality
-    then smaller bitmask.  Indices run over all 2^n masks; bit i is simply
-    ignored (values[S] == values[S minus i]).
-    """
-
-    node: int
-    n: int
-    values: np.ndarray
-    argmax: np.ndarray
-
-    def best(self, allowed: "NodeSet | int") -> tuple[float, NodeSet]:
-        mask = int(allowed)
-        return float(self.values[mask]), NodeSet(int(self.argmax[mask]))
-
-
 def best_parents_all_subsets(
     table: LocalScoreTable, i: int, cap: int = DP_CAP
-) -> SubsetTable:
-    """Subset-max transform of node i's score entries over all 2^n masks."""
+) -> np.ndarray:
+    """Subset-max transform of node i's score entries over all 2^n masks.
+
+    ``values[S]`` is max{ s_i(J) : J listed for i, J subset of S }, a float
+    array indexed by every mask; bit i is simply ignored
+    (values[S] == values[S minus i]).
+    """
     n = table.n
     if n > cap:
         raise InstanceTooLargeError(f"n={n} exceeds the subset-table cap {cap}")
     if not 0 <= i < n:
         raise ValueError(f"node index {i} out of range")
-    size = 1 << n
-    values = np.full(size, -np.inf, dtype=np.float64)
-    keys = np.full(size, _UNSET_KEY, dtype=np.int64)
+    values = np.full(1 << n, -np.inf, dtype=np.float64)
     for mask, score in table.items(i):
         values[mask] = score
-        keys[mask] = (mask.bit_count() << _KEY_SHIFT) | mask
     # One max-propagation pass per dimension: after pass j, each mask holds
     # the best over seeded submasks differing only in bits <= j.
     for j in range(n):
-        v = values.reshape(-1, 2, 1 << j)
-        k = keys.reshape(-1, 2, 1 << j)
-        lo_v, hi_v = v[:, 0, :], v[:, 1, :]
-        lo_k, hi_k = k[:, 0, :], k[:, 1, :]
-        update = (lo_v > hi_v) | ((lo_v == hi_v) & (lo_k < hi_k))
-        hi_v[update] = lo_v[update]
-        hi_k[update] = lo_k[update]
-    return SubsetTable(
-        node=i,
-        n=n,
-        values=values,
-        argmax=(keys & ((np.int64(1) << _KEY_SHIFT) - 1)).astype(np.int64),
-    )
+        pairs = values.reshape(-1, 2, 1 << j)
+        hi, lo = pairs[:, 1, :], pairs[:, 0, :]
+        np.maximum(hi, lo, out=hi)
+    return values
 
 
 def solve_dp(table: LocalScoreTable, cap: int = DP_CAP) -> tuple[float, Dag]:
@@ -108,9 +77,7 @@ def solve_dp(table: LocalScoreTable, cap: int = DP_CAP) -> tuple[float, Dag]:
     if n > cap:
         raise InstanceTooLargeError(f"n={n} exceeds the DP cap {cap}")
     size = 1 << n
-    best_parent_values = [
-        best_parents_all_subsets(table, i, cap=cap).values for i in range(n)
-    ]
+    best_parent_values = [best_parents_all_subsets(table, i, cap=cap) for i in range(n)]
     layer_of = popcounts(size, n)
     opt = np.full(size, -np.inf, dtype=np.float64)
     opt[0] = 0.0

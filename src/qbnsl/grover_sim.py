@@ -52,10 +52,6 @@ class QueryLedger:
     def charge_quantum(self, amount: int = 1) -> None:
         self.charged_quantum_queries += amount
 
-    def merge(self, other: "QueryLedger") -> None:
-        self.classical_evals += other.classical_evals
-        self.charged_quantum_queries += other.charged_quantum_queries
-
     def as_dict(self) -> dict[str, int]:
         return {
             "classical_evals": self.classical_evals,
@@ -237,24 +233,14 @@ def max_find(
 ) -> tuple[int, float, QueryLedger]:
     """Maximum of the oracle over [0, m) by threshold-driven search.
 
-    ``mode='sim'`` runs the simulated search; each repetition is an
-    independent bounded-error pass and the best outcome is kept, so the
+    ``mode`` must be ``'sim'``: the simulated search.  Each repetition is
+    an independent bounded-error pass and the best outcome is kept, so the
     failure probability decays exponentially in ``repetitions`` (the
-    default 7 brings (1/3)^7 < 5e-4).  ``mode='cost-model'`` evaluates the
-    maximum by metered classical scan and books the analytic quantum
-    charge instead of simulating.
+    default 7 brings (1/3)^7 < 5e-4).  The analytic charge without
+    simulation is ``solve_cover``'s ``grover-cost-model`` strategy.
     """
     if m < 1 or m > oracle.m:
         raise ValueError("m must be within the oracle's domain")
-    if mode == "cost-model":
-        best_x = 0
-        best_v = oracle.eval(0)
-        for x in range(1, m):
-            v = oracle.eval(x)
-            if v > best_v:
-                best_x, best_v = x, v
-        oracle.ledger.charge_quantum(quantum_charge(m))
-        return best_x, best_v, oracle.ledger
     if mode != "sim":
         raise ValueError(f"unknown mode {mode!r}")
     if m > MAX_SIM_DOMAIN:

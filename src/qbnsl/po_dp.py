@@ -61,22 +61,6 @@ class StrategyUnavailableError(ValueError):
     """The requested cover-search strategy is not one of COVER_STRATEGIES."""
 
 
-def downward_closure(member: CoverMember, parents: "NodeSet | int") -> NodeSet:
-    """Smallest downset of the member's order containing ``parents``.
-
-    Blockwise: whenever the set touches a block's second half, the block's
-    entire first half is pulled in; nothing else is added.
-    """
-    bits = int(parents)
-    if bits >> member.partition.n:
-        raise ValueError("parents reference nodes outside the partition")
-    for t, block in enumerate(member.partition.blocks):
-        split = member.splits[t].bits
-        if bits & (block.bits & ~split):
-            bits |= split
-    return NodeSet(bits)
-
-
 @dataclass
 class DownsetScoreTable:
     """Per (node, downset): the best listed parent score within the downset.

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from qbnsl.bucket_cover import InvalidKError
-from qbnsl.cli import ALGORITHMS, RunConfig, build_parser, main
+from qbnsl.cli import ALGORITHMS, build_parser, main
 from qbnsl.scores_io import parse_scores
 
 FIXTURE = "2\nA 2\n-1.5 0\n-1.0 1 B\nB 1\n-2.0 0\n"
@@ -102,6 +101,8 @@ def test_infeasible_configurations_exit_two(score_file, tmp_path, capsys):
         ("bench", "--suite", "grover", "--trials", "two"),
         ("score", "data.csv", "--max-indegree", "-1"),
         ("score", "data.csv", "--max-indegree", "x"),
+        ("solve", "pair.scores", "--dp-cap", "0"),
+        ("solve", "pair.scores", "--dp-cap", "21"),
     ],
 )
 def test_nonpositive_counts_exit_two(capsys, argv):
@@ -209,12 +210,17 @@ def test_bench_scaling(tmp_path, capsys):
     assert report.read_text(encoding="utf-8") == out
 
 
-def test_parser_prog_and_config_validation():
+def test_parser_prog_and_config_validation(score_file, tmp_path, capsys):
     parser = build_parser()
     assert parser.prog == "qbnsl"
     with pytest.raises(SystemExit):
         parser.parse_args(["solve"])  # missing scores path
-    with pytest.raises(InvalidKError):
-        RunConfig(subcommand="solve", algo="cover", k=5)
-    cfg = RunConfig(subcommand="solve", algo="dp", k=5)
-    assert cfg.k == 5  # non-cover algorithms ignore k
+    code, _, err = run(capsys, "solve", score_file, "--algo", "cover", "--k", "5")
+    assert code == 2 and "error:" in err
+    code, out, _ = run(capsys, "solve", score_file, "--algo", "dp", "--k", "5")
+    assert code == 0 and "score = -3.000000000" in out  # non-cover algorithms ignore k
+    # The file is read before k is checked, so a missing file is an I/O error.
+    code, _, err = run(
+        capsys, "solve", tmp_path / "missing.scores", "--algo", "cover", "--k", "5"
+    )
+    assert code == 3 and "error:" in err

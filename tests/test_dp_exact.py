@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbnsl import dp_exact
 from qbnsl.dp_exact import (
     DAG_BRUTE_CAP,
     DP_CAP,
     ORDER_BRUTE_CAP,
-    SubsetTable,
     best_parents_all_subsets,
     brute_force_dags,
     brute_force_orders,
@@ -33,6 +33,46 @@ from qbnsl.instance import (
 from qbnsl.tables import random_table
 
 
+# Reference: the subset-max transform with an argmax table, which the
+# values-only library transform replaced.  Ties prefer the smaller
+# (cardinality, bitmask), packed into one int64 key.  The library must
+# reproduce its values exactly, and best_parents_in its argmax.
+
+_KEY_SHIFT = 30
+_UNSET_KEY = np.int64(1) << 62
+
+
+def reference_subset_max(table, i):
+    """(values, argmax) over all 2^n masks for node i, with tie keys."""
+    n = table.n
+    values = np.full(1 << n, -np.inf, dtype=np.float64)
+    keys = np.full(1 << n, _UNSET_KEY, dtype=np.int64)
+    for mask, score in table.items(i):
+        values[mask] = score
+        keys[mask] = (mask.bit_count() << _KEY_SHIFT) | mask
+    for j in range(n):
+        v = values.reshape(-1, 2, 1 << j)
+        k = keys.reshape(-1, 2, 1 << j)
+        lo_v, hi_v = v[:, 0, :], v[:, 1, :]
+        lo_k, hi_k = k[:, 0, :], k[:, 1, :]
+        update = (lo_v > hi_v) | ((lo_v == hi_v) & (lo_k < hi_k))
+        hi_v[update] = lo_v[update]
+        hi_k[update] = lo_k[update]
+    return values, keys & ((np.int64(1) << _KEY_SHIFT) - 1)
+
+
+def tie_heavy_table(rng, n):
+    """random_table's parent sets with small integer scores, so ties abound."""
+    base = random_table(rng, n, max_sets=24)
+    return LocalScoreTable(
+        n,
+        [
+            {mask: float(rng.integers(-2, 3)) for mask, _ in base.items(i)}
+            for i in range(n)
+        ],
+    )
+
+
 def full_table(rng: np.random.Generator, n: int) -> LocalScoreTable:
     entries = []
     for i in range(n):
@@ -50,20 +90,22 @@ def test_subset_max_four_subset_example():
     t = LocalScoreTable(
         4, [{0: 0.0}, {0: 0.0, 0b0100: 3.0, 0b1100: 5.0}, {0: 0.0}, {0: 0.0}]
     )
-    out = best_parents_all_subsets(t, 1)
-    assert out.values[0b1100] == 5.0
-    assert out.values[0b0100] == 3.0
-    assert out.values[0b1000] == 0.0
-    assert out.values[0] == 0.0
-    assert out.argmax[0b1100] == 0b1100
-    assert out.argmax[0b0100] == 0b0100
+    values = best_parents_all_subsets(t, 1)
+    assert values[0b1100] == 5.0
+    assert values[0b0100] == 3.0
+    assert values[0b1000] == 0.0
+    assert values[0] == 0.0
+    assert best_parents_in(t, 1, 0b1100)[1] == NodeSet(0b1100)
+    assert best_parents_in(t, 1, 0b0100)[1] == NodeSet(0b0100)
 
 
 def test_subset_max_empty_only_is_zero_everywhere():
     t = LocalScoreTable(3, [{0: 0.0}, {0: 0.0}, {0: 0.0}])
-    out = best_parents_all_subsets(t, 0)
-    assert np.all(out.values == 0.0)
-    assert np.all(out.argmax == 0)
+    values = best_parents_all_subsets(t, 0)
+    assert values.dtype == np.float64 and values.shape == (8,)
+    assert np.all(values == 0.0)
+    _, argmax = reference_subset_max(t, 0)
+    assert np.all(argmax == 0)
 
 
 @given(st.integers(0, 2**31))
@@ -73,22 +115,34 @@ def test_subset_max_equals_scan_oracle(seed):
     n = int(rng.integers(2, 9))
     t = random_table(rng, n)
     i = int(rng.integers(n))
-    out = best_parents_all_subsets(t, i)
+    values = best_parents_all_subsets(t, i)
+    _, argmax = reference_subset_max(t, i)
     for mask in range(1 << n):
         allowed = mask & ~(1 << i)
         score, parents = best_parents_in(t, i, allowed)
-        assert out.values[allowed] == pytest.approx(score, abs=0)
-        assert int(out.argmax[allowed]) == int(parents)
+        assert values[allowed] == pytest.approx(score, abs=0)
+        assert int(argmax[allowed]) == int(parents)
         # bit i is ignored by the table
-        assert out.values[mask | (1 << i)] == out.values[allowed]
+        assert values[mask | (1 << i)] == values[allowed]
 
 
-def test_subset_table_best_accessor():
-    t = LocalScoreTable(2, [{0: 0.0, 0b10: 4.0}, {0: 0.0}])
-    st_ = best_parents_all_subsets(t, 0)
-    assert isinstance(st_, SubsetTable)
-    score, parents = st_.best(NodeSet.of(1))
-    assert score == 4.0 and parents == NodeSet.of(1)
+@given(st.integers(0, 2**31), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_values_only_tables_match_tie_key_reference(seed, tie_heavy):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 11))
+    t = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
+    reference = [reference_subset_max(t, i)[0] for i in range(n)]
+    for i in range(n):
+        values = best_parents_all_subsets(t, i)
+        assert values.dtype == np.float64
+        assert np.array_equal(values, reference[i])
+    # solve_dp fed the reference tables gives the same score and witness.
+    got = solve_dp(t)
+    with mock.patch.object(
+        dp_exact, "best_parents_all_subsets", lambda table, i, cap: reference[i]
+    ):
+        assert solve_dp(t) == got
 
 
 def test_solve_dp_single_node():

@@ -30,7 +30,6 @@ from qbnsl.instance import (
 from qbnsl.po_dp import (
     StrategyUnavailableError,
     downset_best_parents,
-    downward_closure,
     solve_cover,
     solve_member,
 )
@@ -43,9 +42,26 @@ def random_member(rng, n, k):
     return member_by_index(partition, int(rng.integers(cover_size(n, k))))
 
 
-# Pure-Python references: the per-edge sweep with (cardinality, bitmask)
-# argmax bookkeeping and the per-member DP that the numpy template path
-# replaced.  The library must reproduce their values and witnesses exactly.
+# Pure-Python references: the downward closure of a parent set, the
+# per-edge sweep with (cardinality, bitmask) argmax bookkeeping and the
+# per-member DP that the numpy template path replaced.  The library must
+# reproduce their values and witnesses exactly.
+
+
+def downward_closure(member, parents):
+    """Smallest downset of the member's order containing ``parents``.
+
+    Blockwise: whenever the set touches a block's second half, the block's
+    entire first half is pulled in; nothing else is added.
+    """
+    bits = int(parents)
+    if bits >> member.partition.n:
+        raise ValueError("parents reference nodes outside the partition")
+    for t, block in enumerate(member.partition.blocks):
+        split = member.splits[t].bits
+        if bits & (block.bits & ~split):
+            bits |= split
+    return NodeSet(bits)
 
 
 def _tighter(mask_a, mask_b):
