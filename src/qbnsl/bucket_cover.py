@@ -196,6 +196,18 @@ def _block_radices(partition: BlockPartition) -> list[int]:
     return [math.comb(len(b), _half(len(b))) for b in partition.blocks]
 
 
+def split_slot_positions(size: int, digit: int) -> list[int]:
+    """A block's positions in slot order under one split digit.
+
+    Digits rank the first halves (ceil(size/2) positions) in colex order,
+    that is by position bitmask.  The first half's positions come first,
+    then the second half's, each ascending: the slot order of
+    :class:`LatticeTemplate` and the split of :func:`member_by_index`.
+    """
+    first = list(NodeSet(_unrank_combination(digit, size, _half(size))))
+    return first + [p for p in range(size) if p not in first]
+
+
 def member_by_index(partition: BlockPartition, index: int) -> CoverMember:
     """Canonical member for a dense index in [0, cover_size).
 
@@ -215,8 +227,8 @@ def member_by_index(partition: BlockPartition, index: int) -> CoverMember:
     splits = []
     for block, digit in zip(partition.blocks, digits):
         elems = list(block)
-        pos_mask = _unrank_combination(digit, len(elems), _half(len(elems)))
-        splits.append(NodeSet.from_nodes(elems[p] for p in NodeSet(pos_mask)))
+        first = split_slot_positions(len(elems), digit)[: _half(len(elems))]
+        splits.append(NodeSet.from_nodes(elems[p] for p in first))
     return CoverMember(partition, tuple(splits))
 
 
@@ -471,15 +483,6 @@ class DownsetIndex:
 
     def __len__(self) -> int:
         return self.size
-
-    def slot_weights(self) -> np.ndarray:
-        """Per node, 2^slot of its slot.
-
-        A node bitmask's bit vector dotted with this is its slot mask.
-        """
-        weights = np.zeros(len(self.nodes), dtype=np.int64)
-        weights[list(self.nodes)] = 1 << np.arange(len(self.nodes), dtype=np.int64)
-        return weights
 
     def _masks(self) -> np.ndarray:
         if self._node_masks is None:

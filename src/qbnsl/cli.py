@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score = sub.add_parser("score", help="compute BIC local scores from a CSV")
     p_score.add_argument("data", help="CSV with a header row and integer cells")
     p_score.add_argument("--max-indegree", type=non_negative_int, default=2)
-    p_score.add_argument("--max-entries", type=int, default=1_000_000)
+    p_score.add_argument("--max-entries", type=non_negative_int, default=1_000_000)
     p_score.add_argument("--out", help="score file to write (default: stdout)")
 
     p_solve = sub.add_parser("solve", help="maximize the score over DAGs")
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", help="edge-list path; a .dot sibling is written too")
     p_solve.add_argument("--dp-cap", type=dp_cap_int, default=DP_CAP)
-    p_solve.add_argument("--sim-cap", type=int, default=MAX_SIM_DOMAIN)
+    p_solve.add_argument("--sim-cap", type=positive_int, default=MAX_SIM_DOMAIN)
     p_solve.add_argument(
         "--shuffle-blocks",
         action="store_true",

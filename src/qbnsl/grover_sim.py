@@ -128,17 +128,29 @@ def _trial_probabilities(marks: np.ndarray, iterations: int) -> np.ndarray:
     return np.where(marks, hit, miss)
 
 
+def _trial_cdf(marks: np.ndarray, iterations: int) -> np.ndarray:
+    """Normalized cumulative law of one trial, checked to sum to 1."""
+    cdf = np.cumsum(_trial_probabilities(marks, iterations))
+    total = cdf[-1]
+    if abs(total - 1.0) > _PROB_TOL:
+        raise RuntimeError(f"trial probabilities drifted from 1 by {total - 1.0:.3e}")
+    return cdf / total
+
+
 def grover_trial(
     marks: np.ndarray,
     iterations: int,
     rng: np.random.Generator,
     ledger: QueryLedger | None = None,
+    *,
+    cdf: np.ndarray | None = None,
 ) -> int:
     """One prepare/iterate/measure pass; charges one query per iteration.
 
     The outcome is drawn by inverting the cumulative distribution of the
     exact measurement law at one uniform variate: the same draw and lookup
-    that ``Generator.choice(size, p=probs)`` makes.
+    that ``Generator.choice(size, p=probs)`` makes.  ``cdf`` is that law's
+    normalized cumulative distribution when the caller already has it.
     """
     marks = np.asarray(marks, dtype=bool)
     if marks.size < 1:
@@ -147,11 +159,9 @@ def grover_trial(
         raise ValueError("iterations must be nonnegative")
     if ledger is not None:
         ledger.charge_quantum(iterations)
-    cdf = np.cumsum(_trial_probabilities(marks, iterations))
-    total = cdf[-1]
-    if abs(total - 1.0) > _PROB_TOL:
-        raise RuntimeError(f"trial probabilities drifted from 1 by {total - 1.0:.3e}")
-    return int(np.searchsorted(cdf / total, rng.random(), side="right"))
+    if cdf is None:
+        cdf = _trial_cdf(marks, iterations)
+    return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
 def grover_search_sim(
@@ -188,9 +198,16 @@ def grover_search_sim(
     trials = (
         math.ceil(math.log(saturation) / math.log(_GROWTH)) if saturation > 1 else 0
     ) + _EXTRA_TRIALS
+    # Each distinct law is built once per search; with nothing marked the
+    # law is uniform for every iteration count.
+    laws: dict[int, np.ndarray] = {}
+    any_marked = bool(diagonal.any())
     for t in range(trials):
         iterations = min(math.ceil(_GROWTH**t), saturation)
-        outcome = grover_trial(padded, iterations, rng, ledger)
+        key = iterations if any_marked else 0
+        if key not in laws:
+            laws[key] = _trial_cdf(padded, iterations)
+        outcome = grover_trial(padded, iterations, rng, ledger, cdf=laws[key])
         if outcome < m:
             if ledger is not None:
                 ledger.count_classical()

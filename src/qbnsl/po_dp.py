@@ -5,26 +5,37 @@ precedence constraints; the best network score over those orders is
 computed by dynamic programming whose states are the member's downsets.
 Every member of a partition shares one slot-space lattice
 (:class:`~qbnsl.bucket_cover.LatticeTemplate`), so the lattice is built
-once and each member solve is a handful of numpy passes over it:
+once and members are solved by three numpy kernels over it, each working
+on a batch of members at once (members are the minor axis):
 
-- the per-node inner maxima, values only: every listed parent set is
-  bucketed at its downward closure (O(F n) for F table entries), then
-  folded into its superset downsets one block axis at a time, at most
-  n^2 D / 2 elementwise max folds for D downsets;
+- bucketing, values only: every listed parent set is placed at its
+  downward closure's downset (O(F) per member for F table entries) and
+  ``np.maximum.at`` keeps each bucket's best score;
+- the fold of bucket maxima into superset downsets, one block axis at a
+  time, at most n^2 D / 2 elementwise max folds per member for D downsets;
 - the member DP, one cardinality layer at a time over the template's CSR
-  edges, O(D n);
-- the traceback, which re-derives each witness parent set with
-  ``best_parents_in`` (O(F) in all).
+  edges, O(D n) per member.
 
-This is correct for arbitrary listed parent sets (no closure-under-
-inclusion assumption).  On top of the member solver sit three search
-strategies over the whole cover: exhaustive classical scan, simulated
-quantum maximum finding, and an analytic cost model that books the
-quantum charge without simulating.
+The classical cover scan is values first.  :func:`member_optima` runs
+the kernels over chunks of members in index order and returns every
+member's optimum as a float array; a chunk holds B members with
+B * D * n at most 2^16 float64 values (512 KiB).  Witnesses are then
+traced one member at a time (B = 1) by :func:`solve_member`, which
+re-derives each parent set with ``best_parents_in`` and rescores the DAG,
+and only for the candidates: the members within tol of the maximum,
+where tol = 1e-9 * (1 + |max optimum|) (see :func:`solve_cover`).  A
+rescored total differs from its DP value only by summation order; a
+traced member off by more than tol / 2 raises ``RuntimeError``.
+
+On top sit three search strategies over the whole cover: exhaustive
+classical scan, simulated quantum maximum finding, and an analytic cost
+model that books the quantum charge without simulating.  This is correct
+for arbitrary listed parent sets (no closure-under-inclusion assumption).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,11 +45,13 @@ from .bucket_cover import (
     BlockPartition,
     CoverMember,
     DownsetIndex,
+    LatticeLayers,
     LatticeTemplate,
     closure_digit,
     cover_size,
     covering_member,
     member_by_index,
+    split_slot_positions,
 )
 from .dp_exact import DP_CAP, solve_dp
 from .grover_sim import MAX_SIM_DOMAIN, MaxOracle, QueryLedger, max_find, quantum_charge
@@ -55,6 +68,7 @@ from .instance import (
 COVER_STRATEGIES = ("classical-scan", "grover-sim", "grover-cost-model")
 SCAN_MEMBER_CAP = 1_000_000
 _NEG_INF = float("-inf")
+_CHUNK_ELEMENTS = 1 << 16  # float64 values in one chunk's (D, n * members) table
 
 
 class StrategyUnavailableError(ValueError):
@@ -80,8 +94,7 @@ class DownsetScoreTable:
 class ScoreEntries(NamedTuple):
     """A table's entries as flat arrays: owning node, parent-set bits, score.
 
-    ``bits[e, j]`` is 1 iff node j is in entry e's parent set, so the
-    entries' slot masks under a member are ``bits @ index.slot_weights()``.
+    ``bits[e, j]`` is 1 iff node j is in entry e's parent set.
     """
 
     node: np.ndarray
@@ -103,6 +116,60 @@ class ScoreEntries(NamedTuple):
         return cls(np.array(nodes, dtype=np.int64), bits, np.array(scores))
 
 
+def _block_patterns(entries: ScoreEntries, elems: np.ndarray) -> np.ndarray:
+    """Each entry's parent set within one block, bit p for node ``elems[p]``.
+
+    With ``elems`` in slot order this is the entry's slot pattern, whose
+    ``closure_digit`` times the block's stride is the block's share of the
+    entry's bucket: a set lies inside a downset exactly when its closure
+    does.
+    """
+    return entries.bits[:, elems] @ (1 << np.arange(len(elems)))
+
+
+def _bucket_maxima(
+    flat: np.ndarray, scores: np.ndarray, size: int, n: int
+) -> np.ndarray:
+    """A (D, n * batch) table of each bucket's best score, -inf if empty.
+
+    ``flat[e, b]`` is d * n + node for entry e under member b, whose
+    bucket is downset d; member b owns column b of each node's block.
+    A 1-D ``flat`` is one member.
+    """
+    batch = math.prod(flat.shape[1:])
+    out = np.full(size * n * batch, _NEG_INF)
+    cells = flat * batch + np.arange(batch).reshape(flat.shape[1:])
+    # Scores are repeated explicitly: ufunc.at mishandles broadcast values.
+    np.maximum.at(out, cells.ravel(), np.repeat(scores, batch))
+    return out.reshape(size, n * batch)
+
+
+def _member_dp(
+    by_downset: np.ndarray, edge_node: np.ndarray, layers: LatticeLayers
+) -> tuple[np.ndarray, np.ndarray]:
+    """Downset DP values (D, batch) and per-edge best scores (E, batch).
+
+    ``by_downset`` is the folded (D, n * batch) table and ``edge_node`` the
+    (E, batch) node removed along each CSR edge; a 1-D ``edge_node`` is one
+    member and gives 1-D results.  Per cardinality layer: a gather, an add
+    and a ``maximum.reduceat`` along the edge axis.
+    """
+    size, width = by_downset.shape
+    shape = edge_node.shape[1:]
+    batch = math.prod(shape)
+    n = width // batch
+    child = layers.edge_child.reshape(layers.edge_child.shape + (1,) * len(shape))
+    edge_best = by_downset.ravel()[
+        (child * n + edge_node) * batch + np.arange(batch).reshape(shape)
+    ]
+    value = np.empty((size,) + shape)
+    value[0] = 0.0
+    for downsets, edges, children, segments in layers.steps:
+        cand = value[children] + edge_best[edges]
+        value[downsets] = np.maximum.reduceat(cand, segments)
+    return value, edge_best
+
+
 def downset_best_parents(
     table: LocalScoreTable,
     member: CoverMember,
@@ -111,17 +178,12 @@ def downset_best_parents(
 ) -> DownsetScoreTable:
     """Best-parent scores for every node over every downset of the member.
 
-    Works in two phases, on all nodes at once.  Every listed parent set is
-    bucketed at the index of its downward closure (valid because a set
-    lies inside a downset exactly when its closure does): its mask is
-    relabelled to slots, each block's part is closed and turned into a
-    local digit, and ``np.maximum.at`` keeps each bucket's best score.
-    Then the bucket maxima are folded into every superset downset one
-    block axis at a time, over that block's small local lattice; the
-    downset lattice is the product of the block lattices, so this yields
-    the max over all sub-downsets.  Values only: witnesses come from
-    ``best_parents_in`` on the traceback, with the same (cardinality,
-    bitmask) tie rule.
+    Works in two phases, on all nodes at once: the bucketing and the
+    sub-downset fold kernels with a batch of one.  The downset lattice is
+    the product of the block lattices, so folding the bucket maxima block
+    axis by block axis yields the max over all sub-downsets.  Values only:
+    witnesses come from ``best_parents_in`` on the traceback, with the
+    same (cardinality, bitmask) tie rule.
     """
     n = table.n
     if n != member.partition.n:
@@ -131,28 +193,26 @@ def downset_best_parents(
     if entries is None:
         entries = ScoreEntries.of(table)
     template = index.template
-    slot_masks = entries.bits @ index.slot_weights()
+    nodes = np.array(index.nodes)
     flat = entries.node.copy()
-    for t, (offset, size, h) in enumerate(
-        zip(template.offsets, template.block_sizes, template.halves)
+    for offset, size, h, weight in zip(
+        template.offsets, template.block_sizes, template.halves, template.weights
     ):
-        local = (slot_masks >> offset) & ((1 << size) - 1)
-        flat += closure_digit(local, h) * (template.weights[t] * n)
-    # Stored downset-major, so every fold below runs over contiguous rows.
-    by_downset = np.full(template.size * n, _NEG_INF)
-    np.maximum.at(by_downset, flat, entries.scores)
-    by_downset = by_downset.reshape(template.size, n)
+        local = _block_patterns(entries, nodes[offset : offset + size])
+        flat += closure_digit(local, h) * (weight * n)
+    by_downset = _bucket_maxima(flat, entries.scores, template.size, n)
     visits = _fold_sub_downsets(by_downset, template)
     return DownsetScoreTable(index, by_downset.T, visits)
 
 
 def _fold_sub_downsets(values: np.ndarray, template: LatticeTemplate) -> int:
-    """In place, replace each downset's entry by the max over its sub-downsets.
+    """In place, replace each downset's row by the max over its sub-downsets.
 
-    Per block axis, the local lattice is the Boolean lattice of the first
-    half (digits 0..2^h-1) with the Boolean lattice of the second half
-    stacked on its top (digits 2^h-1 onwards), so one max pass per local
-    bit finishes the axis.  Returns the number of elementwise max folds.
+    ``values`` is (D, row).  Per block axis, the local lattice is the
+    Boolean lattice of the first half (digits 0..2^h-1) with the Boolean
+    lattice of the second half stacked on its top (digits 2^h-1 onwards),
+    so one max pass per local bit finishes the axis.  Returns the number
+    of elementwise max folds.
     """
     outer = 1
     folds = 0
@@ -171,6 +231,65 @@ def _fold_sub_downsets(values: np.ndarray, template: LatticeTemplate) -> int:
     return folds
 
 
+def member_optima(
+    table: LocalScoreTable,
+    partition: BlockPartition,
+    template: LatticeTemplate | None = None,
+    entries: ScoreEntries | None = None,
+) -> np.ndarray:
+    """Every member's optimum, values only, in ``member_by_index`` order.
+
+    Members are stepped through as an odometer over the per-block split
+    digits.  Per block, the slot order of every split and the entries'
+    distinct patterns within the block are found once per call.  A chunk
+    of B members, B * D * n <= 2^16, places each distinct pattern under
+    each of its members' splits, then takes one bucketing pass, one fold
+    and one layered DP, each over the whole chunk.  The optimum is the DP
+    value of the full set; no witness is traced (``solve_member`` gives the
+    witness of any one member).
+    """
+    n = table.n
+    if n != partition.n:
+        raise ValueError("table and partition sizes differ")
+    if template is None:
+        template = LatticeTemplate(partition)
+    if entries is None:
+        entries = ScoreEntries.of(table)
+    size = template.size
+    layers = template.layers
+    blocks = []  # (nodes, slot positions per split, patterns, entry -> pattern)
+    for block, h in zip(partition.blocks, template.halves):
+        elems = np.array(list(block))
+        splits = range(math.comb(len(elems), h))
+        slots = np.array([split_slot_positions(len(elems), d) for d in splits])
+        patterns, which = np.unique(
+            _block_patterns(entries, elems), return_inverse=True
+        )
+        blocks.append((elems, slots, patterns, which))
+    weights = [1 << np.arange(len(elems)) for elems, _, _, _ in blocks]
+    members = math.prod(len(slots) for _, slots, _, _ in blocks)
+    batch = max(1, min(members, _CHUNK_ELEMENTS // (size * n)))
+    optima = np.empty(members)
+    for lo in range(0, members, batch):
+        hi = min(lo + batch, members)
+        flat = np.repeat(entries.node[:, None], hi - lo, axis=1)
+        rest = np.arange(lo, hi)
+        nodes = []
+        for t in reversed(range(len(blocks))):
+            elems, slots, patterns, which = blocks[t]
+            digit = rest % len(slots)
+            rest //= len(slots)
+            nodes.append(elems[slots[digit]].T)
+            local = ((patterns[:, None, None] >> slots[digit]) & 1) @ weights[t]
+            closure = closure_digit(local, template.halves[t])
+            flat += (closure * (template.weights[t] * n))[which]
+        by_downset = _bucket_maxima(flat, entries.scores, size, n)
+        _fold_sub_downsets(by_downset, template)
+        edge_node = np.concatenate(nodes[::-1])[layers.edge_slot]
+        optima[lo:hi] = _member_dp(by_downset, edge_node, layers)[0][-1]
+    return optima
+
+
 def solve_member(
     table: LocalScoreTable,
     member: CoverMember,
@@ -181,12 +300,11 @@ def solve_member(
 
     DP over downsets: the value of a downset is the best way to schedule
     its nodes, choosing a last node among the removable ones and giving it
-    its best parents inside the remaining downset.  It runs one
-    cardinality layer at a time over the template's CSR edges: a gather,
-    an add and a ``maximum.reduceat``.  The traceback takes, at each
-    downset, the smallest node whose candidate equals the downset's value
-    and gives it ``best_parents_in`` the remaining downset.  Returns the
-    optimum and a witness DAG whose rescoring equals the returned value.
+    its best parents inside the remaining downset.  It is the layered DP
+    kernel with a batch of one.  The traceback takes, at each downset, the
+    smallest node whose candidate equals the downset's value and gives it
+    ``best_parents_in`` the remaining downset.  Returns the rescored total
+    of that witness DAG and the DAG.
     """
     n = table.n
     if n != member.partition.n:
@@ -196,18 +314,13 @@ def solve_member(
     if best is None:
         best = downset_best_parents(table, member, index)
     layers = index.template.layers
-    size = index.size
     edge_node = np.array(index.nodes)[layers.edge_slot]
-    by_downset = np.ascontiguousarray(best.values.T).ravel()
-    edge_best = by_downset[layers.edge_child * n + edge_node]
-    value = np.empty(size)
-    value[0] = 0.0
-    for downsets, edges, children, segments in layers.steps:
-        cand = value[children] + edge_best[edges]
-        value[downsets] = np.maximum.reduceat(cand, segments)
+    value, edge_best = _member_dp(
+        np.ascontiguousarray(best.values.T), edge_node, layers
+    )
     parents = [NodeSet(0)] * n
     mask = (1 << n) - 1
-    d = size - 1
+    d = index.size - 1
     while mask:
         p = layers.position[d]
         target = value[d]
@@ -239,17 +352,25 @@ def solve_cover(
 
     Because every linear order extends some member, the cover maximum
     equals the unconstrained optimum; all strategies return that score
-    (grover-sim with failure probability below 5e-4 per call).
+    (grover-sim with failure probability below 5e-4 per call), as the
+    rescored total of the returned witness.
 
-    classical-scan solves every member and keeps the best (ties keep the
-    lowest member index).  grover-sim evaluates all member scores once
-    (each metered as a classical evaluation), then runs simulated quantum
-    maximum finding over them, charging oracle applications to the ledger.
-    grover-cost-model computes the answer classically, locates the member
-    covering an optimal topological order as the witness, and books the
-    analytic charge ceil(sqrt(members)) * ceil(log2(members)) instead of
-    simulating.  Every member solve of a call shares one lattice template
-    and one flat copy of the table's entries.
+    Every member counts as one classical evaluation.  classical-scan is
+    values first: ``member_optima`` gives every member's DP optimum, and
+    only the candidates, the members within tol = 1e-9 * (1 + |max
+    optimum|) of the maximum, are traced; the highest rescored total wins
+    (ties keep the lowest member index).  grover-sim traces and rescores
+    every member, because its oracle table must order members exactly as
+    rescored totals do and members sharing a constrained optimum tie, so
+    near ties are the rule rather than the exception; it then runs
+    simulated quantum maximum finding over the table, charging oracle
+    applications to the ledger, and re-solves the winner (one more
+    classical evaluation).  grover-cost-model computes the
+    answer classically, locates the member covering an optimal
+    topological order as the witness, and books the analytic charge
+    ceil(sqrt(members)) * ceil(log2(members)) instead of simulating.
+    Every member solve of a call shares one lattice template and one flat
+    copy of the table's entries.
     """
     if strategy not in COVER_STRATEGIES:
         raise StrategyUnavailableError(
@@ -273,31 +394,41 @@ def solve_cover(
     def solve(member: CoverMember) -> tuple[float, Dag]:
         index = DownsetIndex(member, template)
         best = downset_best_parents(table, member, index, entries)
-        ledger.count_classical()
         return solve_member(table, member, index, best)
 
-    if strategy == "classical-scan":
-        best_score = _NEG_INF
-        best_dag: Dag | None = None
-        for idx in range(members):
-            score, dag = solve(member_by_index(partition, idx))
-            if best_dag is None or score > best_score:
-                best_score = score
-                best_dag = dag
-        assert best_dag is not None
-        return best_score, best_dag, ledger
+    if strategy == "grover-cost-model":
+        # Exact answer plus analytic accounting.
+        opt_score, opt_dag = solve_dp(table, cap=dp_cap)
+        score, dag = solve(covering_member(partition, topological_order(opt_dag)))
+        ledger.count_classical()
+        if abs(score - opt_score) > 1e-9:
+            raise RuntimeError("cover identity violated: member optimum != DP optimum")
+        ledger.charge_quantum(quantum_charge(members))
+        return score, dag, ledger
+
     if strategy == "grover-sim":
         scores = [solve(member_by_index(partition, idx))[0] for idx in range(members)]
+        ledger.count_classical(members)
         oracle = MaxOracle(members, scores.__getitem__, ledger)
         best_idx, _, _ = max_find(
             oracle, members, "sim", rng_seed=seed, repetitions=repetitions
         )
+        ledger.count_classical()
         score, dag = solve(member_by_index(partition, best_idx))
         return score, dag, ledger
-    # grover-cost-model: exact answer plus analytic accounting.
-    opt_score, opt_dag = solve_dp(table, cap=dp_cap)
-    score, dag = solve(covering_member(partition, topological_order(opt_dag)))
-    if abs(score - opt_score) > 1e-9:
-        raise RuntimeError("cover identity violated: member optimum != DP optimum")
-    ledger.charge_quantum(quantum_charge(members))
-    return score, dag, ledger
+
+    # classical-scan: values first, then trace only the candidates.
+    optima = member_optima(table, partition, template, entries)
+    ledger.count_classical(members)
+    tol = 1e-9 * (1.0 + abs(float(optima.max())))
+    best: tuple[float, Dag] | None = None
+    for idx in np.flatnonzero(optima >= optima.max() - tol).tolist():
+        score, dag = solve(member_by_index(partition, idx))
+        if abs(score - optima[idx]) > tol / 2:
+            raise RuntimeError(
+                f"member {idx}: witness rescores to {score!r}, DP gave {optima[idx]!r}"
+            )
+        if best is None or score > best[0]:
+            best = score, dag
+    assert best is not None
+    return best[0], best[1], ledger

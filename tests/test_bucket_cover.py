@@ -24,6 +24,7 @@ from qbnsl.bucket_cover import (
     index_of_member,
     is_downset,
     member_by_index,
+    split_slot_positions,
 )
 from qbnsl.instance import LinearOrder, NodeSet
 from qbnsl.seeding import rng_for
@@ -110,6 +111,42 @@ def test_member_indexing_block_zero_most_significant():
         (NodeSet.of(1), NodeSet.of(2)),
         (NodeSet.of(1), NodeSet.of(3)),
     ]
+
+
+def test_split_slot_positions_colex_then_second_half():
+    assert [split_slot_positions(4, d) for d in range(6)] == [
+        [0, 1, 2, 3],
+        [0, 2, 1, 3],
+        [1, 2, 0, 3],
+        [0, 3, 1, 2],
+        [1, 3, 0, 2],
+        [2, 3, 0, 1],
+    ]
+    assert [split_slot_positions(3, d) for d in range(3)] == [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 2, 0],
+    ]
+    with pytest.raises(IndexOutOfRangeError):
+        split_slot_positions(4, 6)
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (10, 4), (12, 6)])
+def test_split_slot_positions_give_downset_index_slots(n, k):
+    p = BlockPartition.shuffled(n, k, 3)
+    for idx in range(cover_size(n, k)):
+        member = member_by_index(p, idx)
+        rest = idx
+        digits = []
+        for block in reversed(p.blocks):
+            radix = math.comb(len(block), (len(block) + 1) // 2)
+            digits.append(rest % radix)
+            rest //= radix
+        slots = []
+        for block, digit in zip(p.blocks, reversed(digits)):
+            elems = list(block)
+            slots.extend(elems[q] for q in split_slot_positions(len(elems), digit))
+        assert tuple(slots) == DownsetIndex(member).nodes
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (8, 4), (12, 4), (12, 6)])

@@ -103,6 +103,9 @@ def test_infeasible_configurations_exit_two(score_file, tmp_path, capsys):
         ("score", "data.csv", "--max-indegree", "x"),
         ("solve", "pair.scores", "--dp-cap", "0"),
         ("solve", "pair.scores", "--dp-cap", "21"),
+        ("score", "data.csv", "--max-entries", "-1"),
+        ("solve", "pair.scores", "--sim-cap", "-5"),
+        ("solve", "pair.scores", "--sim-cap", "0"),
     ],
 )
 def test_nonpositive_counts_exit_two(capsys, argv):

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbnsl import po_dp
 from qbnsl.bucket_cover import (
     BlockPartition,
     DownsetIndex,
@@ -30,6 +33,7 @@ from qbnsl.instance import (
 from qbnsl.po_dp import (
     StrategyUnavailableError,
     downset_best_parents,
+    member_optima,
     solve_cover,
     solve_member,
 )
@@ -269,7 +273,7 @@ def test_template_path_matches_python_reference(seed, tie_heavy, shuffled):
 @settings(max_examples=8, deadline=None)
 def test_solve_cover_matches_python_reference(seed, tie_heavy, shuffled):
     rng = rng_for(seed, "cover-reference")
-    n = int(rng.integers(2, 11))
+    n = int(rng.integers(2, 13))
     k = int(rng.choice([e for e in (2, 4, 6) if e <= n]))
     table = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
     if shuffled:
@@ -285,6 +289,111 @@ def test_solve_cover_matches_python_reference(seed, tie_heavy, shuffled):
         ref_score, ref_dag, ref_ledger = reference_solve_cover(results, strategy, seed)
         assert (score, dag) == (ref_score, ref_dag)
         assert ledger.as_dict() == ref_ledger.as_dict()
+
+
+def random_cover_case(seed, tie_heavy, shuffled, label):
+    """(table, partition) with n in 2..12 and k in {2, 4, 6}."""
+    rng = rng_for(seed, label)
+    n = int(rng.integers(2, 13))
+    k = int(rng.choice([e for e in (2, 4, 6) if e <= n]))
+    table = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
+    if shuffled:
+        return table, BlockPartition.shuffled(n, k, seed)
+    return table, BlockPartition.contiguous(n, k)
+
+
+def tie_tolerance(optima):
+    return 1e-9 * (1.0 + abs(float(optima.max())))
+
+
+@given(st.integers(0, 2**31), st.booleans(), st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_member_optima_match_python_reference(seed, tie_heavy, shuffled):
+    table, partition = random_cover_case(seed, tie_heavy, shuffled, "optima-reference")
+    members = cover_size(partition.n, partition.k)
+    reference = np.array(
+        [
+            reference_solve_member(table, member_by_index(partition, idx))[0]
+            for idx in range(members)
+        ]
+    )
+    row = len(DownsetIndex(member_by_index(partition, 0))) * partition.n
+    # The default chunk budget, one member per chunk, and three members per
+    # chunk (a ragged last chunk unless members divide by 3).
+    for chunk in (po_dp._CHUNK_ELEMENTS, 1, 3 * row):
+        with mock.patch.object(po_dp, "_CHUNK_ELEMENTS", chunk):
+            optima = member_optima(table, partition)
+        assert optima.shape == (members,)
+        assert np.abs(optima - reference).max() <= 1e-9
+
+
+@given(st.integers(0, 2**31), st.booleans(), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_classical_scan_traces_only_candidates(seed, tie_heavy, shuffled):
+    table, partition = random_cover_case(seed, tie_heavy, shuffled, "scan-candidates")
+    optima = member_optima(table, partition)
+    candidates = int(np.count_nonzero(optima >= optima.max() - tie_tolerance(optima)))
+    calls = {"best_parents_in": 0, "member_by_index": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with mock.patch.object(
+        po_dp, "best_parents_in", counted("best_parents_in", best_parents_in)
+    ), mock.patch.object(
+        po_dp, "member_by_index", counted("member_by_index", member_by_index)
+    ):
+        score, _, ledger = solve_cover(table, partition, "classical-scan")
+    assert calls["best_parents_in"] <= table.n * candidates
+    assert calls["member_by_index"] == candidates
+    assert score == pytest.approx(float(optima.max()), abs=1e-9)
+    assert ledger.classical_evals == len(optima)
+
+
+def assert_grover_table_orders_like_rescored(table, partition, seed):
+    members = cover_size(partition.n, partition.k)
+    rescored = np.array(
+        [
+            solve_member(table, member_by_index(partition, idx))[0]
+            for idx in range(members)
+        ]
+    )
+    oracles = []
+
+    def capture(oracle, *args, **kwargs):
+        oracles.append(oracle)
+        return max_find(oracle, *args, **kwargs)
+
+    with mock.patch.object(po_dp, "max_find", capture):
+        solve_cover(table, partition, "grover-sim", seed=seed)
+    values = oracles[0].table()
+    assert np.array_equal(
+        np.sign(values[:, None] - values[None, :]),
+        np.sign(rescored[:, None] - rescored[None, :]),
+    )
+
+
+@given(st.integers(0, 2**31), st.booleans(), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_grover_table_orders_members_like_rescored_totals(seed, tie_heavy, shuffled):
+    table, partition = random_cover_case(seed, tie_heavy, shuffled, "grover-table")
+    assert_grover_table_orders_like_rescored(table, partition, seed)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_grover_table_evens_out_summation_order(k):
+    # Every member's witness is the empty DAG, so all rescored totals are
+    # equal, but the member DPs add the same scores in different orders
+    # and land on two different floats.
+    scores = [0.1, 0.2, 0.3, 0.7, 1e-3, 0.11, 1 / 3, 2 / 7]
+    table = LocalScoreTable(8, [{0: score} for score in scores])
+    partition = BlockPartition.contiguous(8, k)
+    assert len(set(member_optima(table, partition).tolist())) > 1
+    assert_grover_table_orders_like_rescored(table, partition, seed=3)
 
 
 def test_solve_member_all_empty_tables(demo_member):
