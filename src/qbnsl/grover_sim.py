@@ -14,7 +14,7 @@ never mix units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import mpmath as mp
@@ -322,32 +322,11 @@ class CostReport:
     qram_note: str
 
     def lines(self) -> list[str]:
-        pairs = [
-            ("n", self.n),
-            ("k", self.k),
-            ("total_entries", self.total_entries),
-            ("cover_members", self.cover_members),
-            ("downsets_per_member", self.downsets_per_member),
-            ("member_dp_bound", self.member_dp_bound),
-            ("cover_search_bound", self.cover_search_bound),
-            ("charged_queries", self.charged_queries),
-            ("order_search_bound", self.order_search_bound),
-            ("classical_subset_bound", self.classical_subset_bound),
-            ("speedup_vs_subset", self.speedup_vs_subset),
-            ("subexp_entry_budget", self.subexp_entry_budget),
-            ("cover_entry_budget", self.cover_entry_budget),
-            ("block26_first_half_choices", self.block26_first_half_choices),
-            ("block26_downsets", self.block26_downsets),
-            ("choices_root_30", self.choices_root_30),
-            ("downsets_root_30", self.downsets_root_30),
-            ("product_30", self.product_30),
-            ("choices_root_up5", self.choices_root_up5),
-            ("downsets_root_up5", self.downsets_root_up5),
-            ("rounded_chain_product", self.rounded_chain_product),
-            ("chain_bound", self.chain_bound),
-            ("qram", self.qram_note),
+        """One ``key = value`` line per field; ``qram_note`` prints as ``qram``."""
+        return [
+            f"{'qram' if f.name == 'qram_note' else f.name} = {getattr(self, f.name)}"
+            for f in fields(self)
         ]
-        return [f"{key} = {value}" for key, value in pairs]
 
     def render(self) -> str:
         return "\n".join(self.lines()) + "\n"

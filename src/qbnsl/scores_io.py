@@ -11,6 +11,17 @@ Parent references may point at variables declared later in the file, so
 parsing resolves names in a second pass.  Serialization writes variables
 in index order and records in (cardinality, bitmask) order with ``repr``
 floats, which makes parse/write a lossless round trip.
+
+BIC fitting counts each variable set S = P | {i} once and reads every
+family (i, P) filed under S from that table.  Sets with the same arity
+signature share one ``bincount`` per chunk of at most ``_CHUNK_CODES``
+codes (sets times rows).  A set with more than ``_SPARSE_CELLS_PER_ROW``
+dense cells per row is counted over its occurring cells with
+``np.unique``, so memory stays O(m).  Both paths visit the nonzero cells
+in a family's own cell order and repeat its float operations, including
+``ndarray.sum``'s pairwise order, so the scores are bit-identical to
+counting each family alone: score-equivalent DAGs tie exactly, and the
+DP's witness depends on the last bit.
 """
 
 from __future__ import annotations
@@ -18,8 +29,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,6 +82,13 @@ class TooManyEntriesError(ValueError):
 
 class DatasetError(ValueError):
     """Raised for malformed discrete datasets."""
+
+
+# BIC counting budget: one bincount per chunk of same-shaped variable sets
+# covers at most this many codes (g sets * m rows), po_dp's chunk budget.
+_CHUNK_CODES = 1 << 16
+# A set with more dense cells than this many per row is counted sparsely.
+_SPARSE_CELLS_PER_ROW = 8
 
 
 def _content_lines(data: str) -> list[tuple[int, list[str]]]:
@@ -270,33 +289,70 @@ class DiscreteDataset:
         return cls(names, data, tuple(int(r) for r in arities))
 
 
-def _log_likelihood(
-    data: DiscreteDataset, child: int, parents: tuple[int, ...]
+def _chunk_log_likelihoods(
+    cols: np.ndarray, arities: tuple[int, ...], var_sets: np.ndarray
+) -> np.ndarray:
+    """Log-likelihoods of every member of g same-shaped sets, shape (g, s).
+
+    ``var_sets`` is (g, s) with ascending rows whose columns have the given
+    ``arities``.  Entry [j, u] is the log-likelihood of ``var_sets[j, u]``
+    given the rest of row j.
+    """
+    g, s = var_sets.shape
+    cells = math.prod(arities)
+    # One bincount for the chunk; column 0 is the least significant digit.
+    codes = cols[var_sets[:, 0]] + np.arange(0, g * cells, cells)[:, None]
+    weight = 1
+    for t in range(1, s):
+        weight *= arities[t - 1]
+        codes += cols[var_sets[:, t]] * weight
+    table = np.bincount(codes.ravel(), minlength=g * cells).reshape(g, *arities[::-1])
+    # Every family of a set has the same number L of nonzero cells.  Sets
+    # sorted by L put each L's terms in one (sets, L) block per member.
+    nonzero = np.count_nonzero(table.reshape(g, cells), axis=1)
+    order = np.argsort(nonzero, kind="stable")
+    table = table[order].astype(np.float64)
+    terms = np.empty((s, int(nonzero.sum())))
+    for u in range(s):
+        # Parents first-least-significant, then the child: the cell order of
+        # one family's own (configs, r_child) table.
+        counts = np.moveaxis(table, s - u, -1).reshape(g, -1, arities[u])
+        totals = counts.sum(axis=2, keepdims=True)
+        nz = counts > 0
+        hits = counts[nz]
+        terms[u] = hits * np.log(hits / np.broadcast_to(totals, counts.shape)[nz])
+    # Contiguous rows of length L keep ndarray.sum's pairwise order.
+    lls = np.empty((g, s))
+    lengths, sizes = np.unique(nonzero, return_counts=True)
+    row = col = 0
+    for length, size in zip(lengths.tolist(), sizes.tolist()):
+        block = terms[:, col : col + size * length].reshape(s, size, length)
+        lls[order[row : row + size]] = block.sum(axis=2).T
+        row += size
+        col += size * length
+    return lls
+
+
+def _sparse_log_likelihood(
+    cols: np.ndarray, arities: tuple[int, ...], var_set: tuple[int, ...], u: int
 ) -> float:
-    """Multinomial maximum log-likelihood of the child given its parents."""
-    child_col = data.rows[:, child]
-    r_child = data.arities[child]
-    if not parents:
-        counts = np.bincount(child_col, minlength=r_child).astype(np.float64)
-        counts = counts.reshape(1, r_child)
-    else:
-        config = np.zeros(data.m, dtype=np.int64)
-        stride = 1
-        for j in parents:
-            config += data.rows[:, j] * stride
-            stride *= data.arities[j]
-        joint = config * r_child + child_col
-        counts = (
-            np.bincount(joint, minlength=stride * r_child)
-            .astype(np.float64)
-            .reshape(stride, r_child)
-        )
-    row_totals = counts.sum(axis=1, keepdims=True)
-    nz = counts > 0
-    ratios = np.zeros_like(counts)
-    np.divide(counts, row_totals, out=ratios, where=nz)
-    ll = float((counts[nz] * np.log(ratios[nz])).sum())
-    return ll
+    """Log-likelihood of ``var_set[u]`` given the rest, from occurring cells.
+
+    Parents are ranked most significant first, re-ranking after each column,
+    so codes stay below m * r and sort in the dense table's cell order.
+    """
+    config = np.zeros(cols.shape[1], dtype=np.int64)
+    for t in reversed(range(len(var_set))):
+        if t != u:
+            _, config = np.unique(
+                config * arities[t] + cols[var_set[t]], return_inverse=True
+            )
+    r_child = arities[u]
+    joint, counts = np.unique(config * r_child + cols[var_set[u]], return_counts=True)
+    hits = counts.astype(np.float64)
+    parent = joint // r_child
+    totals = np.bincount(parent, weights=hits)[parent]
+    return float((hits * np.log(hits / totals)).sum())
 
 
 def bic_scores(
@@ -309,6 +365,14 @@ def bic_scores(
 
     score = log-likelihood - (log m)/2 * (r_i - 1) * prod_j r_j, with
     natural logs and zero-count cells contributing zero likelihood.
+
+    Each variable set S = P | {i} is counted once, and every family filed
+    under it reads its log-likelihood from that table.  Sets of one arity
+    signature are counted in chunks of at most ``_CHUNK_CODES`` codes; a set
+    with more than ``_SPARSE_CELLS_PER_ROW * m`` cells is counted over its
+    occurring cells only, so memory stays O(m) per set.  Both paths take the
+    nonzero cells in the same order with the same float operations as a
+    per-family count, so the scores are bit-identical to it.
     """
     if max_indegree < 0:
         raise ValueError("max_indegree must be non-negative")
@@ -335,22 +399,47 @@ def bic_scores(
             f"would generate {planned} entries, budget is {max_entries}"
         )
 
-    half_log_m = 0.5 * math.log(data.m)
-    entries: list[dict[int, float]] = []
+    # File each family (child i, parents P) under the sorted set P | {i},
+    # as the child's position in that set.
+    families: dict[tuple[int, ...], list[int]] = {}
     for i in range(n):
         elems = list(NodeSet(cand_masks[i]))
-        node_entries: dict[int, float] = {}
-        r_child = data.arities[i]
         for size in range(min(max_indegree, len(elems)) + 1):
             for combo in combinations(elems, size):
-                mask = 0
-                params = r_child - 1
-                for j in combo:
-                    mask |= 1 << j
-                    params *= data.arities[j]
-                ll = _log_likelihood(data, i, combo)
-                node_entries[mask] = ll - half_log_m * params
-        entries.append(node_entries)
+                u = bisect_left(combo, i)
+                families.setdefault(combo[:u] + (i,) + combo[u:], []).append(u)
+    by_shape: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for var_set in families:
+        by_shape.setdefault(tuple(data.arities[j] for j in var_set), []).append(var_set)
+
+    m = data.m
+    cols = np.ascontiguousarray(data.rows.T)
+    half_log_m = 0.5 * math.log(m)
+    chunk = max(1, _CHUNK_CODES // m)
+    entries: list[dict[int, float]] = [{} for _ in range(n)]
+    for arities, var_sets in by_shape.items():
+        cells = math.prod(arities)
+        if cells > _SPARSE_CELLS_PER_ROW * m:
+            lls = (
+                {
+                    u: _sparse_log_likelihood(cols, arities, var_set, u)
+                    for u in families[var_set]
+                }
+                for var_set in var_sets
+            )
+        else:
+            lls = chain.from_iterable(
+                _chunk_log_likelihoods(
+                    cols, arities, np.array(var_sets[lo : lo + chunk])
+                ).tolist()
+                for lo in range(0, len(var_sets), chunk)
+            )
+        penalty = [half_log_m * ((r - 1) * (cells // r)) for r in arities]
+        for var_set, row in zip(var_sets, lls):
+            set_mask = sum(1 << j for j in var_set)
+            for u in families[var_set]:
+                child = var_set[u]
+                entries[child][set_mask ^ (1 << child)] = row[u] - penalty[u]
     return LocalScoreTable(n, entries, data.names)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from qbnsl.cli import ALGORITHMS, build_parser, main
@@ -10,6 +11,13 @@ from qbnsl.scores_io import parse_scores
 FIXTURE = "2\nA 2\n-1.5 0\n-1.0 1 B\nB 1\n-2.0 0\n"
 
 CSV = "A,B\n0,0\n0,0\n1,1\n1,1\n0,1\n1,0\n0,0\n1,1\n"
+
+# 300 rows of four arity-100 columns: a dense count of the full set would
+# need 100^4 cells.
+WIDE_CSV = "A,B,C,D\n" + "".join(
+    ",".join(map(str, row)) + "\n"
+    for row in np.random.default_rng(0).integers(100, size=(300, 4)).tolist()
+)
 
 
 @pytest.fixture
@@ -129,6 +137,26 @@ def test_io_and_parse_errors_exit_three(tmp_path, capsys):
     ragged.write_text("A,B\n0,1\n0\n", encoding="utf-8")
     code, _, err = run(capsys, "score", ragged)
     assert code == 3 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "csv_text,argv,expected",
+    [
+        (CSV, (), 0),
+        (WIDE_CSV, ("--max-indegree", "3"), 0),
+        (CSV, ("--max-entries", "3"), 2),
+        ("A,B\n0,1\n0\n", (), 3),
+        ("A,B\n0,-1\n", (), 3),
+    ],
+    ids=["pair", "wide-arity-100", "entry-budget", "ragged", "negative-cell"],
+)
+def test_score_exit_codes(tmp_path, capsys, csv_text, argv, expected):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(csv_text, encoding="utf-8")
+    out_path = tmp_path / "out.scores"
+    code, _, err = run(capsys, "score", csv_path, "--out", out_path, *argv)
+    assert code == expected
+    assert (code == 0) == (err == "")
 
 
 def test_score_then_solve_round_trip(tmp_path, capsys):

@@ -407,3 +407,65 @@ def test_cost_report_renders_key_value_lines():
     assert "downsets_per_member = 49" in text
     assert "qram = assumed" in text
     assert isinstance(report, CostReport)
+
+
+REPORT_12_4 = """\
+n = 12
+k = 4
+total_entries = 24576
+cover_members = 216
+downsets_per_member = 343
+member_dp_bound = 344304
+cover_search_bound = 3901974.7146130996
+charged_queries = 120
+order_search_bound = 203008.73587035513
+classical_subset_bound = 589824
+speedup_vs_subset = 3.16301185946117
+subexp_entry_budget = 10.046885156265736
+cover_entry_budget = 88.5497565612344
+block26_first_half_choices = 10400600
+block26_downsets = 16383
+choices_root_30 = 1.36440540338925365752479166577
+downsets_root_30 = 1.45241944644288795268785932808
+product_30 = 1.98168894071430503535895103766
+choices_root_up5 = 1.3645
+downsets_root_up5 = 1.4525
+rounded_chain_product = 1.98193625
+chain_bound = 1.982
+qram = assumed (oracle values are loaded as addressable memory; loads are \
+unmetered and no physical realization is claimed)
+"""
+
+REPORT_26_26 = """\
+n = 26
+k = 26
+total_entries = 872415232
+cover_members = 10400600
+downsets_per_member = 16383
+member_dp_bound = 22693870940
+cover_search_bound = 577085421977.1956
+charged_queries = 77400
+order_search_bound = 163527098036.14395
+classical_subset_bound = 45365592064
+speedup_vs_subset = 12.12137193017091
+subexp_entry_budget = 148.27506243867498
+cover_entry_budget = 16554.115147482626
+block26_first_half_choices = 10400600
+block26_downsets = 16383
+choices_root_30 = 1.36440540338925365752479166577
+downsets_root_30 = 1.45241944644288795268785932808
+product_30 = 1.98168894071430503535895103766
+choices_root_up5 = 1.3645
+downsets_root_up5 = 1.4525
+rounded_chain_product = 1.98193625
+chain_bound = 1.982
+qram = assumed (oracle values are loaded as addressable memory; loads are \
+unmetered and no physical realization is claimed)
+"""
+
+
+@pytest.mark.parametrize(
+    "n,k,text", [(12, 4, REPORT_12_4), (26, 26, REPORT_26_26)]
+)
+def test_cost_report_render_is_pinned(n, k, text):
+    assert cost_report(n, None, k).render() == text

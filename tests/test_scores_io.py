@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbnsl.instance import NodeSet, best_parents_in
+from qbnsl import scores_io
+from qbnsl.instance import LocalScoreTable, NodeSet, best_parents_in
 from qbnsl.scores_io import (
     DatasetError,
     DiscreteDataset,
@@ -155,6 +158,133 @@ def test_bic_is_closed_under_inclusion(data):
     names = tuple(f"V{j}" for j in range(n))
     t = bic_scores(DiscreteDataset(names, rows, arities), data.draw(st.integers(0, n - 1)))
     assert is_closed_under_inclusion(t)
+
+
+def _reference_log_likelihood(
+    data: DiscreteDataset, child: int, parents: tuple[int, ...]
+) -> float:
+    """Multinomial maximum log-likelihood of one family, from its own count."""
+    child_col = data.rows[:, child]
+    r_child = data.arities[child]
+    if not parents:
+        counts = np.bincount(child_col, minlength=r_child).astype(np.float64)
+        counts = counts.reshape(1, r_child)
+    else:
+        config = np.zeros(data.m, dtype=np.int64)
+        stride = 1
+        for j in parents:
+            config += data.rows[:, j] * stride
+            stride *= data.arities[j]
+        joint = config * r_child + child_col
+        counts = (
+            np.bincount(joint, minlength=stride * r_child)
+            .astype(np.float64)
+            .reshape(stride, r_child)
+        )
+    row_totals = counts.sum(axis=1, keepdims=True)
+    nz = counts > 0
+    ratios = np.zeros_like(counts)
+    np.divide(counts, row_totals, out=ratios, where=nz)
+    return float((counts[nz] * np.log(ratios[nz])).sum())
+
+
+def reference_bic_scores(data, max_indegree, candidate_parents=None):
+    """One dense count per family: the per-family form ``bic_scores`` replaced."""
+    n = data.n
+    full = (1 << n) - 1
+    half_log_m = 0.5 * math.log(data.m)
+    entries = []
+    for i in range(n):
+        cand = full & ~(1 << i) if candidate_parents is None else candidate_parents[i]
+        elems = list(NodeSet(cand))
+        node_entries = {}
+        for size in range(min(max_indegree, len(elems)) + 1):
+            for combo in combinations(elems, size):
+                params = data.arities[i] - 1
+                for j in combo:
+                    params *= data.arities[j]
+                ll = _reference_log_likelihood(data, i, combo)
+                node_entries[sum(1 << j for j in combo)] = ll - half_log_m * params
+        entries.append(node_entries)
+    return LocalScoreTable(n, entries, data.names)
+
+
+def _assert_bit_identical(got, want):
+    assert got.n == want.n
+    for i in range(want.n):
+        got_i, want_i = dict(got.items(i)), dict(want.items(i))
+        assert got_i.keys() == want_i.keys()
+        assert all(got_i[mask] == want_i[mask] for mask in want_i), i
+
+
+def _random_dataset(rng, n, m, copies):
+    arities = [int(rng.integers(1, 7)) for _ in range(n)]
+    rows = np.stack([rng.integers(arities[j], size=m) for j in range(n)], axis=1)
+    for i in range(1, n):
+        if copies and rng.random() < 0.3:
+            src = int(rng.integers(i))
+            rows[:, i] = rows[:, src]
+            arities[i] = arities[src]
+    names = tuple(f"V{j}" for j in range(n))
+    return DiscreteDataset(names, rows, tuple(arities))
+
+
+# The default path, then one set per chunk, then every set counted sparsely.
+BIC_PATHS = [{}, {"_CHUNK_CODES": 1}, {"_SPARSE_CELLS_PER_ROW": 0}]
+
+
+@pytest.mark.parametrize("patch", BIC_PATHS)
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_bic_scores_bit_identical_to_per_family_counts(patch, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.one_of(st.integers(1, 60), st.integers(1000, 3000)))
+    dataset = _random_dataset(rng, n, m, copies=data.draw(st.booleans()))
+    max_indegree = data.draw(st.integers(0, n - 1))
+    candidates = None
+    if data.draw(st.booleans()):
+        full = (1 << n) - 1
+        candidates = [
+            data.draw(st.integers(0, full)) & ~(1 << i) for i in range(n)
+        ]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patch.items():
+            mp.setattr(scores_io, name, value)
+        got = bic_scores(dataset, max_indegree, candidate_parents=candidates)
+    _assert_bit_identical(got, reference_bic_scores(dataset, max_indegree, candidates))
+
+
+@pytest.mark.parametrize("patch", BIC_PATHS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bic_scores_bit_identical_beyond_128_terms(patch, seed):
+    # Three arity-6 columns over thousands of rows fill more than 128 cells,
+    # where ndarray.sum switches from 8 accumulators to pairwise halving.
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(6, size=(4000, 4))
+    rows[:, 3] = rows[:, 0]
+    dataset = DiscreteDataset(("A", "B", "C", "D"), rows, (6, 6, 6, 6))
+    assert len(np.unique(rows[:, :3], axis=0)) > 128
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patch.items():
+            mp.setattr(scores_io, name, value)
+        got = bic_scores(dataset, 3)
+    _assert_bit_identical(got, reference_bic_scores(dataset, 3))
+
+
+def test_bic_wide_columns_count_only_occurring_cells():
+    # 100^4 dense cells would be a 763 MiB count vector for 300 rows.
+    rng = np.random.default_rng(0)
+    rows = rng.integers(100, size=(300, 4))
+    dataset = DiscreteDataset(("A", "B", "C", "D"), rows, (100,) * 4)
+    tracemalloc.start()
+    try:
+        table = bic_scores(dataset, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.total_entries == 4 * 8
+    assert peak < 64 * 2**20
 
 
 def test_from_csv_infers_arity_and_checks_cells():

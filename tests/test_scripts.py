@@ -1,0 +1,30 @@
+"""Smoke tests: each script in ``scripts/`` runs to completion."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "argv,header",
+    [
+        (("demo_pipeline.py", "--rows", "200"), "rows = 200, local score entries F"),
+        (("query_scaling.py", "--max-n", "12"), "   n        members       downsets"),
+        (("grover_success_curve.py", "--trials", "20"), "     m  iters  measured"),
+    ],
+)
+def test_script_runs(argv, header):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith(header)
