@@ -2,8 +2,9 @@
 
 The subset DP runs in O(2^n * n^2) after per-node subset-max tables are
 built, and is the reference solver for n up to ~20.  The subset-max
-tables hold values only; the traceback recovers each witness parent set
-with ``best_parents_in``.  The brute forcers exist purely as oracles for
+tables hold values only and are indexed over the other n-1 nodes, with
+the node's own bit squeezed out; the traceback recovers each witness
+parent set with ``best_parents_in``.  The brute forcers exist purely as oracles for
 the test suite: one maximizes over all node orderings, one over all
 parent assignments that form a DAG.
 """
@@ -11,6 +12,7 @@ parent assignments that form a DAG.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -30,34 +32,33 @@ DAG_BRUTE_CAP = 4
 
 
 def popcounts(size: int, n: int) -> np.ndarray:
-    """Bit-count of every integer in [0, size) as an int64 array."""
-    values = np.arange(size, dtype=np.int64)
-    counts = np.zeros(size, dtype=np.int64)
-    for j in range(n):
-        counts += (values >> j) & 1
-    return counts
+    """Bit-count of every integer in [0, size), where ``size`` <= 2^n."""
+    return np.bitwise_count(np.arange(size, dtype=np.int64))
 
 
 def best_parents_all_subsets(
     table: LocalScoreTable, i: int, cap: int = DP_CAP
 ) -> np.ndarray:
-    """Subset-max transform of node i's score entries over all 2^n masks.
+    """Subset-max transform of node i's score entries over the other n-1 nodes.
 
-    ``values[S]`` is max{ s_i(J) : J listed for i, J subset of S }, a float
-    array indexed by every mask; bit i is simply ignored
-    (values[S] == values[S minus i]).
+    ``values[k]`` is max{ s_i(J) : J listed for i, J subset of S } for the
+    mask S of the other nodes whose bits, with bit i squeezed out, spell k:
+    k = (S & low) | ((S >> 1) & ~low) with low = 2^i - 1.  The array has
+    2^(n-1) entries, ascending S.
     """
     n = table.n
     if n > cap:
         raise InstanceTooLargeError(f"n={n} exceeds the subset-table cap {cap}")
     if not 0 <= i < n:
         raise ValueError(f"node index {i} out of range")
-    values = np.full(1 << n, -np.inf, dtype=np.float64)
-    for mask, score in table.items(i):
-        values[mask] = score
-    # One max-propagation pass per dimension: after pass j, each mask holds
-    # the best over seeded submasks differing only in bits <= j.
-    for j in range(n):
+    items = table.items(i)
+    masks = np.array([mask for mask, _ in items], dtype=np.int64)
+    low = (1 << i) - 1
+    values = np.full(1 << (n - 1), -np.inf, dtype=np.float64)
+    values[(masks & low) | ((masks >> 1) & ~low)] = [score for _, score in items]
+    # One max-propagation pass per dimension: after pass j, each index holds
+    # the best over seeded subsets differing only in bits <= j.
+    for j in range(n - 1):
         pairs = values.reshape(-1, 2, 1 << j)
         hi, lo = pairs[:, 1, :], pairs[:, 0, :]
         np.maximum(hi, lo, out=hi)
@@ -77,23 +78,32 @@ def solve_dp(table: LocalScoreTable, cap: int = DP_CAP) -> tuple[float, Dag]:
     if n > cap:
         raise InstanceTooLargeError(f"n={n} exceeds the DP cap {cap}")
     size = 1 << n
-    best_parent_values = [best_parents_all_subsets(table, i, cap=cap) for i in range(n)]
-    layer_of = popcounts(size, n)
+    half = size >> 1
+    best_parent_values = np.empty((n, half), dtype=np.float64)
+    for i in range(n):
+        best_parent_values[i] = best_parents_all_subsets(table, i, cap=cap)
+    # Squeezed masks by cardinality, ascending within each layer.  Layer l
+    # of the DP reads, for every sink i, the same squeezed indices: the
+    # masks of l-1 other nodes; unsqueezing them per i gives S minus i.
+    by_layer = np.argsort(popcounts(half, n - 1), kind="stable")
+    layer_ends = np.cumsum([math.comb(n - 1, c) for c in range(n)]).tolist()
+    nodes = np.arange(n)[:, None]
+    low = (1 << nodes) - 1
     opt = np.full(size, -np.inf, dtype=np.float64)
     opt[0] = 0.0
     chosen_sink = np.full(size, -1, dtype=np.int8)
-    all_masks = np.arange(size, dtype=np.int64)
-    for layer in range(1, n + 1):
-        layer_masks = all_masks[layer_of == layer]
+    start = 0
+    for end in layer_ends:
+        squeezed = by_layer[start:end]
+        start = end
+        without = (squeezed & low) | ((squeezed & ~low) << 1)
+        candidates = opt[without] + best_parent_values[:, squeezed]
+        with_sink = without | (1 << nodes)
+        # Sinks in ascending order with a strict test: ties keep the smallest.
         for i in range(n):
-            with_i = layer_masks[((layer_masks >> i) & 1) == 1]
-            if with_i.size == 0:
-                continue
-            without_i = with_i ^ (1 << i)
-            candidate = opt[without_i] + best_parent_values[i][without_i]
-            update = candidate > opt[with_i]
-            targets = with_i[update]
-            opt[targets] = candidate[update]
+            update = candidates[i] > opt[with_sink[i]]
+            targets = with_sink[i][update]
+            opt[targets] = candidates[i][update]
             chosen_sink[targets] = i
     parents: list[NodeSet] = [NodeSet(0)] * n
     mask = size - 1

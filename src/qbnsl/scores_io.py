@@ -10,14 +10,18 @@ blank lines are ignored)::
 Parent references may point at variables declared later in the file, so
 parsing resolves names in a second pass.  Serialization writes variables
 in index order and records in (cardinality, bitmask) order with ``repr``
-floats, which makes parse/write a lossless round trip.
+floats, which makes parse/write a lossless round trip.  Parent-set text
+is formatted once per distinct set on writing and resolved once per
+distinct parent-list text on parsing.
 
 BIC fitting counts each variable set S = P | {i} once and reads every
 family (i, P) filed under S from that table.  Sets with the same arity
 signature share one ``bincount`` per chunk of at most ``_CHUNK_CODES``
-codes (sets times rows).  A set with more than ``_SPARSE_CELLS_PER_ROW``
+codes (sets times rows), and one likelihood pass per group of at most
+``_CHUNK_CODES`` count cells.  A set with more than ``_SPARSE_CELLS_PER_ROW``
 dense cells per row is counted over its occurring cells with
-``np.unique``, so memory stays O(m).  Both paths visit the nonzero cells
+``np.unique``, so memory stays O(m); its columns' states are ranked
+first, so large state indices cannot overflow int64.  Both paths visit the nonzero cells
 in a family's own cell order and repeat its float operations, including
 ``ndarray.sum``'s pairwise order, so the scores are bit-identical to
 counting each family alone: score-equivalent DAGs tie exactly, and the
@@ -85,24 +89,47 @@ class DatasetError(ValueError):
 
 
 # BIC counting budget: one bincount per chunk of same-shaped variable sets
-# covers at most this many codes (g sets * m rows), po_dp's chunk budget.
+# covers at most this many codes (g sets * m rows), po_dp's chunk budget;
+# one likelihood pass covers at most this many count cells.
 _CHUNK_CODES = 1 << 16
 # A set with more dense cells than this many per row is counted sparsely.
 _SPARSE_CELLS_PER_ROW = 8
 
 
-def _content_lines(data: str) -> list[tuple[int, list[str]]]:
+def _content_lines(data: str) -> list[tuple[int, str]]:
     out = []
     for line_no, raw in enumerate(data.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append((line_no, stripped.split()))
+        if stripped and not stripped.startswith("#"):
+            out.append((line_no, stripped))
     return out
 
 
+def _resolve_parents(
+    line_no: int, parents: list[str], i: int, names: list[str], index: dict[str, int]
+) -> int:
+    """Bitmask of variable i's listed parent names, checked in listed order."""
+    mask = 0
+    for p_name in parents:
+        if p_name == names[i]:
+            raise SelfParentError(line_no, p_name)
+        j = index.get(p_name)
+        if j is None:
+            raise UnknownVariableError(line_no, p_name)
+        bit = 1 << j
+        if mask & bit:
+            raise ScoreSyntaxError(line_no, f"parent {p_name!r} repeated")
+        mask |= bit
+    return mask
+
+
 def parse_scores(data: str | bytes) -> LocalScoreTable:
-    """Parse a score file into a :class:`LocalScoreTable` (names attached)."""
+    """Parse a score file into a :class:`LocalScoreTable` (names attached).
+
+    A record line is its score token and the parent-list text after it.
+    Each distinct parent-list text is checked and resolved to a bitmask
+    once; a repeat only needs the self-parent check for its own variable.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     lines = _content_lines(data)
@@ -111,16 +138,16 @@ def parse_scores(data: str | bytes) -> LocalScoreTable:
 
     pos = 0
 
-    def take() -> tuple[int, list[str]]:
+    def take() -> tuple[int, str]:
         nonlocal pos
         if pos >= len(lines):
-            last = lines[-1][0] if lines else 1
-            raise ScoreSyntaxError(last, "unexpected end of file")
+            raise ScoreSyntaxError(lines[-1][0], "unexpected end of file")
         item = lines[pos]
         pos += 1
         return item
 
-    line_no, tokens = take()
+    line_no, text = take()
+    tokens = text.split()
     if len(tokens) != 1:
         raise ScoreSyntaxError(line_no, "expected the variable count alone")
     try:
@@ -130,11 +157,14 @@ def parse_scores(data: str | bytes) -> LocalScoreTable:
     if not 1 <= n <= MAX_NODES:
         raise ScoreSyntaxError(line_no, f"variable count must be in 1..{MAX_NODES}")
 
-    # First pass keeps parent names unresolved: forward references are legal.
+    # First pass keeps parent lists as text: forward references are legal.
+    # ``listed`` maps each parent-list text whose count checked out to its names.
     names: list[str] = []
-    records: list[list[tuple[int, float, list[str]]]] = []
+    records: list[list[tuple[int, float, str]]] = []
+    listed: dict[str, list[str]] = {}
     for _ in range(n):
-        line_no, tokens = take()
+        line_no, text = take()
+        tokens = text.split()
         if len(tokens) != 2:
             raise ScoreSyntaxError(line_no, "expected 'NAME COUNT'")
         name, count_tok = tokens
@@ -147,48 +177,55 @@ def parse_scores(data: str | bytes) -> LocalScoreTable:
         if name in names:
             raise ScoreSyntaxError(line_no, f"duplicate variable {name!r}")
         names.append(name)
-        var_records: list[tuple[int, float, list[str]]] = []
-        for _ in range(count):
-            line_no, tokens = take()
-            if len(tokens) < 2:
+        var_records: list[tuple[int, float, str]] = []
+        block = lines[pos : pos + count]
+        pos += len(block)
+        for line_no, text in block:
+            fields = text.split(None, 1)
+            if len(fields) < 2:
                 raise ScoreSyntaxError(line_no, "expected 'SCORE COUNT [PARENTS...]'")
+            score_tok, tail = fields
             try:
-                score = float(tokens[0])
+                score = float(score_tok)
             except ValueError:
-                raise ScoreSyntaxError(line_no, f"invalid score {tokens[0]!r}") from None
+                raise ScoreSyntaxError(line_no, f"invalid score {score_tok!r}") from None
             if not math.isfinite(score):
                 raise ScoreSyntaxError(line_no, "score must be finite")
-            try:
-                p_count = int(tokens[1])
-            except ValueError:
-                raise ScoreSyntaxError(line_no, f"invalid parent count {tokens[1]!r}") from None
-            parents = tokens[2:]
-            if p_count != len(parents):
-                raise ScoreSyntaxError(
-                    line_no,
-                    f"parent count {p_count} does not match {len(parents)} listed parents",
-                )
-            var_records.append((line_no, score, parents))
+            if tail not in listed:
+                p_count_tok, *parents = tail.split()
+                try:
+                    p_count = int(p_count_tok)
+                except ValueError:
+                    raise ScoreSyntaxError(
+                        line_no, f"invalid parent count {p_count_tok!r}"
+                    ) from None
+                if p_count != len(parents):
+                    raise ScoreSyntaxError(
+                        line_no,
+                        f"parent count {p_count} does not match {len(parents)} listed parents",
+                    )
+                listed[tail] = parents
+            var_records.append((line_no, score, tail))
+        if len(block) < count:
+            raise ScoreSyntaxError(lines[-1][0], "unexpected end of file")
         records.append(var_records)
     if pos != len(lines):
         raise ScoreSyntaxError(lines[pos][0], "trailing content after the last record")
 
+    # Only successful resolutions are kept, so every error is raised exactly
+    # where a name-by-name resolution of that record would raise it.
     index = {name: i for i, name in enumerate(names)}
+    resolved: dict[str, int] = {}
     entries: list[dict[int, float]] = []
     for i, var_records in enumerate(records):
         node_entries: dict[int, float] = {}
-        for line_no, score, parents in var_records:
-            mask = 0
-            for p_name in parents:
-                if p_name == names[i]:
-                    raise SelfParentError(line_no, p_name)
-                j = index.get(p_name)
-                if j is None:
-                    raise UnknownVariableError(line_no, p_name)
-                bit = 1 << j
-                if mask & bit:
-                    raise ScoreSyntaxError(line_no, f"parent {p_name!r} repeated")
-                mask |= bit
+        for line_no, score, tail in var_records:
+            mask = resolved.get(tail)
+            if mask is None:
+                mask = _resolve_parents(line_no, listed[tail], i, names, index)
+                resolved[tail] = mask
+            elif mask >> i & 1:
+                raise SelfParentError(line_no, names[i])
             if mask in node_entries:
                 raise DuplicateParentSetError(line_no, names[i])
             node_entries[mask] = score
@@ -199,7 +236,10 @@ def parse_scores(data: str | bytes) -> LocalScoreTable:
 
 
 def write_scores(table: LocalScoreTable, names: Sequence[str] | None = None) -> str:
-    """Serialize a table to score-file text; inverse of :func:`parse_scores`."""
+    """Serialize a table to score-file text; inverse of :func:`parse_scores`.
+
+    Each distinct parent set's ``COUNT NAME..`` text is formatted once.
+    """
     if names is None:
         names = table.names
     if names is None:
@@ -209,13 +249,17 @@ def write_scores(table: LocalScoreTable, names: Sequence[str] | None = None) -> 
         raise ValueError("names length must equal the variable count")
     if len(set(names)) != table.n:
         raise ValueError("variable names must be unique")
+    tails: dict[int, str] = {}
     out = [str(table.n)]
     for i in range(table.n):
         out.append(f"{names[i]} {table.set_count(i)}")
         for mask, score in table.items(i):
-            parts = [repr(score), str(mask.bit_count())]
-            parts.extend(names[j] for j in NodeSet(mask))
-            out.append(" ".join(parts))
+            tail = tails.get(mask)
+            if tail is None:
+                tail = tails[mask] = " ".join(
+                    [str(mask.bit_count()), *(names[j] for j in NodeSet(mask))]
+                )
+            out.append(f"{score!r} {tail}")
     return "\n".join(out) + "\n"
 
 
@@ -281,7 +325,10 @@ class DiscreteDataset:
                 raise DatasetError(f"row {row_no}: non-integer cell") from None
         if not rows:
             raise DatasetError("CSV has no data rows")
-        data = np.asarray(rows, dtype=np.int64)
+        try:
+            data = np.asarray(rows, dtype=np.int64)
+        except OverflowError:
+            raise DatasetError("cells must be state indices below 2**63") from None
         if data.min() < 0:
             raise DatasetError("cells must be non-negative state indices")
         if arities is None:
@@ -289,27 +336,40 @@ class DiscreteDataset:
         return cls(names, data, tuple(int(r) for r in arities))
 
 
-def _chunk_log_likelihoods(
-    cols: np.ndarray, arities: tuple[int, ...], var_sets: np.ndarray
+def _count_tables(
+    cols: np.ndarray, arities: tuple[int, ...], var_sets: list[tuple[int, ...]], chunk: int
 ) -> np.ndarray:
+    """Count tables of g same-shaped sets, shape (g, *reversed(arities)).
+
+    One ``bincount`` per ``chunk`` sets; each set's first variable is its
+    least significant digit.
+    """
+    cells = math.prod(arities)
+    counts = np.empty(len(var_sets) * cells, dtype=np.int64)
+    for lo in range(0, len(var_sets), chunk):
+        sets = np.array(var_sets[lo : lo + chunk])
+        g = len(sets)
+        codes = cols[sets[:, 0]] + np.arange(0, g * cells, cells)[:, None]
+        weight = 1
+        for t in range(1, len(arities)):
+            weight *= arities[t - 1]
+            codes += cols[sets[:, t]] * weight
+        counts[lo * cells : (lo + g) * cells] = np.bincount(
+            codes.ravel(), minlength=g * cells
+        )
+    return counts.reshape(-1, *arities[::-1])
+
+
+def _log_likelihoods(table: np.ndarray, arities: tuple[int, ...]) -> np.ndarray:
     """Log-likelihoods of every member of g same-shaped sets, shape (g, s).
 
-    ``var_sets`` is (g, s) with ascending rows whose columns have the given
-    ``arities``.  Entry [j, u] is the log-likelihood of ``var_sets[j, u]``
-    given the rest of row j.
+    ``table`` holds the sets' counts as :func:`_count_tables` lays them out.
+    Entry [j, u] is the log-likelihood of set j's member u given the rest.
     """
-    g, s = var_sets.shape
-    cells = math.prod(arities)
-    # One bincount for the chunk; column 0 is the least significant digit.
-    codes = cols[var_sets[:, 0]] + np.arange(0, g * cells, cells)[:, None]
-    weight = 1
-    for t in range(1, s):
-        weight *= arities[t - 1]
-        codes += cols[var_sets[:, t]] * weight
-    table = np.bincount(codes.ravel(), minlength=g * cells).reshape(g, *arities[::-1])
+    g, s = table.shape[0], len(arities)
     # Every family of a set has the same number L of nonzero cells.  Sets
     # sorted by L put each L's terms in one (sets, L) block per member.
-    nonzero = np.count_nonzero(table.reshape(g, cells), axis=1)
+    nonzero = np.count_nonzero(table.reshape(g, -1), axis=1)
     order = np.argsort(nonzero, kind="stable")
     table = table[order].astype(np.float64)
     terms = np.empty((s, int(nonzero.sum())))
@@ -334,21 +394,23 @@ def _chunk_log_likelihoods(
 
 
 def _sparse_log_likelihood(
-    cols: np.ndarray, arities: tuple[int, ...], var_set: tuple[int, ...], u: int
+    ranked: list[tuple[np.ndarray, np.ndarray]], var_set: tuple[int, ...], u: int
 ) -> float:
     """Log-likelihood of ``var_set[u]`` given the rest, from occurring cells.
 
-    Parents are ranked most significant first, re-ranking after each column,
-    so codes stay below m * r and sort in the dense table's cell order.
+    ``ranked[j]`` is column j's ``np.unique(..., return_inverse=True)``:
+    ranks keep the states' order and stay below m, whatever the arity.
+    Parents are combined most significant first, re-ranking after each
+    column, so codes stay below m * m and sort in the dense table's order.
     """
-    config = np.zeros(cols.shape[1], dtype=np.int64)
+    config = np.zeros(len(ranked[0][1]), dtype=np.int64)
     for t in reversed(range(len(var_set))):
         if t != u:
-            _, config = np.unique(
-                config * arities[t] + cols[var_set[t]], return_inverse=True
-            )
-    r_child = arities[u]
-    joint, counts = np.unique(config * r_child + cols[var_set[u]], return_counts=True)
+            states, ranks = ranked[var_set[t]]
+            _, config = np.unique(config * len(states) + ranks, return_inverse=True)
+    states, ranks = ranked[var_set[u]]
+    r_child = len(states)
+    joint, counts = np.unique(config * r_child + ranks, return_counts=True)
     hits = counts.astype(np.float64)
     parent = joint // r_child
     totals = np.bincount(parent, weights=hits)[parent]
@@ -368,9 +430,11 @@ def bic_scores(
 
     Each variable set S = P | {i} is counted once, and every family filed
     under it reads its log-likelihood from that table.  Sets of one arity
-    signature are counted in chunks of at most ``_CHUNK_CODES`` codes; a set
-    with more than ``_SPARSE_CELLS_PER_ROW * m`` cells is counted over its
-    occurring cells only, so memory stays O(m) per set.  Both paths take the
+    signature are counted in chunks of at most ``_CHUNK_CODES`` codes, and
+    their likelihoods are taken in passes of at most ``_CHUNK_CODES``
+    cells; a set with more than ``_SPARSE_CELLS_PER_ROW * m`` cells is
+    counted over its occurring cells only, from ranked states, so memory
+    stays O(m) per set.  Both paths take the
     nonzero cells in the same order with the same float operations as a
     per-family count, so the scores are bit-identical to it.
     """
@@ -416,23 +480,25 @@ def bic_scores(
     cols = np.ascontiguousarray(data.rows.T)
     half_log_m = 0.5 * math.log(m)
     chunk = max(1, _CHUNK_CODES // m)
+    ranked: list[tuple[np.ndarray, np.ndarray]] = []
     entries: list[dict[int, float]] = [{} for _ in range(n)]
     for arities, var_sets in by_shape.items():
         cells = math.prod(arities)
         if cells > _SPARSE_CELLS_PER_ROW * m:
+            if not ranked:
+                ranked = [np.unique(col, return_inverse=True) for col in cols]
             lls = (
-                {
-                    u: _sparse_log_likelihood(cols, arities, var_set, u)
-                    for u in families[var_set]
-                }
+                {u: _sparse_log_likelihood(ranked, var_set, u) for u in families[var_set]}
                 for var_set in var_sets
             )
         else:
+            # One likelihood pass per group of at most _CHUNK_CODES cells.
+            step = max(1, _CHUNK_CODES // cells)
             lls = chain.from_iterable(
-                _chunk_log_likelihoods(
-                    cols, arities, np.array(var_sets[lo : lo + chunk])
+                _log_likelihoods(
+                    _count_tables(cols, arities, var_sets[lo : lo + step], chunk), arities
                 ).tolist()
-                for lo in range(0, len(var_sets), chunk)
+                for lo in range(0, len(var_sets), step)
             )
         penalty = [half_log_m * ((r - 1) * (cells // r)) for r in arities]
         for var_set, row in zip(var_sets, lls):

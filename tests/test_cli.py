@@ -19,6 +19,13 @@ WIDE_CSV = "A,B,C,D\n" + "".join(
     for row in np.random.default_rng(0).integers(100, size=(300, 4)).tolist()
 )
 
+# 2000 rows of two columns whose states are multiples of 10^16: combining
+# raw states into one code would overflow int64.
+HUGE_STATES_CSV = "A,B\n" + "".join(
+    ",".join(map(str, row)) + "\n"
+    for row in (np.random.default_rng(0).integers(40, size=(2000, 2)) * 10**16).tolist()
+)
+
 
 @pytest.fixture
 def score_file(tmp_path):
@@ -147,8 +154,18 @@ def test_io_and_parse_errors_exit_three(tmp_path, capsys):
         (CSV, ("--max-entries", "3"), 2),
         ("A,B\n0,1\n0\n", (), 3),
         ("A,B\n0,-1\n", (), 3),
+        ("A,B\n1,99999999999999999999\n", (), 3),
+        (HUGE_STATES_CSV, ("--max-indegree", "2"), 0),
     ],
-    ids=["pair", "wide-arity-100", "entry-budget", "ragged", "negative-cell"],
+    ids=[
+        "pair",
+        "wide-arity-100",
+        "entry-budget",
+        "ragged",
+        "negative-cell",
+        "cell-beyond-int64",
+        "huge-state-indices",
+    ],
 )
 def test_score_exit_codes(tmp_path, capsys, csv_text, argv, expected):
     csv_path = tmp_path / "data.csv"

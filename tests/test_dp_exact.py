@@ -61,6 +61,47 @@ def reference_subset_max(table, i):
     return values, keys & ((np.int64(1) << _KEY_SHIFT) - 1)
 
 
+def other_masks(n, i):
+    """Masks over n nodes with bit i clear, ascending: squeezed index k is entry k."""
+    return np.array([m for m in range(1 << n) if not (m >> i) & 1], dtype=np.int64)
+
+
+def squeeze(mask, i):
+    """A mask's index in node i's table: bit i squeezed out."""
+    low = (1 << i) - 1
+    return (mask & low) | ((mask >> 1) & ~low)
+
+
+def reference_solve_dp(table):
+    """The subset DP over full-mask tables, the form ``solve_dp`` replaced."""
+    n = table.n
+    size = 1 << n
+    values = [reference_subset_max(table, i)[0] for i in range(n)]
+    layer_of = np.array([m.bit_count() for m in range(size)])
+    opt = np.full(size, -np.inf, dtype=np.float64)
+    opt[0] = 0.0
+    chosen_sink = np.full(size, -1, dtype=np.int8)
+    all_masks = np.arange(size, dtype=np.int64)
+    for layer in range(1, n + 1):
+        layer_masks = all_masks[layer_of == layer]
+        for i in range(n):
+            with_i = layer_masks[((layer_masks >> i) & 1) == 1]
+            without_i = with_i ^ (1 << i)
+            candidate = opt[without_i] + values[i][without_i]
+            update = candidate > opt[with_i]
+            targets = with_i[update]
+            opt[targets] = candidate[update]
+            chosen_sink[targets] = i
+    parents = [NodeSet(0)] * n
+    mask = size - 1
+    while mask:
+        i = int(chosen_sink[mask])
+        mask ^= 1 << i
+        parents[i] = best_parents_in(table, i, mask)[1]
+    dag = Dag(n, tuple(parents))
+    return total_score(dag, table), dag
+
+
 def tie_heavy_table(rng, n):
     """random_table's parent sets with small integer scores, so ties abound."""
     base = random_table(rng, n, max_sets=24)
@@ -91,10 +132,10 @@ def test_subset_max_four_subset_example():
         4, [{0: 0.0}, {0: 0.0, 0b0100: 3.0, 0b1100: 5.0}, {0: 0.0}, {0: 0.0}]
     )
     values = best_parents_all_subsets(t, 1)
-    assert values[0b1100] == 5.0
-    assert values[0b0100] == 3.0
-    assert values[0b1000] == 0.0
-    assert values[0] == 0.0
+    assert values[squeeze(0b1100, 1)] == 5.0
+    assert values[squeeze(0b0100, 1)] == 3.0
+    assert values[squeeze(0b1000, 1)] == 0.0
+    assert values[squeeze(0, 1)] == 0.0
     assert best_parents_in(t, 1, 0b1100)[1] == NodeSet(0b1100)
     assert best_parents_in(t, 1, 0b0100)[1] == NodeSet(0b0100)
 
@@ -102,7 +143,7 @@ def test_subset_max_four_subset_example():
 def test_subset_max_empty_only_is_zero_everywhere():
     t = LocalScoreTable(3, [{0: 0.0}, {0: 0.0}, {0: 0.0}])
     values = best_parents_all_subsets(t, 0)
-    assert values.dtype == np.float64 and values.shape == (8,)
+    assert values.dtype == np.float64 and values.shape == (4,)
     assert np.all(values == 0.0)
     _, argmax = reference_subset_max(t, 0)
     assert np.all(argmax == 0)
@@ -117,13 +158,13 @@ def test_subset_max_equals_scan_oracle(seed):
     i = int(rng.integers(n))
     values = best_parents_all_subsets(t, i)
     _, argmax = reference_subset_max(t, i)
+    # The table covers the other n-1 nodes only.
+    assert values.shape == (1 << (n - 1),)
     for mask in range(1 << n):
         allowed = mask & ~(1 << i)
         score, parents = best_parents_in(t, i, allowed)
-        assert values[allowed] == pytest.approx(score, abs=0)
+        assert values[squeeze(allowed, i)] == pytest.approx(score, abs=0)
         assert int(argmax[allowed]) == int(parents)
-        # bit i is ignored by the table
-        assert values[mask | (1 << i)] == values[allowed]
 
 
 @given(st.integers(0, 2**31), st.booleans())
@@ -132,7 +173,7 @@ def test_values_only_tables_match_tie_key_reference(seed, tie_heavy):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 11))
     t = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
-    reference = [reference_subset_max(t, i)[0] for i in range(n)]
+    reference = [reference_subset_max(t, i)[0][other_masks(n, i)] for i in range(n)]
     for i in range(n):
         values = best_parents_all_subsets(t, i)
         assert values.dtype == np.float64
@@ -143,6 +184,17 @@ def test_values_only_tables_match_tie_key_reference(seed, tie_heavy):
         dp_exact, "best_parents_all_subsets", lambda table, i, cap: reference[i]
     ):
         assert solve_dp(t) == got
+
+
+@given(st.integers(0, 2**31), st.booleans(), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_solve_dp_matches_full_mask_reference(seed, tie_heavy, n):
+    rng = np.random.default_rng(seed)
+    t = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
+    score, dag = solve_dp(t)
+    want_score, want_dag = reference_solve_dp(t)
+    assert repr(score) == repr(want_score)
+    assert dag == want_dag
 
 
 def test_solve_dp_single_node():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbnsl import scores_io
-from qbnsl.instance import LocalScoreTable, NodeSet, best_parents_in
+from qbnsl.instance import MAX_NODES, LocalScoreTable, NodeSet, best_parents_in
 from qbnsl.scores_io import (
     DatasetError,
     DiscreteDataset,
@@ -31,6 +31,113 @@ from qbnsl.scores_io import (
 from qbnsl.tables import random_table
 
 FIXTURE = "2\nA 2\n-1.5 0\n-1.0 1 B\nB 1\n-2.0 0\n"
+
+
+# Reference: the record-by-record score-file round trip that the library's
+# once-per-distinct-parent-set form replaced.  Texts, tables, names, error
+# classes and line numbers must all match it.
+
+
+def reference_write_scores(table, names=None):
+    names = tuple(names or table.names or (f"X{i}" for i in range(table.n)))
+    out = [str(table.n)]
+    for i in range(table.n):
+        out.append(f"{names[i]} {table.set_count(i)}")
+        for mask, score in table.items(i):
+            parts = [repr(score), str(mask.bit_count())]
+            parts.extend(names[j] for j in NodeSet(mask))
+            out.append(" ".join(parts))
+    return "\n".join(out) + "\n"
+
+
+def reference_parse_scores(data):
+    lines = []
+    for line_no, raw in enumerate(data.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            lines.append((line_no, stripped.split()))
+    if not lines:
+        raise ScoreSyntaxError(1, "empty score file")
+    pos = 0
+
+    def take():
+        nonlocal pos
+        if pos >= len(lines):
+            raise ScoreSyntaxError(lines[-1][0], "unexpected end of file")
+        pos += 1
+        return lines[pos - 1]
+
+    line_no, tokens = take()
+    if len(tokens) != 1:
+        raise ScoreSyntaxError(line_no, "expected the variable count alone")
+    try:
+        n = int(tokens[0])
+    except ValueError:
+        raise ScoreSyntaxError(line_no, f"invalid variable count {tokens[0]!r}") from None
+    if not 1 <= n <= MAX_NODES:
+        raise ScoreSyntaxError(line_no, f"variable count must be in 1..{MAX_NODES}")
+    names, records = [], []
+    for _ in range(n):
+        line_no, tokens = take()
+        if len(tokens) != 2:
+            raise ScoreSyntaxError(line_no, "expected 'NAME COUNT'")
+        name, count_tok = tokens
+        try:
+            count = int(count_tok)
+        except ValueError:
+            raise ScoreSyntaxError(line_no, f"invalid record count {count_tok!r}") from None
+        if count < 0:
+            raise ScoreSyntaxError(line_no, "record count must be non-negative")
+        if name in names:
+            raise ScoreSyntaxError(line_no, f"duplicate variable {name!r}")
+        names.append(name)
+        var_records = []
+        for _ in range(count):
+            line_no, tokens = take()
+            if len(tokens) < 2:
+                raise ScoreSyntaxError(line_no, "expected 'SCORE COUNT [PARENTS...]'")
+            try:
+                score = float(tokens[0])
+            except ValueError:
+                raise ScoreSyntaxError(line_no, f"invalid score {tokens[0]!r}") from None
+            if not math.isfinite(score):
+                raise ScoreSyntaxError(line_no, "score must be finite")
+            try:
+                p_count = int(tokens[1])
+            except ValueError:
+                raise ScoreSyntaxError(line_no, f"invalid parent count {tokens[1]!r}") from None
+            parents = tokens[2:]
+            if p_count != len(parents):
+                raise ScoreSyntaxError(
+                    line_no,
+                    f"parent count {p_count} does not match {len(parents)} listed parents",
+                )
+            var_records.append((line_no, score, parents))
+        records.append(var_records)
+    if pos != len(lines):
+        raise ScoreSyntaxError(lines[pos][0], "trailing content after the last record")
+    index = {name: i for i, name in enumerate(names)}
+    entries = []
+    for i, var_records in enumerate(records):
+        node_entries = {}
+        for line_no, score, parents in var_records:
+            mask = 0
+            for p_name in parents:
+                if p_name == names[i]:
+                    raise SelfParentError(line_no, p_name)
+                j = index.get(p_name)
+                if j is None:
+                    raise UnknownVariableError(line_no, p_name)
+                if mask & (1 << j):
+                    raise ScoreSyntaxError(line_no, f"parent {p_name!r} repeated")
+                mask |= 1 << j
+            if mask in node_entries:
+                raise DuplicateParentSetError(line_no, names[i])
+            node_entries[mask] = score
+        if 0 not in node_entries:
+            raise MissingEmptySetError(names[i])
+        entries.append(node_entries)
+    return LocalScoreTable(n, entries, names)
 
 
 def test_parse_fixture_exactly():
@@ -104,6 +211,86 @@ def test_roundtrip_is_identity(data):
     n = data.draw(st.integers(1, 7))
     t = random_table(rng, n)
     assert parse_scores(write_scores(t)) == t
+
+
+NAME_POOL = ["A", "B", "x1", "Gene_7", "node-9", "Z", "q", "LONGER_NAME_42"]
+
+
+def _noisy(rng, text):
+    """The same score file with comments, blank lines and irregular whitespace."""
+    out = []
+    for line in text.splitlines():
+        if rng.random() < 0.2:
+            out.append(rng.choice(["", "   ", "# a comment", "\t# another one"]))
+        gaps = [rng.choice([" ", "  ", "\t", " \t "]) for _ in range(line.count(" "))]
+        parts = line.split(" ")
+        joined = parts[0] + "".join(g + p for g, p in zip(gaps, parts[1:]))
+        out.append(rng.choice(["", " ", "\t"]) + joined + rng.choice(["", " ", "\t "]))
+    return "\n".join(out) + rng.choice(["", "\n", "\n\n# end\n"])
+
+
+@given(st.integers(0, 2**31), st.integers(1, 8), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_round_trip_matches_record_by_record_reference(seed, n, noisy):
+    rng = np.random.default_rng(seed)
+    names = tuple(rng.permutation(NAME_POOL)[:n].tolist())
+    t = random_table(rng, n, max_sets=int(rng.integers(1, 40)))
+    t = LocalScoreTable(n, [dict(t.items(i)) for i in range(n)], names)
+    text = write_scores(t)
+    assert text == reference_write_scores(t)
+    if noisy:
+        text = _noisy(rng, text)
+    got, want = parse_scores(text), reference_parse_scores(text)
+    assert got == want == t
+    assert got.names == want.names == names
+
+
+# Each text fails; the library must raise what the reference raises, on the
+# same line.  Records of B reuse parent lists that A resolved, so the
+# self-parent and duplicate checks are also made on resolved-list hits.
+PARSE_ERROR_CASES = {
+    "empty": "# only a comment\n\n",
+    "count-not-alone": "2 3\n",
+    "bad-count": "two\n",
+    "count-range": "31\n",
+    "bad-header": "1\nA\n",
+    "bad-record-count": "1\nA x\n",
+    "negative-record-count": "1\nA -1\n",
+    "duplicate-variable": "2\nA 1\n0.0 0\nA 1\n0.0 0\n",
+    "short-record": "1\nA 1\n0.0\n",
+    "bad-score": "1\nA 1\nzero 0\n",
+    "infinite-score": "1\nA 1\ninf 0\n",
+    "bad-parent-count": "2\nA 1\n0.0 one B\nB 1\n0.0 0\n",
+    "count-mismatch": "2\nA 2\n0.0 0\n1.0 2 B\nB 1\n0.0 0\n",
+    "count-mismatch-after-hit": "2\nA 2\n0.0 0\n1.0 1 B\nB 2\n0.0 0\n1.0 1  B A\n",
+    "eof-in-records": "2\nA 2\n0.0 0\n",
+    "eof-before-variable": "2\nA 1\n0.0 0\n",
+    "trailing": "1\nA 1\n0.0 0\n0.0 0\n",
+    "unknown-name": "2\nA 2\n0.0 0\n1.0 1 Z\nB 1\n0.0 0\n",
+    "unknown-before-self": "2\nA 1\n0.0 0\nB 2\n0.0 0\n1.0 2 Z B\n",
+    "self-before-unknown": "2\nA 1\n0.0 0\nB 2\n0.0 0\n1.0 2 B Z\n",
+    "repeated-parent": "3\nA 2\n0.0 0\n1.0 2 B B\nB 1\n0.0 0\nC 1\n0.0 0\n",
+    "self-parent": "2\nA 1\n0.0 0\nB 2\n0.0 0\n1.0 1 B\n",
+    "self-parent-on-hit": "2\nA 2\n0.0 0\n1.0 1 B\nB 2\n0.0 0\n1.0 1 B\n",
+    "self-parent-on-hit-later": (
+        "3\nA 2\n0.0 0\n1.0 2 B C\nB 1\n0.0 0\nC 2\n0.0 0\n2.0 2 B C\n"
+    ),
+    "duplicate-set": "2\nA 2\n0.0 0\n1.0 0\nB 1\n0.0 0\n",
+    "duplicate-set-on-hit": "2\nA 1\n0.0 0\nB 3\n0.0 0\n1.0 1 A\n2.0 1\tA\n",
+    "duplicate-set-same-text": "3\nA 1\n0.0 0\nB 3\n0.0 0\n1.0 1 A\n2.0 1 A\nC 1\n0.0 0\n",
+    "missing-empty-set": "2\nA 1\n1.0 1 B\nB 1\n0.0 0\n",
+}
+
+
+@pytest.mark.parametrize("text", PARSE_ERROR_CASES.values(), ids=PARSE_ERROR_CASES.keys())
+def test_parse_errors_match_reference(text):
+    with pytest.raises(ValueError) as want:
+        reference_parse_scores(text)
+    with pytest.raises(type(want.value)) as got:
+        parse_scores(text)
+    assert type(got.value) is type(want.value)
+    assert getattr(got.value, "line_no", None) == getattr(want.value, "line_no", None)
+    assert str(got.value) == str(want.value)
 
 
 def test_bic_single_binary_variable_hand_value():
@@ -229,8 +416,14 @@ def _random_dataset(rng, n, m, copies):
     return DiscreteDataset(names, rows, tuple(arities))
 
 
-# The default path, then one set per chunk, then every set counted sparsely.
-BIC_PATHS = [{}, {"_CHUNK_CODES": 1}, {"_SPARSE_CELLS_PER_ROW": 0}]
+# The default path; one set per count chunk and per likelihood pass; passes
+# that span several small count chunks; every set counted sparsely.
+BIC_PATHS = [
+    {},
+    {"_CHUNK_CODES": 1},
+    {"_CHUNK_CODES": 256},
+    {"_SPARSE_CELLS_PER_ROW": 0},
+]
 
 
 @pytest.mark.parametrize("patch", BIC_PATHS)
@@ -272,6 +465,105 @@ def test_bic_scores_bit_identical_beyond_128_terms(patch, seed):
     _assert_bit_identical(got, reference_bic_scores(dataset, 3))
 
 
+def reference_chunk_log_likelihoods(cols, arities, var_sets):
+    """One count chunk's (g, s) log-likelihoods: the per-chunk likelihood
+    pass that the grouped pass replaced."""
+    g, s = var_sets.shape
+    cells = math.prod(arities)
+    codes = cols[var_sets[:, 0]] + np.arange(0, g * cells, cells)[:, None]
+    weight = 1
+    for t in range(1, s):
+        weight *= arities[t - 1]
+        codes += cols[var_sets[:, t]] * weight
+    table = np.bincount(codes.ravel(), minlength=g * cells).reshape(g, *arities[::-1])
+    nonzero = np.count_nonzero(table.reshape(g, cells), axis=1)
+    order = np.argsort(nonzero, kind="stable")
+    table = table[order].astype(np.float64)
+    terms = np.empty((s, int(nonzero.sum())))
+    for u in range(s):
+        counts = np.moveaxis(table, s - u, -1).reshape(g, -1, arities[u])
+        totals = counts.sum(axis=2, keepdims=True)
+        nz = counts > 0
+        hits = counts[nz]
+        terms[u] = hits * np.log(hits / np.broadcast_to(totals, counts.shape)[nz])
+    lls = np.empty((g, s))
+    lengths, sizes = np.unique(nonzero, return_counts=True)
+    row = col = 0
+    for length, size in zip(lengths.tolist(), sizes.tolist()):
+        block = terms[:, col : col + size * length].reshape(s, size, length)
+        lls[order[row : row + size]] = block.sum(axis=2).T
+        row += size
+        col += size * length
+    return lls
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_grouped_likelihood_pass_matches_per_chunk_reference(data):
+    # One pass over many count chunks gives each set the bits that a pass
+    # over its own chunk, or over the set alone, gives it.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    n = data.draw(st.integers(1, 7))
+    m = data.draw(st.integers(1, 400))
+    dataset = _random_dataset(rng, n, m, copies=data.draw(st.booleans()))
+    size = data.draw(st.integers(1, n))
+    var_sets = [
+        combo
+        for combo in combinations(range(n), size)
+        if tuple(dataset.arities[j] for j in combo)
+        == tuple(dataset.arities[j] for j in range(size))
+    ] or [tuple(range(size))]
+    arities = tuple(dataset.arities[j] for j in var_sets[0])
+    cols = np.ascontiguousarray(dataset.rows.T)
+    chunk = data.draw(st.integers(1, len(var_sets)))
+    got = scores_io._log_likelihoods(
+        scores_io._count_tables(cols, arities, var_sets, chunk), arities
+    )
+    want = np.concatenate(
+        [
+            reference_chunk_log_likelihoods(cols, arities, np.array(var_sets[lo : lo + chunk]))
+            for lo in range(0, len(var_sets), chunk)
+        ]
+    )
+    alone = np.concatenate(
+        [reference_chunk_log_likelihoods(cols, arities, np.array([v])) for v in var_sets]
+    )
+    assert got.tobytes() == want.tobytes() == alone.tobytes()
+
+
+def _independent_bic(rows, child, parents):
+    """(log-likelihood, penalty) of one family from np.unique over the raw
+    rows, arities max+1."""
+    m = rows.shape[0]
+    joint, counts = np.unique(rows[:, [*parents, child]], axis=0, return_counts=True)
+    totals = m
+    if parents:
+        _, parent_of = np.unique(joint[:, :-1], axis=0, return_inverse=True)
+        parent_of = parent_of.ravel()
+        totals = np.bincount(parent_of, weights=counts)[parent_of]
+    ll = float((counts * np.log(counts / totals)).sum())
+    arity = [int(v) + 1 for v in rows.max(axis=0)]
+    params = (arity[child] - 1) * math.prod(arity[j] for j in parents)
+    return ll, 0.5 * math.log(m) * params
+
+
+def test_bic_huge_state_indices_are_ranked_before_combining():
+    # States up to ~4e17: config * arity + state would wrap around int64.
+    rng = np.random.default_rng(0)
+    rows = rng.integers(40, size=(2000, 3)) * 10**16
+    rows[:, 2] = rng.integers(2, size=2000)
+    text = "A,B,C\n" + "".join(",".join(map(str, r)) + "\n" for r in rows.tolist())
+    dataset = DiscreteDataset.from_csv(text)
+    table = bic_scores(dataset, 2)
+    assert table.total_entries == 3 * 4
+    for i in range(3):
+        for mask, score in table.items(i):
+            ll, penalty = _independent_bic(rows, i, tuple(NodeSet(mask)))
+            # The likelihood must hold to 1e-9, up to the penalty's float grid.
+            slack = 1e-9 * abs(ll) + 2 * math.ulp(penalty)
+            assert abs(score - (ll - penalty)) <= slack, (i, mask)
+
+
 def test_bic_wide_columns_count_only_occurring_cells():
     # 100^4 dense cells would be a 763 MiB count vector for 300 rows.
     rng = np.random.default_rng(0)
@@ -296,6 +588,8 @@ def test_from_csv_infers_arity_and_checks_cells():
         DiscreteDataset.from_csv("A,B\n0,x\n")
     with pytest.raises(DatasetError):
         DiscreteDataset.from_csv("A,A\n0,1\n")
+    with pytest.raises(DatasetError):
+        DiscreteDataset.from_csv("A,B\n1,99999999999999999999\n")
 
 
 def test_prune_drops_dominated_singleton():
