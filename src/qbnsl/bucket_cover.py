@@ -259,6 +259,21 @@ def downset_count_formula(n: int, k: int) -> int:
     return total
 
 
+def lattice_edge_count_formula(n: int, k: int) -> int:
+    """Covering edges of every (n, k) member's downset lattice.
+
+    A block of size s with first half h has h * 2^(h-1) + (s-h) * 2^(s-h-1)
+    local edges, each repeated once per downset of the other blocks.
+    """
+    downsets = downset_count_formula(n, k)
+    total = 0
+    for size in _block_sizes(n, k):
+        h = _half(size)
+        local = (h << h) // 2 + ((size - h) << (size - h)) // 2
+        total += local * downsets // ((1 << h) + (1 << (size - h)) - 1)
+    return total
+
+
 def is_downset(member: CoverMember, subset: "NodeSet | int") -> bool:
     """True iff taking any element forces no missing required predecessor.
 

@@ -58,28 +58,18 @@ ALGORITHMS = ("dp", "cover", "cover-grover", "brute-orders", "brute-dags")
 SUITES = ("oracle", "grover", "scaling")
 
 
-def positive_int(text: str) -> int:
-    """argparse type for counts: an integer >= 1 (anything else exits 2)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
+def bounded_int(low: int, high: int | None = None):
+    """argparse type: an integer in low..high, or >= low without high (else exit 2)."""
 
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{value} is above {high}")
+        return value
 
-def non_negative_int(text: str) -> int:
-    """argparse type for bounds: an integer >= 0 (anything else exits 2)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is not a non-negative integer")
-    return value
-
-
-def dp_cap_int(text: str) -> int:
-    """argparse type for --dp-cap: an integer in 1..DP_CAP (anything else exits 2)."""
-    value = int(text)
-    if not 1 <= value <= DP_CAP:
-        raise argparse.ArgumentTypeError(f"{value} is not in 1..{DP_CAP}")
-    return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", help="compute BIC local scores from a CSV")
     p_score.add_argument("data", help="CSV with a header row and integer cells")
-    p_score.add_argument("--max-indegree", type=non_negative_int, default=2)
-    p_score.add_argument("--max-entries", type=non_negative_int, default=1_000_000)
+    p_score.add_argument("--max-indegree", type=bounded_int(0), default=2)
+    p_score.add_argument("--max-entries", type=bounded_int(0), default=1_000_000)
     p_score.add_argument("--out", help="score file to write (default: stdout)")
 
     p_solve = sub.add_parser("solve", help="maximize the score over DAGs")
@@ -104,8 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", help="edge-list path; a .dot sibling is written too")
-    p_solve.add_argument("--dp-cap", type=dp_cap_int, default=DP_CAP)
-    p_solve.add_argument("--sim-cap", type=positive_int, default=MAX_SIM_DOMAIN)
+    p_solve.add_argument("--dp-cap", type=bounded_int(1, DP_CAP), default=DP_CAP)
+    p_solve.add_argument(
+        "--sim-cap", type=bounded_int(1, MAX_SIM_DOMAIN), default=MAX_SIM_DOMAIN
+    )
     p_solve.add_argument(
         "--shuffle-blocks",
         action="store_true",
@@ -113,11 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_stats = sub.add_parser("cover-stats", help="cover counts and the cost report")
-    p_stats.add_argument("--n", type=positive_int, required=True)
+    p_stats.add_argument("--n", type=bounded_int(1), required=True)
     p_stats.add_argument("--k", type=int, required=True)
     p_stats.add_argument(
         "--entries",
-        type=positive_int,
+        type=bounded_int(1),
         default=None,
         help="table size F (default n * 2^(n-1))",
     )
@@ -128,13 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
         "--instances",
-        type=positive_int,
+        type=bounded_int(1),
         default=500,
         help="oracle suite: instance count",
     )
     p_bench.add_argument(
         "--trials",
-        type=positive_int,
+        type=bounded_int(1),
         default=2000,
         help="grover suite: trials per domain size",
     )
@@ -325,7 +317,7 @@ def _bench_grover(seed: int, trials: int) -> tuple[list[str], bool]:
     return lines, ok
 
 
-def _bench_scaling(seed: int) -> tuple[list[str], bool]:
+def _bench_scaling() -> tuple[list[str], bool]:
     """Charged-query formula checks and the desk-scale constants table."""
     lines = ["suite = scaling"]
     ok = True
@@ -364,7 +356,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     elif args.suite == "grover":
         lines, ok = _bench_grover(args.seed, args.trials)
     else:
-        lines, ok = _bench_scaling(args.seed)
+        lines, ok = _bench_scaling()
     _emit(lines, args.report)
     return 0 if ok else 1
 

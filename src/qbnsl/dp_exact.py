@@ -31,8 +31,8 @@ ORDER_BRUTE_CAP = 8
 DAG_BRUTE_CAP = 4
 
 
-def popcounts(size: int, n: int) -> np.ndarray:
-    """Bit-count of every integer in [0, size), where ``size`` <= 2^n."""
+def popcounts(size: int) -> np.ndarray:
+    """Bit-count of every integer in [0, size)."""
     return np.bitwise_count(np.arange(size, dtype=np.int64))
 
 
@@ -51,11 +51,11 @@ def best_parents_all_subsets(
         raise InstanceTooLargeError(f"n={n} exceeds the subset-table cap {cap}")
     if not 0 <= i < n:
         raise ValueError(f"node index {i} out of range")
-    items = table.items(i)
-    masks = np.array([mask for mask, _ in items], dtype=np.int64)
+    lo, hi = table.offsets[i], table.offsets[i + 1]
+    masks = table.masks[lo:hi]
     low = (1 << i) - 1
     values = np.full(1 << (n - 1), -np.inf, dtype=np.float64)
-    values[(masks & low) | ((masks >> 1) & ~low)] = [score for _, score in items]
+    values[(masks & low) | ((masks >> 1) & ~low)] = table.scores[lo:hi]
     # One max-propagation pass per dimension: after pass j, each index holds
     # the best over seeded subsets differing only in bits <= j.
     for j in range(n - 1):
@@ -85,7 +85,7 @@ def solve_dp(table: LocalScoreTable, cap: int = DP_CAP) -> tuple[float, Dag]:
     # Squeezed masks by cardinality, ascending within each layer.  Layer l
     # of the DP reads, for every sink i, the same squeezed indices: the
     # masks of l-1 other nodes; unsqueezing them per i gives S minus i.
-    by_layer = np.argsort(popcounts(half, n - 1), kind="stable")
+    by_layer = np.argsort(popcounts(half), kind="stable")
     layer_ends = np.cumsum([math.comb(n - 1, c) for c in range(n)]).tolist()
     nodes = np.arange(n)[:, None]
     low = (1 << nodes) - 1

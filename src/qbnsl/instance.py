@@ -7,14 +7,20 @@ full subset-indexed array stays addressable at desk scale.
 
 A problem instance is a :class:`LocalScoreTable`: per node i, a finite
 collection of candidate parent sets J (never containing i) with a real
-score s_i(J).  A DAG's total score is the sum of its per-node local scores,
-which is what every solver in this package maximizes.
+score s_i(J).  The table keeps every entry in one flat layout, read-only
+node, bitmask and score arrays sorted by (node, cardinality, bitmask)
+with per-node offsets, which bulk readers slice; scalar reads go through
+per-node views built from a node's slice.  A DAG's total score is the
+sum of its per-node local scores, which is what every solver in this
+package maximizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 MAX_NODES = 30
 
@@ -145,19 +151,24 @@ EMPTY_SET = NodeSet(0)
 
 
 class LocalScoreTable:
-    """Per-node scored candidate parent sets.
+    """Per-node scored candidate parent sets in one sorted flat layout.
 
-    ``entries[i]`` maps parent-set bitmasks (bit i always clear) to scores.
-    Every node must list the empty parent set: that guarantees every node
-    ordering admits at least one feasible parent assignment, so solvers
-    never hit dead ends.  Tables are immutable after construction; per-node
-    entries iterate in (cardinality, bitmask) order, which makes linear
-    scans deterministic and gives first-wins tie-breaking for free.
+    Entry e gives node ``nodes[e]`` the parent-set bitmask ``masks[e]`` (bit
+    ``nodes[e]`` always clear) with score ``scores[e]``.  Entries are sorted
+    by (node, cardinality, bitmask), so node i owns the slice
+    ``offsets[i]:offsets[i + 1]`` and a scan of it is deterministic with
+    first-wins tie-breaking for free.  The arrays are read-only: tables are
+    immutable after construction.  Every node must list the empty parent
+    set: that guarantees every node ordering admits at least one feasible
+    parent assignment, so solvers never hit dead ends.
 
-    ``names`` is display metadata only and is excluded from equality.
+    Bulk readers slice the arrays.  Scalar reads (``items``, ``score``,
+    ``contains``) go through a per-node view, a tuple of (bitmask, score)
+    pairs and a dict over it, built in bulk from the node's slice on first
+    use.  ``names`` is display metadata only and is excluded from equality.
     """
 
-    __slots__ = ("n", "names", "_maps", "_sorted")
+    __slots__ = ("n", "names", "nodes", "masks", "scores", "offsets", "_views")
 
     def __init__(
         self,
@@ -169,98 +180,110 @@ class LocalScoreTable:
             raise ValueError(f"n must be in 1..{MAX_NODES}, got {n}")
         if len(entries) != n:
             raise ValueError(f"expected {n} per-node entries, got {len(entries)}")
+        # Python ints until checked: a key beyond int64 is out of range.
+        masks = np.array([int(key) for node in entries for key in node], dtype=object)
+        nodes = np.repeat(np.arange(n), [len(node) for node in entries])
+        scores = [float(score) for node in entries for score in node.values()]
+        self._store(n, names, nodes, masks, scores)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        n: int,
+        nodes: Sequence[int],
+        masks: Sequence[int],
+        scores: Sequence[float],
+        names: Sequence[str] | None = None,
+    ) -> "LocalScoreTable":
+        """A table from flat entry arrays in any order, checked as ``__init__`` does."""
+        if not 1 <= n <= MAX_NODES:
+            raise ValueError(f"n must be in 1..{MAX_NODES}, got {n}")
+        table = cls.__new__(cls)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        table._store(n, names, nodes, np.asarray(masks), scores)
+        return table
+
+    def _store(self, n, names, nodes, masks, scores) -> None:
         if names is not None:
             names = tuple(names)
             if len(names) != n:
                 raise ValueError("names length must equal n")
             if len(set(names)) != n:
                 raise ValueError("variable names must be unique")
-        maps: list[dict[int, float]] = []
-        limit = 1 << n
-        for i, node_entries in enumerate(entries):
-            cleaned: dict[int, float] = {}
-            for key, score in node_entries.items():
-                mask = _bits(key)
-                if not 0 <= mask < limit:
+        # The first bad entry raises, as a scan in input order would; node
+        # i's missing empty set comes after its entries, before node i+1's.
+        bad = (masks < 0) | (masks >= 1 << n) | (masks >> nodes & 1 == 1)
+        missing = np.flatnonzero(np.bincount(nodes[masks == 0], minlength=n) == 0)
+        if bad.any():
+            e = int(np.argmax(bad))
+            if not len(missing) or nodes[e] <= missing[0]:
+                mask = int(masks[e])
+                if not 0 <= mask < 1 << n:
                     raise ValueError(f"parent set {mask:#x} out of range for n={n}")
-                if (mask >> i) & 1:
-                    raise ValueError(f"node {i} cannot be its own parent")
-                cleaned[mask] = float(score)
-            if 0 not in cleaned:
-                raise ValueError(f"node {i} is missing the empty parent set")
-            maps.append(cleaned)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_maps", tuple(maps))
-        object.__setattr__(
-            self,
-            "_sorted",
-            tuple(
-                tuple(sorted(m.items(), key=lambda kv: (kv[0].bit_count(), kv[0])))
-                for m in maps
-            ),
-        )
+                raise ValueError(f"node {nodes[e]} cannot be its own parent")
+        if len(missing):
+            raise ValueError(f"node {missing[0]} is missing the empty parent set")
+        masks = masks.astype(np.int64)
+        # One stable sort on (node, cardinality, mask) packed in one int64
+        # (masks < 2^30, cardinalities and nodes < 32); of a (node, mask)
+        # listed twice, as NodeSet and int keys can, the later one stays.
+        key = nodes << 35 | np.bitwise_count(masks).astype(np.int64) << 30 | masks
+        order = np.argsort(key, kind="stable")
+        keep = order[np.append(key[order][1:] != key[order][:-1], True)]
+        nodes, masks = nodes[keep], masks[keep]
+        scores = np.asarray(scores, dtype=np.float64)[keep]
+        offsets = np.searchsorted(nodes, np.arange(n + 1))
+        for array in (nodes, masks, scores, offsets):
+            array.flags.writeable = False
+        values = (n, names, nodes, masks, scores, offsets, [None] * n)  # slot order
+        for attr, value in zip(self.__slots__, values):
+            object.__setattr__(self, attr, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LocalScoreTable is immutable")
 
+    def _view(self, i: int) -> tuple[tuple[tuple[int, float], ...], dict[int, float]]:
+        view = self._views[i]
+        if view is None:
+            lo, hi = self.offsets[i], self.offsets[i + 1]
+            items = tuple(zip(self.masks[lo:hi].tolist(), self.scores[lo:hi].tolist()))
+            view = self._views[i] = items, dict(items)
+        return view
+
     @property
     def total_entries(self) -> int:
         """Total number of stored (node, parent set) records."""
-        return sum(len(m) for m in self._maps)
+        return len(self.masks)
 
     def set_count(self, i: int) -> int:
-        return len(self._maps[i])
+        return int(self.offsets[i + 1] - self.offsets[i])
 
     def items(self, i: int) -> tuple[tuple[int, float], ...]:
         """Raw (bitmask, score) pairs for node i in (cardinality, mask) order."""
-        return self._sorted[i]
-
-    def sets(self, i: int) -> Iterator[tuple[NodeSet, float]]:
-        for mask, score in self._sorted[i]:
-            yield NodeSet(mask), score
+        return self._view(i)[0]
 
     def contains(self, i: int, parents: "NodeSet | int") -> bool:
-        return _bits(parents) in self._maps[i]
+        return _bits(parents) in self._view(i)[1]
 
     def score(self, i: int, parents: "NodeSet | int") -> float:
         mask = _bits(parents)
         try:
-            return self._maps[i][mask]
+            return self._view(i)[1][mask]
         except KeyError:
             raise MissingParentSetError(i, NodeSet(mask)) from None
-
-    def relabel(self, perm: Sequence[int]) -> "LocalScoreTable":
-        """Rename node i to perm[i] everywhere; scores are carried along."""
-        n = self.n
-        if sorted(perm) != list(range(n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        new_entries: list[dict[int, float]] = [dict() for _ in range(n)]
-        for i in range(n):
-            for mask, score in self._maps[i].items():
-                new_mask = 0
-                for j in NodeSet(mask):
-                    new_mask |= 1 << perm[j]
-                new_entries[perm[i]][new_mask] = score
-        new_names = None
-        if self.names is not None:
-            assigned: list[str] = [""] * n
-            for i in range(n):
-                assigned[perm[i]] = self.names[i]
-            new_names = assigned
-        return LocalScoreTable(n, new_entries, new_names)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LocalScoreTable):
             return NotImplemented
-        return self.n == other.n and self._maps == other._maps
+        return self.n == other.n and all(
+            np.array_equal(getattr(self, attr), getattr(other, attr))
+            for attr in ("offsets", "masks", "scores")
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return (
-            f"LocalScoreTable(n={self.n}, total_entries={self.total_entries})"
-        )
+        return f"LocalScoreTable(n={self.n}, total_entries={self.total_entries})"
 
 
 @dataclass(frozen=True, slots=True)

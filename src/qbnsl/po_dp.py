@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +49,8 @@ from .bucket_cover import (
     closure_digit,
     cover_size,
     covering_member,
+    downset_count_formula,
+    lattice_edge_count_formula,
     member_by_index,
     split_slot_positions,
 )
@@ -67,6 +68,8 @@ from .instance import (
 
 COVER_STRATEGIES = ("classical-scan", "grover-sim", "grover-cost-model")
 SCAN_MEMBER_CAP = 1_000_000
+# solve_dp's subset tables at its cap: n * 2^(n-1) float64, 80 MiB at n = 20.
+LATTICE_BYTES_CAP = DP_CAP * (1 << (DP_CAP - 1)) * 8
 _NEG_INF = float("-inf")
 _CHUNK_ELEMENTS = 1 << 16  # float64 values in one chunk's (D, n * members) table
 
@@ -91,40 +94,15 @@ class DownsetScoreTable:
     edge_visits: int
 
 
-class ScoreEntries(NamedTuple):
-    """A table's entries as flat arrays: owning node, parent-set bits, score.
-
-    ``bits[e, j]`` is 1 iff node j is in entry e's parent set.
-    """
-
-    node: np.ndarray
-    bits: np.ndarray
-    scores: np.ndarray
-
-    @classmethod
-    def of(cls, table: LocalScoreTable) -> "ScoreEntries":
-        nodes: list[int] = []
-        masks: list[int] = []
-        scores: list[float] = []
-        for i in range(table.n):
-            for mask, score in table.items(i):
-                nodes.append(i)
-                masks.append(mask)
-                scores.append(score)
-        mask_array = np.array(masks, dtype=np.int64)
-        bits = (mask_array[:, None] >> np.arange(table.n, dtype=np.int64)) & 1
-        return cls(np.array(nodes, dtype=np.int64), bits, np.array(scores))
-
-
-def _block_patterns(entries: ScoreEntries, elems: np.ndarray) -> np.ndarray:
+def _block_patterns(masks: np.ndarray, elems: np.ndarray) -> np.ndarray:
     """Each entry's parent set within one block, bit p for node ``elems[p]``.
 
-    With ``elems`` in slot order this is the entry's slot pattern, whose
-    ``closure_digit`` times the block's stride is the block's share of the
-    entry's bucket: a set lies inside a downset exactly when its closure
-    does.
+    ``masks`` are the table's entry bitmasks.  With ``elems`` in slot order
+    this is the entry's slot pattern, whose ``closure_digit`` times the
+    block's stride is the block's share of the entry's bucket: a set lies
+    inside a downset exactly when its closure does.
     """
-    return entries.bits[:, elems] @ (1 << np.arange(len(elems)))
+    return ((masks[:, None] >> elems) & 1) @ (1 << np.arange(len(elems)))
 
 
 def _bucket_maxima(
@@ -174,7 +152,6 @@ def downset_best_parents(
     table: LocalScoreTable,
     member: CoverMember,
     index: DownsetIndex | None = None,
-    entries: ScoreEntries | None = None,
 ) -> DownsetScoreTable:
     """Best-parent scores for every node over every downset of the member.
 
@@ -190,17 +167,15 @@ def downset_best_parents(
         raise ValueError("table and member sizes differ")
     if index is None:
         index = DownsetIndex(member)
-    if entries is None:
-        entries = ScoreEntries.of(table)
     template = index.template
     nodes = np.array(index.nodes)
-    flat = entries.node.copy()
+    flat = table.nodes.copy()
     for offset, size, h, weight in zip(
         template.offsets, template.block_sizes, template.halves, template.weights
     ):
-        local = _block_patterns(entries, nodes[offset : offset + size])
+        local = _block_patterns(table.masks, nodes[offset : offset + size])
         flat += closure_digit(local, h) * (weight * n)
-    by_downset = _bucket_maxima(flat, entries.scores, template.size, n)
+    by_downset = _bucket_maxima(flat, table.scores, template.size, n)
     visits = _fold_sub_downsets(by_downset, template)
     return DownsetScoreTable(index, by_downset.T, visits)
 
@@ -235,7 +210,6 @@ def member_optima(
     table: LocalScoreTable,
     partition: BlockPartition,
     template: LatticeTemplate | None = None,
-    entries: ScoreEntries | None = None,
 ) -> np.ndarray:
     """Every member's optimum, values only, in ``member_by_index`` order.
 
@@ -253,8 +227,6 @@ def member_optima(
         raise ValueError("table and partition sizes differ")
     if template is None:
         template = LatticeTemplate(partition)
-    if entries is None:
-        entries = ScoreEntries.of(table)
     size = template.size
     layers = template.layers
     blocks = []  # (nodes, slot positions per split, patterns, entry -> pattern)
@@ -263,7 +235,7 @@ def member_optima(
         splits = range(math.comb(len(elems), h))
         slots = np.array([split_slot_positions(len(elems), d) for d in splits])
         patterns, which = np.unique(
-            _block_patterns(entries, elems), return_inverse=True
+            _block_patterns(table.masks, elems), return_inverse=True
         )
         blocks.append((elems, slots, patterns, which))
     weights = [1 << np.arange(len(elems)) for elems, _, _, _ in blocks]
@@ -272,7 +244,7 @@ def member_optima(
     optima = np.empty(members)
     for lo in range(0, members, batch):
         hi = min(lo + batch, members)
-        flat = np.repeat(entries.node[:, None], hi - lo, axis=1)
+        flat = np.repeat(table.nodes[:, None], hi - lo, axis=1)
         rest = np.arange(lo, hi)
         nodes = []
         for t in reversed(range(len(blocks))):
@@ -283,7 +255,7 @@ def member_optima(
             local = ((patterns[:, None, None] >> slots[digit]) & 1) @ weights[t]
             closure = closure_digit(local, template.halves[t])
             flat += (closure * (template.weights[t] * n))[which]
-        by_downset = _bucket_maxima(flat, entries.scores, size, n)
+        by_downset = _bucket_maxima(flat, table.scores, size, n)
         _fold_sub_downsets(by_downset, template)
         edge_node = np.concatenate(nodes[::-1])[layers.edge_slot]
         optima[lo:hi] = _member_dp(by_downset, edge_node, layers)[0][-1]
@@ -369,8 +341,10 @@ def solve_cover(
     answer classically, locates the member covering an optimal
     topological order as the witness, and books the analytic charge
     ceil(sqrt(members)) * ceil(log2(members)) instead of simulating.
-    Every member solve of a call shares one lattice template and one flat
-    copy of the table's entries.
+    Every member solve of a call shares one lattice template and reads
+    the table's flat entry arrays.  A lattice whose member table (D * n
+    float64) and two int64 edge arrays would exceed ``LATTICE_BYTES_CAP``
+    raises ``InstanceTooLargeError`` before any of it is allocated.
     """
     if strategy not in COVER_STRATEGIES:
         raise StrategyUnavailableError(
@@ -388,12 +362,18 @@ def solve_cover(
         raise InstanceTooLargeError(
             f"cover has {members} members; grover-sim cap is {sim_cap}"
         )
+    downsets = downset_count_formula(partition.n, partition.k)
+    edges = lattice_edge_count_formula(partition.n, partition.k)
+    if 8 * (downsets * partition.n + 2 * edges) > LATTICE_BYTES_CAP:
+        raise InstanceTooLargeError(
+            f"lattice of {downsets} downsets and {edges} edges exceeds "
+            f"{LATTICE_BYTES_CAP} bytes"
+        )
     template = LatticeTemplate(partition)
-    entries = ScoreEntries.of(table)
 
     def solve(member: CoverMember) -> tuple[float, Dag]:
         index = DownsetIndex(member, template)
-        best = downset_best_parents(table, member, index, entries)
+        best = downset_best_parents(table, member, index)
         return solve_member(table, member, index, best)
 
     if strategy == "grover-cost-model":
@@ -418,7 +398,7 @@ def solve_cover(
         return score, dag, ledger
 
     # classical-scan: values first, then trace only the candidates.
-    optima = member_optima(table, partition, template, entries)
+    optima = member_optima(table, partition, template)
     ledger.count_classical(members)
     tol = 1e-9 * (1.0 + abs(float(optima.max())))
     best: tuple[float, Dag] | None = None

@@ -10,22 +10,26 @@ blank lines are ignored)::
 Parent references may point at variables declared later in the file, so
 parsing resolves names in a second pass.  Serialization writes variables
 in index order and records in (cardinality, bitmask) order with ``repr``
-floats, which makes parse/write a lossless round trip.  Parent-set text
-is formatted once per distinct set on writing and resolved once per
-distinct parent-list text on parsing.
+floats, which makes parse/write a lossless round trip.  Both sides work
+on the table's flat arrays: the writer formats from them, with each
+distinct parent set's text formatted once, and the parser resolves each
+distinct parent-list text once and collects the records' masks and
+scores into them.
 
-BIC fitting counts each variable set S = P | {i} once and reads every
-family (i, P) filed under S from that table.  Sets with the same arity
-signature share one ``bincount`` per chunk of at most ``_CHUNK_CODES``
-codes (sets times rows), and one likelihood pass per group of at most
-``_CHUNK_CODES`` count cells.  A set with more than ``_SPARSE_CELLS_PER_ROW``
-dense cells per row is counted over its occurring cells with
-``np.unique``, so memory stays O(m); its columns' states are ranked
-first, so large state indices cannot overflow int64.  Both paths visit the nonzero cells
-in a family's own cell order and repeat its float operations, including
-``ndarray.sum``'s pairwise order, so the scores are bit-identical to
-counting each family alone: score-equivalent DAGs tie exactly, and the
-DP's witness depends on the last bit.
+BIC fitting builds its families (i, P) as flat arrays, counts each
+variable set S = P | {i} once and reads every family filed under S from
+that table, in one gather over (set, position of i) at the end.  Sets
+with the same arity signature share one ``bincount`` per chunk of at
+most ``_CHUNK_CODES`` codes (sets times rows), and one likelihood pass
+per group of at most ``_CHUNK_CODES`` count cells.  A set with more than
+``_SPARSE_CELLS_PER_ROW`` dense cells per row is counted over its
+occurring cells with ``np.unique``, so memory stays O(m); its columns'
+states are ranked first, so large state indices cannot overflow int64.
+Both paths visit the nonzero cells in a family's own cell order and
+repeat its float operations, including ``ndarray.sum``'s pairwise order,
+so the scores are bit-identical to counting each family alone:
+score-equivalent DAGs tie exactly, and the DP's witness depends on the
+last bit.
 """
 
 from __future__ import annotations
@@ -33,9 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -97,12 +99,11 @@ _SPARSE_CELLS_PER_ROW = 8
 
 
 def _content_lines(data: str) -> list[tuple[int, str]]:
-    out = []
-    for line_no, raw in enumerate(data.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            out.append((line_no, stripped))
-    return out
+    return [
+        (line_no, stripped)
+        for line_no, raw in enumerate(data.splitlines(), start=1)
+        if (stripped := raw.strip()) and not stripped.startswith("#")
+    ]
 
 
 def _resolve_parents(
@@ -216,29 +217,32 @@ def parse_scores(data: str | bytes) -> LocalScoreTable:
     # where a name-by-name resolution of that record would raise it.
     index = {name: i for i, name in enumerate(names)}
     resolved: dict[str, int] = {}
-    entries: list[dict[int, float]] = []
+    masks: list[int] = []
     for i, var_records in enumerate(records):
-        node_entries: dict[int, float] = {}
-        for line_no, score, tail in var_records:
+        seen: set[int] = set()
+        for line_no, _, tail in var_records:
             mask = resolved.get(tail)
             if mask is None:
                 mask = _resolve_parents(line_no, listed[tail], i, names, index)
                 resolved[tail] = mask
             elif mask >> i & 1:
                 raise SelfParentError(line_no, names[i])
-            if mask in node_entries:
+            if mask in seen:
                 raise DuplicateParentSetError(line_no, names[i])
-            node_entries[mask] = score
-        if 0 not in node_entries:
+            seen.add(mask)
+            masks.append(mask)
+        if 0 not in seen:
             raise MissingEmptySetError(names[i])
-        entries.append(node_entries)
-    return LocalScoreTable(n, entries, names)
+    nodes = np.repeat(np.arange(n), [len(var_records) for var_records in records])
+    scores = [score for var_records in records for _, score, _ in var_records]
+    return LocalScoreTable.from_arrays(n, nodes, masks, scores, names)
 
 
 def write_scores(table: LocalScoreTable, names: Sequence[str] | None = None) -> str:
     """Serialize a table to score-file text; inverse of :func:`parse_scores`.
 
-    Each distinct parent set's ``COUNT NAME..`` text is formatted once.
+    Reads the table's flat arrays; each distinct parent set's
+    ``COUNT NAME..`` text is formatted once.
     """
     if names is None:
         names = table.names
@@ -249,17 +253,18 @@ def write_scores(table: LocalScoreTable, names: Sequence[str] | None = None) -> 
         raise ValueError("names length must equal the variable count")
     if len(set(names)) != table.n:
         raise ValueError("variable names must be unique")
-    tails: dict[int, str] = {}
+    masks = table.masks.tolist()
+    tails = {
+        mask: " ".join([str(mask.bit_count()), *(names[j] for j in NodeSet(mask))])
+        for mask in set(masks)
+    }
+    scores = table.scores.tolist()
+    records = [f"{score!r} {tails[mask]}" for mask, score in zip(masks, scores)]
+    bounds = table.offsets.tolist()
     out = [str(table.n)]
     for i in range(table.n):
-        out.append(f"{names[i]} {table.set_count(i)}")
-        for mask, score in table.items(i):
-            tail = tails.get(mask)
-            if tail is None:
-                tail = tails[mask] = " ".join(
-                    [str(mask.bit_count()), *(names[j] for j in NodeSet(mask))]
-                )
-            out.append(f"{score!r} {tail}")
+        out.append(f"{names[i]} {bounds[i + 1] - bounds[i]}")
+        out.extend(records[bounds[i] : bounds[i + 1]])
     return "\n".join(out) + "\n"
 
 
@@ -337,10 +342,11 @@ class DiscreteDataset:
 
 
 def _count_tables(
-    cols: np.ndarray, arities: tuple[int, ...], var_sets: list[tuple[int, ...]], chunk: int
+    cols: np.ndarray, arities: tuple[int, ...], var_sets: np.ndarray, chunk: int
 ) -> np.ndarray:
     """Count tables of g same-shaped sets, shape (g, *reversed(arities)).
 
+    ``var_sets`` is (g, s), each row a set's variables in ascending order.
     One ``bincount`` per ``chunk`` sets; each set's first variable is its
     least significant digit.
     """
@@ -463,50 +469,60 @@ def bic_scores(
             f"would generate {planned} entries, budget is {max_entries}"
         )
 
-    # File each family (child i, parents P) under the sorted set P | {i},
-    # as the child's position in that set.
-    families: dict[tuple[int, ...], list[int]] = {}
-    for i in range(n):
-        elems = list(NodeSet(cand_masks[i]))
-        for size in range(min(max_indegree, len(elems)) + 1):
-            for combo in combinations(elems, size):
-                u = bisect_left(combo, i)
-                families.setdefault(combo[:u] + (i,) + combo[u:], []).append(u)
-    by_shape: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for var_set in families:
-        by_shape.setdefault(tuple(data.arities[j] for j in var_set), []).append(var_set)
+    # Families (child i, parents P) as flat arrays, one level per parent
+    # count: each family grows by every candidate above its parents' top.
+    # A family reads the set S = P | {i}, at the child's position among S's
+    # variables in ascending order.
+    cand = np.array(cand_masks, dtype=np.int64)
+    bit = 1 << np.arange(n)
+    child, parent = np.arange(n), np.zeros(n, dtype=np.int64)
+    levels = [(child, parent)]
+    for _ in range(min(max_indegree, n - 1)):
+        grown, j = np.nonzero((cand[child, None] & bit != 0) & (parent[:, None] < bit))
+        child, parent = child[grown], parent[grown] | bit[j]
+        levels.append((child, parent))
+    child, parent = (np.concatenate(arrays) for arrays in zip(*levels))
+    sets, family_set = np.unique(parent | (1 << child), return_inverse=True)
+    position = np.bitwise_count(parent & ((1 << child) - 1)).astype(np.int64)
+    # Sets whose variables have the same arities, in order, share a shape;
+    # members[k, :s] lists set k's s variables.
+    size = np.bitwise_count(sets)
+    width = int(size.max())
+    members = np.argsort(sets[:, None] & bit == 0, axis=1, kind="stable")[:, :width]
+    distinct_arities = sorted(set(data.arities))
+    ranks = np.array([distinct_arities.index(r) for r in data.arities])
+    shapes = np.where(np.arange(width) < size[:, None], ranks[members], -1)
+    order = np.lexsort(shapes.T)
+    cuts = np.flatnonzero((shapes[order][1:] != shapes[order][:-1]).any(axis=1)) + 1
 
     m = data.m
     cols = np.ascontiguousarray(data.rows.T)
     half_log_m = 0.5 * math.log(m)
     chunk = max(1, _CHUNK_CODES // m)
     ranked: list[tuple[np.ndarray, np.ndarray]] = []
-    entries: list[dict[int, float]] = [{} for _ in range(n)]
-    for arities, var_sets in by_shape.items():
+    ll = np.empty(members.shape)
+    penalty = np.empty_like(ll)
+    for group in np.split(order, cuts):
+        arities = tuple(distinct_arities[r] for r in shapes[group[0]].tolist() if r >= 0)
+        s = len(arities)
         cells = math.prod(arities)
+        penalty[group, :s] = [half_log_m * ((r - 1) * (cells // r)) for r in arities]
         if cells > _SPARSE_CELLS_PER_ROW * m:
             if not ranked:
                 ranked = [np.unique(col, return_inverse=True) for col in cols]
-            lls = (
-                {u: _sparse_log_likelihood(ranked, var_set, u) for u in families[var_set]}
-                for var_set in var_sets
+            for f in np.flatnonzero(np.isin(family_set, group)).tolist():
+                k, u = family_set[f], position[f]
+                ll[k, u] = _sparse_log_likelihood(ranked, members[k, :s].tolist(), u)
+            continue
+        # One likelihood pass per group of at most _CHUNK_CODES cells.
+        step = max(1, _CHUNK_CODES // cells)
+        for lo in range(0, len(group), step):
+            rows = group[lo : lo + step]
+            ll[rows, :s] = _log_likelihoods(
+                _count_tables(cols, arities, members[rows, :s], chunk), arities
             )
-        else:
-            # One likelihood pass per group of at most _CHUNK_CODES cells.
-            step = max(1, _CHUNK_CODES // cells)
-            lls = chain.from_iterable(
-                _log_likelihoods(
-                    _count_tables(cols, arities, var_sets[lo : lo + step], chunk), arities
-                ).tolist()
-                for lo in range(0, len(var_sets), step)
-            )
-        penalty = [half_log_m * ((r - 1) * (cells // r)) for r in arities]
-        for var_set, row in zip(var_sets, lls):
-            set_mask = sum(1 << j for j in var_set)
-            for u in families[var_set]:
-                child = var_set[u]
-                entries[child][set_mask ^ (1 << child)] = row[u] - penalty[u]
-    return LocalScoreTable(n, entries, data.names)
+    scores = ll[family_set, position] - penalty[family_set, position]
+    return LocalScoreTable.from_arrays(n, child, parent, scores, data.names)
 
 
 def prune_dominated(table: LocalScoreTable) -> LocalScoreTable:
@@ -517,37 +533,27 @@ def prune_dominated(table: LocalScoreTable) -> LocalScoreTable:
     The result can fail :func:`is_closed_under_inclusion` even when the
     input satisfied it: a surviving set may lose an intermediate subset.
     """
-    entries: list[dict[int, float]] = []
+    keep: list[bool] = []
     for i in range(table.n):
         source = dict(table.items(i))
-        kept: dict[int, float] = {}
         for mask, score in table.items(i):
-            dominated = False
-            sub = (mask - 1) & mask
-            while True:
-                other = source.get(sub)
-                if other is not None and other >= score and sub != mask:
-                    dominated = True
-                    break
-                if sub == 0:
-                    break
+            sub, dominated = mask, False
+            while sub and not dominated:  # strict subsets, down to the empty set
                 sub = (sub - 1) & mask
-            if not dominated or mask == 0:
-                kept[mask] = score
-        entries.append(kept)
-    return LocalScoreTable(table.n, entries, table.names)
+                dominated = sub in source and source[sub] >= score
+            keep.append(not dominated)
+    k = np.array(keep, dtype=bool)
+    return LocalScoreTable.from_arrays(
+        table.n, table.nodes[k], table.masks[k], table.scores[k], table.names
+    )
 
 
 def is_closed_under_inclusion(table: LocalScoreTable) -> bool:
     """True iff every subset of every listed parent set is also listed."""
-    for i in range(table.n):
-        listed = {mask for mask, _ in table.items(i)}
-        for mask in listed:
-            # Removing single elements suffices: closure follows by induction.
-            bits = mask
-            while bits:
-                low = bits & -bits
-                if (mask ^ low) not in listed:
-                    return False
-                bits ^= low
+    # Removing single elements suffices: closure follows by induction.
+    keys = table.nodes << MAX_NODES | table.masks
+    for j in range(table.n):
+        has_j = (table.masks >> j) & 1 == 1
+        if not np.isin(keys[has_j] ^ (1 << j), keys).all():
+            return False
     return True

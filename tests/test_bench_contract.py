@@ -1,0 +1,50 @@
+"""The traced benchmark run must still find every boundary it wraps.
+
+``perfbench/spans.py`` silently leaves out any per-layer metric whose
+boundary or observed attribute no longer exists in the package, so a
+renamed function or attribute would shrink the traced run's result
+without failing it.  These checks load the benchmark's span tracer and
+workloads from their files, unchanged, and run one op of each workload
+under the tracer.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# The package modules the benchmark hands to its workloads and tracer.
+MODULES = ("instance", "scores_io", "dp_exact", "bucket_cover", "po_dp", "grover_sim")
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_reports_every_per_layer_metric():
+    spans, workloads = _load("spans"), _load("workloads")
+    qb = SimpleNamespace(**{m: importlib.import_module(f"qbnsl.{m}") for m in MODULES})
+    tracer = spans.Tracer(qb)
+    assert tracer.missing == set()
+    for op_id, wl in enumerate(workloads.WORKLOADS.values()):
+        case = wl.prepare(qb, wl.make(workloads.op_rng(1, wl.key, 1), 1))
+        tracer.install(op_id)
+        try:
+            out = wl.op(qb, case)
+        finally:
+            tracer.uninstall()
+        assert wl.check(qb, case, out) is None, wl.name
+    assert tracer.lost == set()
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    # The two trace.* metrics come from the run loop, not from the tracer.
+    expected = {m["name"] for m in spec["per_layer"] if not m["name"].startswith("trace.")}
+    assert set(tracer.layer_metrics(1)) == expected

@@ -23,6 +23,7 @@ from qbnsl.bucket_cover import (
     downset_count_formula,
     index_of_member,
     is_downset,
+    lattice_edge_count_formula,
     member_by_index,
     split_slot_positions,
 )
@@ -311,6 +312,15 @@ def test_template_slot_masks_match_brute_downsets(n, k, shuffled):
         assert mapped.tolist() == brute_downsets_in_index_order(member)
 
 
+@pytest.mark.parametrize(
+    "n,k", [(2, 2), (5, 2), (7, 2), (8, 4), (9, 4), (11, 6), (13, 4), (15, 8), (16, 16)]
+)
+def test_edge_count_formula_matches_template(n, k):
+    for partition in (BlockPartition.contiguous(n, k), BlockPartition.shuffled(n, k, seed=n)):
+        edges = LatticeTemplate(partition).layers.edge_slot
+        assert len(edges) == lattice_edge_count_formula(n, k)
+
+
 def test_covering_member_demo_order(demo_partition, demo_order, demo_member):
     assert covering_member(demo_partition, demo_order) == demo_member
     assert demo_member.extended_by(demo_order)
@@ -347,3 +357,5 @@ def test_huge_report_sizes_do_not_build_partitions():
     assert cover_size(48, 4) == 6**12
     assert downset_count_formula(52, 26) == 16383**2
     assert cover_size(52, 26) == 10400600**2
+    assert lattice_edge_count_formula(12, 4) == 1176
+    assert lattice_edge_count_formula(28, 2) == 44_641_044

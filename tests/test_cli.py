@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qbnsl
 from qbnsl.cli import ALGORITHMS, build_parser, main
 from qbnsl.scores_io import parse_scores
 
@@ -121,6 +128,7 @@ def test_infeasible_configurations_exit_two(score_file, tmp_path, capsys):
         ("score", "data.csv", "--max-entries", "-1"),
         ("solve", "pair.scores", "--sim-cap", "-5"),
         ("solve", "pair.scores", "--sim-cap", "0"),
+        ("solve", "pair.scores", "--sim-cap", "4097"),
     ],
 )
 def test_nonpositive_counts_exit_two(capsys, argv):
@@ -129,6 +137,39 @@ def test_nonpositive_counts_exit_two(capsys, argv):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "error:" in err and "Traceback" not in err
+
+
+def test_caps_accept_their_maximum():
+    args = build_parser().parse_args(["solve", "s", "--sim-cap", "4096", "--dp-cap", "20"])
+    assert args.sim_cap == 4096 and args.dp_cap == 20
+
+
+def test_cover_lattice_beyond_memory_cap_exits_two(tmp_path):
+    # 28 nodes in pairs: 3^14 downsets and 44,641,044 lattice edges.  The
+    # size check must refuse it before any lattice array exists.  The child
+    # runs under an address-space limit, so a regression fails with a
+    # MemoryError there instead of taking the test host's memory.
+    path = tmp_path / "n28.scores"
+    path.write_text("28\n" + "".join(f"V{i} 1\n0.0 0\n" for i in range(28)), encoding="utf-8")
+    child = (
+        "import sys, time\n"
+        "from qbnsl.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    limit = 1 << 30
+    env = dict(os.environ, PYTHONPATH=str(Path(qbnsl.__file__).parents[1]))
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")  # thread buffers count too
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "solve", str(path), "--algo", "cover", "--k", "2"],
+        capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2 and "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert float(proc.stdout.split()[-1]) < 1.0
 
 
 def test_io_and_parse_errors_exit_three(tmp_path, capsys):

@@ -123,7 +123,7 @@ def full_table(rng: np.random.Generator, n: int) -> LocalScoreTable:
 
 
 def test_popcounts_matches_python():
-    got = popcounts(1 << 6, 6)
+    got = popcounts(1 << 6)
     assert all(int(got[m]) == m.bit_count() for m in range(1 << 6))
 
 

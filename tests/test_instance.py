@@ -123,6 +123,15 @@ def test_table_score_and_missing_entry():
     assert err.value.parents == NodeSet.of(0)
 
 
+def relabel(table, perm):
+    """Rename node i to perm[i] everywhere; scores are carried along."""
+    entries = [{} for _ in range(table.n)]
+    for i in range(table.n):
+        for mask, score in table.items(i):
+            entries[perm[i]][sum(1 << perm[j] for j in NodeSet(mask))] = score
+    return LocalScoreTable(table.n, entries)
+
+
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_table_relabel_roundtrips(data):
@@ -133,7 +142,7 @@ def test_table_relabel_roundtrips(data):
     back = [0] * n
     for i, p in enumerate(perm):
         back[p] = i
-    assert t.relabel(perm).relabel(back) == t
+    assert relabel(relabel(t, perm), back) == t
 
 
 def test_dag_arcs_and_count(demo_dag: Dag):
@@ -273,6 +282,170 @@ def test_total_score_invariant_under_relabeling(data):
     arranged = [EMPTY_SET] * n
     for i in range(n):
         arranged[relabeling[i]] = relabeled_dag.parents[i]
-    assert total_score(Dag(n, tuple(arranged)), t.relabel(relabeling)) == pytest.approx(
+    assert total_score(Dag(n, tuple(arranged)), relabel(t, relabeling)) == pytest.approx(
         total_score(dag, t), abs=1e-12
     )
+
+
+# Reference: the dict/tuple table that the flat sorted arrays replaced.  Its
+# reads, order, equality and every constructor error must match the array
+# table's.
+
+
+class DictScoreTable:
+    def __init__(self, n, entries, names=None):
+        if not 1 <= n <= MAX_NODES:
+            raise ValueError(f"n must be in 1..{MAX_NODES}, got {n}")
+        if len(entries) != n:
+            raise ValueError(f"expected {n} per-node entries, got {len(entries)}")
+        if names is not None:
+            names = tuple(names)
+            if len(names) != n:
+                raise ValueError("names length must equal n")
+            if len(set(names)) != n:
+                raise ValueError("variable names must be unique")
+        self.n, self.names, self.maps = n, names, []
+        for i, node_entries in enumerate(entries):
+            cleaned = {}
+            for key, score in node_entries.items():
+                mask = key.bits if isinstance(key, NodeSet) else int(key)
+                if not 0 <= mask < 1 << n:
+                    raise ValueError(f"parent set {mask:#x} out of range for n={n}")
+                if (mask >> i) & 1:
+                    raise ValueError(f"node {i} cannot be its own parent")
+                cleaned[mask] = float(score)
+            if 0 not in cleaned:
+                raise ValueError(f"node {i} is missing the empty parent set")
+            self.maps.append(cleaned)
+        self.sorted = [
+            tuple(sorted(m.items(), key=lambda kv: (kv[0].bit_count(), kv[0])))
+            for m in self.maps
+        ]
+
+    @property
+    def total_entries(self):
+        return sum(len(m) for m in self.maps)
+
+    def set_count(self, i):
+        return len(self.maps[i])
+
+    def items(self, i):
+        return self.sorted[i]
+
+    def contains(self, i, parents):
+        return int(parents) in self.maps[i]
+
+    def score(self, i, parents):
+        try:
+            return self.maps[i][int(parents)]
+        except KeyError:
+            raise MissingParentSetError(i, NodeSet(int(parents))) from None
+
+    def __eq__(self, other):
+        return self.n == other.n and self.maps == other.maps
+
+
+def _draw_entries(data, n, tie_heavy):
+    """Per-node mappings with int and NodeSet keys (one set may appear as
+    both, the later key winning), tie-heavy integer or -inf scores."""
+    scores = (
+        st.sampled_from([-1.0, 0.0, 1.0, float("-inf")])
+        if tie_heavy
+        else st.floats(-1e6, 1e6, allow_nan=False) | st.just(float("-inf"))
+    )
+    entries = []
+    for i in range(n):
+        others = ((1 << n) - 1) ^ (1 << i)
+        node = {0: data.draw(scores)}
+        for mask in data.draw(st.lists(st.integers(0, others), max_size=12)):
+            mask &= others
+            key = NodeSet(mask) if data.draw(st.booleans()) else mask
+            node[key] = data.draw(scores)
+        entries.append(node)
+    return entries
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_array_table_matches_dict_reference(data):
+    n = data.draw(st.integers(1, 7))
+    tie_heavy = data.draw(st.booleans())
+    entries = _draw_entries(data, n, tie_heavy)
+    names = tuple(f"V{i}" for i in range(n)) if data.draw(st.booleans()) else None
+    got, want = LocalScoreTable(n, entries, names), DictScoreTable(n, entries, names)
+    assert got.names == want.names
+    assert got.total_entries == want.total_entries
+    assert type(got.total_entries) is int
+    for i in range(n):
+        assert got.items(i) == want.items(i)
+        assert got.set_count(i) == want.set_count(i)
+        for mask in range(1 << n):
+            assert got.contains(i, mask) == want.contains(i, mask)
+            if want.contains(i, mask):
+                assert got.score(i, NodeSet(mask)) == want.score(i, mask)
+            else:
+                with pytest.raises(MissingParentSetError):
+                    got.score(i, mask)
+            if not mask >> i & 1:
+                assert best_parents_in(got, i, mask) == best_parents_in(want, i, mask)
+    other = _draw_entries(data, n, tie_heavy)
+    assert (LocalScoreTable(n, other) == got) == (DictScoreTable(n, other) == want)
+    assert LocalScoreTable(n, entries, None) == got
+    dag = Dag.from_masks(n, [0] * n)
+    assert total_score(dag, got) == total_score(dag, want)
+
+
+# (n, entries, names): each row breaks one rule, or two where the first
+# broken one in constructor order must win.
+BAD_TABLES = [
+    (0, [], None),
+    (MAX_NODES + 1, [{0: 0.0}] * 2, None),
+    (0, [{0: 0.0}], None),
+    (2, [{0: 0.0}], None),
+    (2, [{0: 0.0}, {0: 0.0}], ("A",)),
+    (2, [{0: 0.0}, {0: 0.0}], ("A", "A")),
+    (2, [{0: 0.0}, {0: 0.0, 1 << 5: 1.0}], ("A", "A")),
+    (2, [{0: 0.0, 1 << 5: 1.0}, {0: 0.0}], None),
+    (2, [{0: 0.0, 1 << 70: 1.0}, {0: 0.0}], None),
+    (2, [{0: 0.0, -1: 1.0}, {0: 0.0}], None),
+    (2, [{0: 0.0, NodeSet(1): 1.0}, {0: 0.0}], None),
+    (2, [{0: 0.0, 1: 1.0, 1 << 5: 1.0}, {0: 0.0}], None),
+    (2, [{0: 0.0, 1 << 5: 1.0, 1: 1.0}, {0: 0.0}], None),
+    (2, [{2: 0.0}, {0: 0.0}], None),
+    (2, [{2: 0.0}, {0: 0.0, 2: 1.0}], None),
+    (2, [{0: 0.0}, {1: 0.0, 2: 1.0}], None),
+    (3, [{0: 0.0}, {4: 0.0}, {0: 0.0, 1 << 40: 1.0}], None),
+    (3, [{0: 0.0}, {0: 0.0, 1 << 40: 1.0}, {4: 0.0}], None),
+]
+
+
+@pytest.mark.parametrize("n, entries, names", BAD_TABLES)
+def test_constructor_errors_match_dict_reference(n, entries, names):
+    with pytest.raises(ValueError) as want:
+        DictScoreTable(n, entries, names)
+    with pytest.raises(ValueError) as got:
+        LocalScoreTable(n, entries, names)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    if 1 <= n <= MAX_NODES and len(entries) == n and all(
+        int(key) < 1 << 62 for node in entries for key in node
+    ):
+        nodes = [i for i, node in enumerate(entries) for _ in node]
+        masks = [int(key) for node in entries for key in node]
+        scores = [score for node in entries for score in node.values()]
+        with pytest.raises(ValueError) as flat:
+            LocalScoreTable.from_arrays(n, nodes, masks, scores, names)
+        assert str(flat.value) == str(want.value)
+
+
+def test_table_arrays_are_sorted_and_read_only():
+    t = LocalScoreTable(
+        3, [{0: 0.0, 0b110: 1.0, 0b010: 2.0}, {0b100: 3.0, 0: 0.5}, {0: 0.0}]
+    )
+    assert t.nodes.tolist() == [0, 0, 0, 1, 1, 2]
+    assert t.masks.tolist() == [0, 0b010, 0b110, 0, 0b100, 0]
+    assert t.scores.tolist() == [0.0, 2.0, 1.0, 0.5, 3.0, 0.0]
+    assert t.offsets.tolist() == [0, 3, 5, 6]
+    for array in (t.nodes, t.masks, t.scores, t.offsets):
+        with pytest.raises(ValueError):
+            array[0] = 1

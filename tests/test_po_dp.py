@@ -523,3 +523,47 @@ def test_cover_strategy_validation_and_caps():
         solve_cover(table, partition, "grover-sim", sim_cap=10)
     with pytest.raises(ValueError):
         solve_cover(table, BlockPartition.contiguous(6, 2), "classical-scan")
+
+
+def reference_score_entries(table):
+    """The per-call flat copy (``ScoreEntries.of``) that the table's own
+    arrays replaced: owning node, a (F, n) parent-bit matrix and scores."""
+    nodes, masks, scores = [], [], []
+    for i in range(table.n):
+        for mask, score in table.items(i):
+            nodes.append(i)
+            masks.append(mask)
+            scores.append(score)
+    bits = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(table.n)) & 1
+    return np.array(nodes, dtype=np.int64), bits, np.array(scores)
+
+
+@given(st.integers(0, 2**31), st.integers(2, 10), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_table_arrays_match_score_entries_reference(seed, n, shuffled):
+    rng = np.random.default_rng(seed)
+    table = random_table(rng, n)
+    nodes, bits, scores = reference_score_entries(table)
+    assert table.nodes.tolist() == nodes.tolist()
+    assert table.scores.tobytes() == scores.tobytes()
+    k = 2 if n < 4 else 4
+    partition = (
+        BlockPartition.shuffled(n, k, seed) if shuffled else BlockPartition.contiguous(n, k)
+    )
+    for block in partition.blocks:
+        elems = np.array(list(block))
+        want = bits[:, elems] @ (1 << np.arange(len(elems)))
+        assert po_dp._block_patterns(table.masks, elems).tolist() == want.tolist()
+
+
+def test_lattice_beyond_the_byte_cap_is_refused_before_allocation():
+    # n = 28 in pairs: 3^14 downsets and 44,641,044 edges, GiBs of arrays.
+    table = LocalScoreTable(28, [{0: 0.0}] * 28)
+    partition = BlockPartition.contiguous(28, 2)
+    for strategy in po_dp.COVER_STRATEGIES:
+        with mock.patch.object(po_dp, "LatticeTemplate") as template:
+            with pytest.raises(InstanceTooLargeError) as err:
+                solve_cover(table, partition, strategy)
+        template.assert_not_called()
+        # grover-sim's member cap (16,384 > 4,096) is checked first.
+        assert ("grover-sim cap" if strategy == "grover-sim" else "lattice") in str(err.value)

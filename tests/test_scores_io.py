@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from itertools import combinations
+from bisect import bisect_left
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -448,6 +449,75 @@ def test_bic_scores_bit_identical_to_per_family_counts(patch, data):
     _assert_bit_identical(got, reference_bic_scores(dataset, max_indegree, candidates))
 
 
+def reference_families_bic_scores(data, max_indegree, candidate_parents=None):
+    """The families-dict bookkeeping that the bulk family arrays replaced:
+    one (child, parents) family at a time, filed under its sorted variable
+    set and grouped by arity signature, on the library's count and
+    likelihood kernels."""
+    n = data.n
+    full = (1 << n) - 1
+    families = {}
+    for i in range(n):
+        cand = full & ~(1 << i) if candidate_parents is None else candidate_parents[i]
+        elems = list(NodeSet(cand))
+        for size in range(min(max_indegree, len(elems)) + 1):
+            for combo in combinations(elems, size):
+                u = bisect_left(combo, i)
+                families.setdefault(combo[:u] + (i,) + combo[u:], []).append(u)
+    by_shape = {}
+    for var_set in families:
+        by_shape.setdefault(tuple(data.arities[j] for j in var_set), []).append(var_set)
+    m = data.m
+    cols = np.ascontiguousarray(data.rows.T)
+    half_log_m = 0.5 * math.log(m)
+    chunk = max(1, scores_io._CHUNK_CODES // m)
+    ranked = [np.unique(col, return_inverse=True) for col in cols]
+    entries = [{} for _ in range(n)]
+    for arities, var_sets in by_shape.items():
+        cells = math.prod(arities)
+        if cells > scores_io._SPARSE_CELLS_PER_ROW * m:
+            lls = [
+                {u: scores_io._sparse_log_likelihood(ranked, v, u) for u in families[v]}
+                for v in var_sets
+            ]
+        else:
+            step = max(1, scores_io._CHUNK_CODES // cells)
+            lls = chain.from_iterable(
+                scores_io._log_likelihoods(
+                    scores_io._count_tables(cols, arities, var_sets[lo : lo + step], chunk),
+                    arities,
+                ).tolist()
+                for lo in range(0, len(var_sets), step)
+            )
+        penalty = [half_log_m * ((r - 1) * (cells // r)) for r in arities]
+        for var_set, row in zip(var_sets, lls):
+            set_mask = sum(1 << j for j in var_set)
+            for u in families[var_set]:
+                child = var_set[u]
+                entries[child][set_mask ^ (1 << child)] = row[u] - penalty[u]
+    return LocalScoreTable(n, entries, data.names)
+
+
+@pytest.mark.parametrize("patch", BIC_PATHS)
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_bulk_families_match_families_dict_reference(patch, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    n = data.draw(st.integers(1, 7))
+    m = data.draw(st.integers(1, 200))
+    dataset = _random_dataset(rng, n, m, copies=data.draw(st.booleans()))
+    max_indegree = data.draw(st.integers(0, n))
+    candidates = None
+    if data.draw(st.booleans()):
+        candidates = [data.draw(st.integers(0, (1 << n) - 1)) & ~(1 << i) for i in range(n)]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patch.items():
+            mp.setattr(scores_io, name, value)
+        got = bic_scores(dataset, max_indegree, candidate_parents=candidates)
+        want = reference_families_bic_scores(dataset, max_indegree, candidates)
+    assert got == want and got.names == want.names
+
+
 @pytest.mark.parametrize("patch", BIC_PATHS)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_bic_scores_bit_identical_beyond_128_terms(patch, seed):
@@ -664,3 +734,61 @@ def test_closure_detects_missing_middle_layer():
         3, [{0: 0.0, 0b010: 0.5, 0b100: 0.5, 0b110: 1.0}, {0: 0.0}, {0: 0.0}]
     )
     assert is_closed_under_inclusion(t2)
+
+
+# Reference: the per-node dict forms of pruning and the closure check that
+# now read the table's flat arrays.
+
+
+def reference_prune_dominated(table):
+    entries = []
+    for i in range(table.n):
+        source = dict(table.items(i))
+        kept = {}
+        for mask, score in table.items(i):
+            dominated = False
+            sub = (mask - 1) & mask
+            while True:
+                other = source.get(sub)
+                if other is not None and other >= score and sub != mask:
+                    dominated = True
+                    break
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+            if not dominated or mask == 0:
+                kept[mask] = score
+        entries.append(kept)
+    return LocalScoreTable(table.n, entries, table.names)
+
+
+def reference_is_closed_under_inclusion(table):
+    for i in range(table.n):
+        listed = {mask for mask, _ in table.items(i)}
+        for mask in listed:
+            bits = mask
+            while bits:
+                low = bits & -bits
+                if (mask ^ low) not in listed:
+                    return False
+                bits ^= low
+    return True
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prune_and_closure_match_dict_reference(data):
+    n = data.draw(st.integers(1, 6))
+    scores = st.sampled_from([-1.0, 0.0, 1.0, 2.0, float("-inf")])
+    entries = []
+    for i in range(n):
+        others = ((1 << n) - 1) ^ (1 << i)
+        node = {0: data.draw(scores)}
+        for mask in data.draw(st.lists(st.integers(0, others), max_size=20)):
+            node[mask & others] = data.draw(scores)
+        entries.append(node)
+    t = LocalScoreTable(n, entries, tuple(f"V{i}" for i in range(n)))
+    pruned = prune_dominated(t)
+    assert pruned == reference_prune_dominated(t) and pruned.names == t.names
+    assert is_closed_under_inclusion(t) == reference_is_closed_under_inclusion(t)
+    assert is_closed_under_inclusion(pruned) == reference_is_closed_under_inclusion(pruned)
