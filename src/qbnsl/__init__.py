@@ -33,7 +33,6 @@ from .scores_io import (
     TooManyEntriesError,
     UnknownVariableError,
     bic_scores,
-    is_closed_under_inclusion,
     parse_scores,
     prune_dominated,
     write_scores,
@@ -51,13 +50,10 @@ from .bucket_cover import (
     DownsetIndex,
     IndexOutOfRangeError,
     InvalidKError,
-    NotADownsetError,
     cover_size,
     covering_member,
     downset_count_formula,
-    is_downset,
     member_by_index,
-    index_of_member,
 )
 from .po_dp import (
     COVER_STRATEGIES,

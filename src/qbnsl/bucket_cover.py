@@ -8,10 +8,12 @@ linear extensions jointly cover all n! orders.  Per member, the subsets
 closed downward under the member's precedence constraints form a small
 lattice, which is what the constrained dynamic program walks.
 
-Members and downsets both get canonical dense indices so that search
-routines can treat a member family as a plain integer domain.  Member
-indexing uses colexicographic ranking of each block's first half, which
-matches sorting by bitmask and needs no enumeration even for huge blocks.
+Members get canonical dense indices, so that search routines can treat a
+member family as a plain integer domain: mixed radix over the blocks,
+each block's first half ranked in colexicographic order, which matches
+sorting by bitmask and needs no enumeration even for huge blocks.  A
+block of size s has C(s, ceil(s/2)) splits (:func:`member_radix`) and
+2^h + 2^(s-h) - 1 downsets for first half h (:func:`lattice_radix`).
 
 Relabelled by slot (block, half, rank within the half), every member of
 a partition has the same downset lattice.  :class:`LatticeTemplate`
@@ -25,12 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence
 
 import numpy as np
 
-from .instance import MAX_NODES, LinearOrder, NodeSet, _bits
+from .instance import MAX_NODES, LinearOrder, NodeSet
 from .seeding import rng_for
 
 
@@ -42,12 +42,19 @@ class IndexOutOfRangeError(IndexError):
     """A canonical index fell outside its domain."""
 
 
-class NotADownsetError(ValueError):
-    """A subset is not downward closed for the given cover member."""
-
-
 def _half(size: int) -> int:
     return (size + 1) // 2
+
+
+def member_radix(size: int) -> int:
+    """Splits of a block of this size: C(s, ceil(s/2)) balanced first halves."""
+    return math.comb(size, _half(size))
+
+
+def lattice_radix(size: int) -> int:
+    """Downsets of a block of this size: 2^h + 2^(s-h) - 1 for first half h."""
+    h = _half(size)
+    return (1 << h) + (1 << (size - h)) - 1
 
 
 def _block_sizes(n: int, k: int) -> list[int]:
@@ -76,13 +83,6 @@ def _unrank_combination(rank: int, size: int, count: int) -> int:
     if remaining or mask >> size:
         raise IndexOutOfRangeError(f"combination rank {rank} out of range")
     return mask
-
-
-def _rank_combination(position_mask: int) -> int:
-    rank = 0
-    for j, p in enumerate(NodeSet(position_mask), start=1):
-        rank += math.comb(p, j)
-    return rank
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,6 @@ class BlockPartition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, node: int) -> int:
-        for t, block in enumerate(self.blocks):
-            if node in block:
-                return t
-        raise ValueError(f"node {node} not in partition")
-
 
 @dataclass(frozen=True)
 class CoverMember:
@@ -167,33 +161,10 @@ class CoverMember:
     def second_half(self, t: int) -> NodeSet:
         return self.partition.blocks[t] - self.splits[t]
 
-    def predecessors(self, node: int) -> NodeSet:
-        """Nodes required to precede ``node``; empty for first-half nodes."""
-        t = self.partition.block_of(node)
-        if node in self.splits[t]:
-            return NodeSet(0)
-        return self.splits[t]
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """All ordered precedence pairs (earlier, later)."""
-        for t in range(self.partition.block_count):
-            for later in self.second_half(t):
-                for earlier in self.splits[t]:
-                    yield earlier, later
-
-    def extended_by(self, order: LinearOrder) -> bool:
-        """True iff the linear order respects every precedence pair."""
-        pos = order.positions()
-        return all(pos[a] < pos[b] for a, b in self.pairs())
-
 
 def cover_size(n: int, k: int) -> int:
     """Number of members in the balanced-split cover for (n, k), exactly."""
-    return math.prod(math.comb(size, _half(size)) for size in _block_sizes(n, k))
-
-
-def _block_radices(partition: BlockPartition) -> list[int]:
-    return [math.comb(len(b), _half(len(b))) for b in partition.blocks]
+    return math.prod(member_radix(size) for size in _block_sizes(n, k))
 
 
 def split_slot_positions(size: int, digit: int) -> list[int]:
@@ -214,7 +185,7 @@ def member_by_index(partition: BlockPartition, index: int) -> CoverMember:
     Mixed-radix decoding, block 0 most significant; within a block, first
     halves are ordered by bitmask (equivalently, colex on sorted elements).
     """
-    radices = _block_radices(partition)
+    radices = [member_radix(len(block)) for block in partition.blocks]
     total = math.prod(radices)
     if not 0 <= index < total:
         raise IndexOutOfRangeError(f"member index {index} not in [0, {total})")
@@ -232,31 +203,14 @@ def member_by_index(partition: BlockPartition, index: int) -> CoverMember:
     return CoverMember(partition, tuple(splits))
 
 
-def index_of_member(member: CoverMember) -> int:
-    """Inverse of :func:`member_by_index`."""
-    radices = _block_radices(member.partition)
-    index = 0
-    for t, (block, split) in enumerate(zip(member.partition.blocks, member.splits)):
-        positions = {e: p for p, e in enumerate(block)}
-        pos_mask = 0
-        for e in split:
-            pos_mask |= 1 << positions[e]
-        index = index * radices[t] + _rank_combination(pos_mask)
-    return index
-
-
 def downset_count_formula(n: int, k: int) -> int:
-    """Downsets of every (n, k) member: prod of 2^ceil(s/2) + 2^floor(s/2) - 1.
+    """Downsets of every (n, k) member: the product of the block lattice radices.
 
     The count is split-independent, so this is the one downset count for
     any member or partition.  Pure arithmetic over block sizes, usable for
     report-only n beyond the instance cap.
     """
-    total = 1
-    for size in _block_sizes(n, k):
-        first = _half(size)
-        total *= (1 << first) + (1 << (size - first)) - 1
-    return total
+    return math.prod(lattice_radix(size) for size in _block_sizes(n, k))
 
 
 def lattice_edge_count_formula(n: int, k: int) -> int:
@@ -270,25 +224,23 @@ def lattice_edge_count_formula(n: int, k: int) -> int:
     for size in _block_sizes(n, k):
         h = _half(size)
         local = (h << h) // 2 + ((size - h) << (size - h)) // 2
-        total += local * downsets // ((1 << h) + (1 << (size - h)) - 1)
+        total += local * downsets // lattice_radix(size)
     return total
 
 
-def is_downset(member: CoverMember, subset: "NodeSet | int") -> bool:
-    """True iff taking any element forces no missing required predecessor.
+def lattice_build_bytes(n: int, k: int) -> int:
+    """Bytes that building an (n, k) :class:`LatticeTemplate` peaks at, bounded.
 
-    Blockwise: touching a second half requires containing that block's
-    entire first half.
+    With D downsets and E edges the template keeps two E-long and five
+    D-long int64 arrays: edge slots and children; masks, order, position,
+    edge pointers and layer segments.  While it places the edges, the build
+    also holds the downset indices, each downset's next free edge place and
+    per-block trace tables, and the edge count pass takes up to 3D of
+    temporaries.  8 * (2E + 10D) bytes covers all of it, plus 64 KiB for
+    the small arrays and Python objects of a tiny lattice.
     """
-    bits = _bits(subset)
-    if bits >> member.partition.n:
-        raise ValueError("subset references nodes outside the partition")
-    for t, block in enumerate(member.partition.blocks):
-        split_bits = member.splits[t].bits
-        second_bits = block.bits & ~split_bits
-        if bits & second_bits and split_bits & ~bits:
-            return False
-    return True
+    downsets = downset_count_formula(n, k)
+    return 8 * (2 * lattice_edge_count_formula(n, k) + 10 * downsets) + (1 << 16)
 
 
 def covering_member(partition: BlockPartition, order: LinearOrder) -> CoverMember:
@@ -305,8 +257,6 @@ def covering_member(partition: BlockPartition, order: LinearOrder) -> CoverMembe
         ranked = sorted(block, key=lambda v: pos[v])
         splits.append(NodeSet.from_nodes(ranked[: _half(len(block))]))
     return CoverMember(partition, tuple(splits))
-
-
 
 
 def closure_digit(local, h: int):
@@ -336,6 +286,17 @@ class LatticeTemplate:
     indices are mixed radix over the local digits with block 0 most
     significant, so the lattice is the product of the block lattices.
     ``masks[d]`` is downset d as a slot bitmask.
+
+    The covering edges are CSR arrays in cardinality layers.  ``order``
+    lists downset indices by (cardinality, index) and ``position`` inverts
+    it.  The downset at order position p has the edges
+    ``edge_ptr[p]:edge_ptr[p + 1]``, in ascending slot order: ``edge_slot``
+    is the removed slot and ``edge_child`` the index of the downset left
+    behind.  The removable slots of a block trace are its second-half part
+    if nonempty, else all of it.  ``steps[c - 1]`` holds cardinality c's
+    downsets, its edge slice, those edges' children and the per-downset
+    segment offsets into that slice, ready for one ``reduceat`` per layer.
+    The build peaks at :func:`lattice_build_bytes`.
     """
 
     def __init__(self, partition: BlockPartition) -> None:
@@ -346,21 +307,68 @@ class LatticeTemplate:
         for size in self.block_sizes[:-1]:
             offsets.append(offsets[-1] + size)
         self.offsets = tuple(offsets)
-        self.radices = tuple(
-            (1 << h) + (1 << (size - h)) - 1
-            for size, h in zip(self.block_sizes, self.halves)
-        )
+        self.radices = tuple(lattice_radix(size) for size in self.block_sizes)
         weights = [1] * len(self.radices)
         for t in range(len(weights) - 2, -1, -1):
             weights[t] = weights[t + 1] * self.radices[t + 1]
         self.weights = tuple(weights)
-        self.size = math.prod(self.radices)
+        self.size = size = math.prod(self.radices)
+        traces = [self.local_traces(t) for t in range(len(self.radices))]
         masks = np.zeros(1, dtype=np.int64)
-        for t, offset in enumerate(self.offsets):
-            local = self.local_traces(t) << offset
-            masks = (masks[:, None] | local[None, :]).ravel()
+        for local, offset in zip(traces, self.offsets):
+            masks = (masks[:, None] | (local << offset)[None, :]).ravel()
         self.masks = masks
-        self._layers: LatticeLayers | None = None
+
+        n = partition.n
+        index = np.arange(size, dtype=np.int64)
+        cardinality = np.bitwise_count(masks)
+        self.order = order = np.argsort(cardinality, kind="stable")
+        self.position = position = np.empty(size, dtype=np.int64)
+        position[order] = index
+        # Per block, each trace's removable slots: the second-half part if
+        # nonempty, else all of it.  Temporaries are dropped as soon as they
+        # are used up, as lattice_build_bytes counts on.
+        movable = [
+            np.where(local >> h != 0, local & ~((1 << h) - 1), local)
+            for local, h in zip(traces, self.halves)
+        ]
+        counts = np.zeros(size, dtype=np.int64)
+        for t, (weight, radix) in enumerate(zip(self.weights, self.radices)):
+            counts += np.bitwise_count(movable[t])[(index // weight) % radix]
+        self.edge_ptr = edge_ptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(counts[order], out=edge_ptr[1:])
+        del counts
+        self.edge_slot = np.empty(edge_ptr[-1], dtype=np.int64)
+        self.edge_child = np.empty(edge_ptr[-1], dtype=np.int64)
+        # Slots ascend block by block, so each edge goes to the next free
+        # place of its downset's list.  Block t's digit g downsets are
+        # ``base + g * weight``, where base holds its digit 0 downsets.
+        cursor = edge_ptr[position]
+        for t, (offset, h, weight) in enumerate(zip(self.offsets, self.halves, self.weights)):
+            stride = self.radices[t] * weight
+            base = (np.arange(0, size, stride)[:, None] + np.arange(weight)).ravel()
+            for digit in range(self.radices[t]):
+                local, moves = int(traces[t][digit]), int(movable[t][digit])
+                parents = base + digit * weight
+                while moves:
+                    low = moves & -moves
+                    moves ^= low
+                    at = cursor[parents]
+                    self.edge_slot[at] = offset + low.bit_length() - 1
+                    self.edge_child[at] = base + int(closure_digit(local ^ low, h)) * weight
+                    cursor[parents] = at + 1
+        del cursor, traces, movable
+        layer_ptr = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(np.bincount(cardinality, minlength=n + 1), out=layer_ptr[1:])
+        steps = []
+        for c in range(1, n + 1):
+            lo, hi = int(layer_ptr[c]), int(layer_ptr[c + 1])
+            first, last = int(edge_ptr[lo]), int(edge_ptr[hi])
+            steps.append(
+                (order[lo:hi], slice(first, last), self.edge_child[first:last],
+                 edge_ptr[lo:hi] - first)
+            )
+        self.steps = tuple(steps)
 
     def local_traces(self, t: int) -> np.ndarray:
         """Block t's local traces as slot patterns, in digit order."""
@@ -368,96 +376,6 @@ class LatticeTemplate:
         first = np.arange(1 << h, dtype=np.int64)
         second = np.arange(1, 1 << (self.block_sizes[t] - h), dtype=np.int64)
         return np.concatenate([first, ((1 << h) - 1) | (second << h)])
-
-    def index_of_slots(self, slot_mask: int) -> int | None:
-        """Index of the downset with this slot bitmask, or None if not closed."""
-        index = 0
-        for t, (offset, size, h) in enumerate(
-            zip(self.offsets, self.block_sizes, self.halves)
-        ):
-            local = (slot_mask >> offset) & ((1 << size) - 1)
-            second = local >> h
-            if second and local & ((1 << h) - 1) != (1 << h) - 1:
-                return None
-            index += int(closure_digit(local, h)) * self.weights[t]
-        return index
-
-    @property
-    def layers(self) -> "LatticeLayers":
-        """The covering edges in cardinality layers, built on first use."""
-        if self._layers is None:
-            self._layers = LatticeLayers.build(self)
-        return self._layers
-
-
-@dataclass(frozen=True)
-class LatticeLayers:
-    """A template's covering edges as CSR arrays in cardinality layers.
-
-    ``order`` lists downset indices by (cardinality, index) and
-    ``position`` inverts it.  The downset at order position p has the
-    edges ``edge_ptr[p]:edge_ptr[p + 1]``: ``edge_slot`` is the removed
-    slot and ``edge_child`` the index of the downset left behind.  The
-    removable slots of a block trace are its second-half part if nonempty,
-    else all of it.  ``steps[c - 1]`` holds cardinality c's downsets, its
-    edge slice, those edges' children and the per-downset segment offsets
-    into that slice, ready for one ``reduceat`` per layer.
-    """
-
-    order: np.ndarray
-    position: np.ndarray
-    edge_ptr: np.ndarray
-    edge_slot: np.ndarray
-    edge_child: np.ndarray
-    steps: tuple[tuple[np.ndarray, slice, np.ndarray, np.ndarray], ...]
-
-    @classmethod
-    def build(cls, template: LatticeTemplate) -> "LatticeLayers":
-        size = template.size
-        index = np.arange(size, dtype=np.int64)
-        cardinality = np.bitwise_count(template.masks)
-        order = np.argsort(cardinality, kind="stable")
-        position = np.empty(size, dtype=np.int64)
-        position[order] = index
-        parents, slots, children = [], [], []
-        for t, (offset, size_t, h) in enumerate(
-            zip(template.offsets, template.block_sizes, template.halves)
-        ):
-            weight = template.weights[t]
-            digits = (index // weight) % template.radices[t]
-            second_bits = ((1 << size_t) - 1) ^ ((1 << h) - 1)
-            for digit, local in enumerate(template.local_traces(t).tolist()):
-                movable = (local & second_bits) or local
-                downsets = index[digits == digit]
-                while movable:
-                    low = movable & -movable
-                    movable ^= low
-                    child = int(closure_digit(local ^ low, h))
-                    parents.append(downsets)
-                    slots.append(np.full(len(downsets), offset + low.bit_length() - 1))
-                    children.append(downsets + (child - digit) * weight)
-        parent = np.concatenate(parents)
-        slot = np.concatenate(slots)
-        child = np.concatenate(children)
-        by_position = np.lexsort((slot, position[parent]))
-        edge_slot = slot[by_position]
-        edge_child = child[by_position]
-        edge_ptr = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(position[parent], minlength=size), out=edge_ptr[1:])
-        layer_ptr = np.zeros(template.partition.n + 2, dtype=np.int64)
-        np.cumsum(
-            np.bincount(cardinality, minlength=template.partition.n + 1),
-            out=layer_ptr[1:],
-        )
-        steps = []
-        for c in range(1, template.partition.n + 1):
-            lo, hi = int(layer_ptr[c]), int(layer_ptr[c + 1])
-            first, last = int(edge_ptr[lo]), int(edge_ptr[hi])
-            steps.append(
-                (order[lo:hi], slice(first, last), edge_child[first:last],
-                 edge_ptr[lo:hi] - first)
-            )
-        return cls(order, position, edge_ptr, edge_slot, edge_child, tuple(steps))
 
 
 class DownsetIndex:
@@ -470,11 +388,7 @@ class DownsetIndex:
     first half plus each nonempty subset of the second half
     (bitmask-ascending); indices are mixed radix with block 0 most
     significant.  Index 0 is the empty set and the last index is the full
-    node set.
-
-    The covering lattice is exposed as, per downset, the list of single
-    elements whose removal yields again a downset: the removable elements
-    of a block trace are its second-half part if nonempty, else all of it.
+    node set; ``size`` is the downset count.
     """
 
     __slots__ = ("member", "template", "size", "nodes", "_node_masks")
@@ -496,10 +410,8 @@ class DownsetIndex:
         self.nodes = tuple(nodes)
         self._node_masks: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return self.size
-
     def _masks(self) -> np.ndarray:
+        """Every downset as a node bitmask, by index."""
         if self._node_masks is None:
             slot_masks = self.template.masks
             out = np.zeros_like(slot_masks)
@@ -508,39 +420,10 @@ class DownsetIndex:
             self._node_masks = out
         return self._node_masks
 
-    def downset_by_index(self, index: int) -> NodeSet:
-        if not 0 <= index < self.size:
-            raise IndexOutOfRangeError(f"downset index {index} not in [0, {self.size})")
-        return NodeSet(int(self._masks()[index]))
-
-    def index_of_downset(self, subset: "NodeSet | int") -> int:
-        bits = _bits(subset)
-        if bits >> self.member.partition.n:
-            raise NotADownsetError("subset references nodes outside the partition")
-        slot_mask = 0
-        for slot, node in enumerate(self.nodes):
-            slot_mask |= ((bits >> node) & 1) << slot
-        index = self.template.index_of_slots(slot_mask)
-        if index is None:
-            raise NotADownsetError(
-                f"subset {bits:#x} violates the member's precedence constraints"
-            )
-        return index
-
     def by_cardinality(self) -> list[tuple[int, int]]:
         """(index, bitmask) pairs sorted by (cardinality, index)."""
-        order = self.template.layers.order
+        order = self.template.order
         return list(zip(order.tolist(), self._masks()[order].tolist()))
-
-    def removable_elements(self, subset: "NodeSet | int") -> NodeSet:
-        """Elements whose removal keeps the subset downward closed."""
-        bits = _bits(subset)
-        out = 0
-        for block, split in zip(self.member.partition.blocks, self.member.splits):
-            local = bits & block.bits
-            in_second = local & ~split.bits
-            out |= in_second if in_second else local
-        return NodeSet(out)
 
     def edges(self) -> list[list[tuple[int, int]]]:
         """Per downset index, its (removed element, child index) pairs.
@@ -550,12 +433,12 @@ class DownsetIndex:
         downset has at least one removable element, so the lattice is
         connected from the empty set.
         """
-        layers = self.template.layers
-        ptr = layers.edge_ptr.tolist()
-        slots = layers.edge_slot.tolist()
-        children = layers.edge_child.tolist()
+        template = self.template
+        ptr = template.edge_ptr.tolist()
+        slots = template.edge_slot.tolist()
+        children = template.edge_child.tolist()
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.size)]
-        for p, d in enumerate(layers.order.tolist()):
+        for p, d in enumerate(template.order.tolist()):
             out[d] = sorted(
                 (self.nodes[slots[e]], children[e]) for e in range(ptr[p], ptr[p + 1])
             )

@@ -56,6 +56,10 @@ from .tables import random_table
 
 ALGORITHMS = ("dp", "cover", "cover-grover", "brute-orders", "brute-dags")
 SUITES = ("oracle", "grover", "scaling")
+# cover-stats prints exact counts.  At n <= 1000 and F <= n * 2^(n-1), the
+# most a table can list, none has more than about 450 digits: well inside
+# the 4300-digit limit of int-to-str conversion.
+MAX_REPORT_N = 1000
 
 
 def bounded_int(low: int, high: int | None = None):
@@ -105,11 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_stats = sub.add_parser("cover-stats", help="cover counts and the cost report")
-    p_stats.add_argument("--n", type=bounded_int(1), required=True)
+    p_stats.add_argument("--n", type=bounded_int(1, MAX_REPORT_N), required=True)
     p_stats.add_argument("--k", type=int, required=True)
     p_stats.add_argument(
         "--entries",
-        type=bounded_int(1),
+        type=bounded_int(1, MAX_REPORT_N << (MAX_REPORT_N - 1)),
         default=None,
         help="table size F (default n * 2^(n-1))",
     )

@@ -20,7 +20,7 @@ from typing import Callable
 import mpmath as mp
 import numpy as np
 
-from .bucket_cover import cover_size, downset_count_formula
+from .bucket_cover import cover_size, downset_count_formula, lattice_radix, member_radix
 from .seeding import rng_for, seed_sequence
 
 MAX_SIM_DOMAIN = 4096
@@ -51,12 +51,6 @@ class QueryLedger:
 
     def charge_quantum(self, amount: int = 1) -> None:
         self.charged_quantum_queries += amount
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "classical_evals": self.classical_evals,
-            "charged_quantum_queries": self.charged_quantum_queries,
-        }
 
 
 @dataclass
@@ -328,9 +322,6 @@ class CostReport:
             for f in fields(self)
         ]
 
-    def render(self) -> str:
-        return "\n".join(self.lines()) + "\n"
-
 
 def cost_report(n: int, total_entries: int | None = None, k: int = 2) -> CostReport:
     """Build the analytic cost report for problem size n and block size k.
@@ -344,8 +335,8 @@ def cost_report(n: int, total_entries: int | None = None, k: int = 2) -> CostRep
     members = cover_size(n, k)
     downsets = downset_count_formula(n, k)
     with mp.workdps(40):
-        choices26 = mp.mpf(math.comb(26, 13))
-        downsets26 = mp.mpf((1 << 14) - 1)
+        choices26 = mp.mpf(member_radix(26))
+        downsets26 = mp.mpf(lattice_radix(26))
         choices_root = choices26 ** (mp.mpf(1) / 52)
         downsets_root = downsets26 ** (mp.mpf(1) / 26)
         product = choices_root * downsets_root
@@ -368,8 +359,8 @@ def cost_report(n: int, total_entries: int | None = None, k: int = 2) -> CostRep
             speedup_vs_subset=float((mp.mpf(2) / mp.mpf("1.817")) ** n),
             subexp_entry_budget=float(mp.mpf("1.212") ** n),
             cover_entry_budget=float(mp.mpf("1.453") ** n),
-            block26_first_half_choices=math.comb(26, 13),
-            block26_downsets=(1 << 14) - 1,
+            block26_first_half_choices=member_radix(26),
+            block26_downsets=lattice_radix(26),
             choices_root_30=mp.nstr(choices_root, 30),
             downsets_root_30=mp.nstr(downsets_root, 30),
             product_30=mp.nstr(product, 30),

@@ -147,9 +147,6 @@ class NodeSet:
         return f"NodeSet.of({', '.join(map(str, self))})"
 
 
-EMPTY_SET = NodeSet(0)
-
-
 class LocalScoreTable:
     """Per-node scored candidate parent sets in one sorted flat layout.
 
@@ -320,10 +317,6 @@ class Dag:
             for parent in self.parents[child]:
                 yield parent, child
 
-    @property
-    def arc_count(self) -> int:
-        return sum(len(ps) for ps in self.parents)
-
 
 @dataclass(frozen=True, slots=True)
 class LinearOrder:
@@ -348,22 +341,6 @@ class LinearOrder:
         for rank, node in enumerate(self.perm):
             pos[node] = rank
         return tuple(pos)
-
-    def predecessors(self, node: int) -> NodeSet:
-        """Nodes strictly before ``node`` in the order."""
-        bits = 0
-        for v in self.perm:
-            if v == node:
-                return NodeSet(bits)
-            bits |= 1 << v
-        raise ValueError(f"node {node} not in order")
-
-    def prefixes(self) -> Iterator[tuple[int, NodeSet]]:
-        """Yield (node, strict predecessors) along the order."""
-        bits = 0
-        for v in self.perm:
-            yield v, NodeSet(bits)
-            bits |= 1 << v
 
 
 def _sink_first_order(dag: Dag) -> list[int] | None:

@@ -4,8 +4,9 @@ Fixing a cover member restricts attention to linear orders extending its
 precedence constraints; the best network score over those orders is
 computed by dynamic programming whose states are the member's downsets.
 Every member of a partition shares one slot-space lattice
-(:class:`~qbnsl.bucket_cover.LatticeTemplate`), so the lattice is built
-once and members are solved by three numpy kernels over it, each working
+(:class:`~qbnsl.bucket_cover.LatticeTemplate`, the downset masks and the
+covering edges in cardinality layers), so the lattice is built once per
+call and members are solved by three numpy kernels over it, each working
 on a batch of members at once (members are the minor axis):
 
 - bucketing, values only: every listed parent set is placed at its
@@ -44,14 +45,15 @@ from .bucket_cover import (
     BlockPartition,
     CoverMember,
     DownsetIndex,
-    LatticeLayers,
     LatticeTemplate,
     closure_digit,
     cover_size,
     covering_member,
     downset_count_formula,
+    lattice_build_bytes,
     lattice_edge_count_formula,
     member_by_index,
+    member_radix,
     split_slot_positions,
 )
 from .dp_exact import DP_CAP, solve_dp
@@ -123,7 +125,7 @@ def _bucket_maxima(
 
 
 def _member_dp(
-    by_downset: np.ndarray, edge_node: np.ndarray, layers: LatticeLayers
+    by_downset: np.ndarray, edge_node: np.ndarray, template: LatticeTemplate
 ) -> tuple[np.ndarray, np.ndarray]:
     """Downset DP values (D, batch) and per-edge best scores (E, batch).
 
@@ -136,13 +138,13 @@ def _member_dp(
     shape = edge_node.shape[1:]
     batch = math.prod(shape)
     n = width // batch
-    child = layers.edge_child.reshape(layers.edge_child.shape + (1,) * len(shape))
+    child = template.edge_child.reshape(template.edge_child.shape + (1,) * len(shape))
     edge_best = by_downset.ravel()[
         (child * n + edge_node) * batch + np.arange(batch).reshape(shape)
     ]
     value = np.empty((size,) + shape)
     value[0] = 0.0
-    for downsets, edges, children, segments in layers.steps:
+    for downsets, edges, children, segments in template.steps:
         cand = value[children] + edge_best[edges]
         value[downsets] = np.maximum.reduceat(cand, segments)
     return value, edge_best
@@ -228,11 +230,10 @@ def member_optima(
     if template is None:
         template = LatticeTemplate(partition)
     size = template.size
-    layers = template.layers
     blocks = []  # (nodes, slot positions per split, patterns, entry -> pattern)
-    for block, h in zip(partition.blocks, template.halves):
+    for block in partition.blocks:
         elems = np.array(list(block))
-        splits = range(math.comb(len(elems), h))
+        splits = range(member_radix(len(elems)))
         slots = np.array([split_slot_positions(len(elems), d) for d in splits])
         patterns, which = np.unique(
             _block_patterns(table.masks, elems), return_inverse=True
@@ -257,8 +258,8 @@ def member_optima(
             flat += (closure * (template.weights[t] * n))[which]
         by_downset = _bucket_maxima(flat, table.scores, size, n)
         _fold_sub_downsets(by_downset, template)
-        edge_node = np.concatenate(nodes[::-1])[layers.edge_slot]
-        optima[lo:hi] = _member_dp(by_downset, edge_node, layers)[0][-1]
+        edge_node = np.concatenate(nodes[::-1])[template.edge_slot]
+        optima[lo:hi] = _member_dp(by_downset, edge_node, template)[0][-1]
     return optima
 
 
@@ -285,21 +286,21 @@ def solve_member(
         index = DownsetIndex(member)
     if best is None:
         best = downset_best_parents(table, member, index)
-    layers = index.template.layers
-    edge_node = np.array(index.nodes)[layers.edge_slot]
+    template = index.template
+    edge_node = np.array(index.nodes)[template.edge_slot]
     value, edge_best = _member_dp(
-        np.ascontiguousarray(best.values.T), edge_node, layers
+        np.ascontiguousarray(best.values.T), edge_node, template
     )
     parents = [NodeSet(0)] * n
     mask = (1 << n) - 1
     d = index.size - 1
     while mask:
-        p = layers.position[d]
+        p = template.position[d]
         target = value[d]
         sink, sink_child = n, -1
-        for e in range(layers.edge_ptr[p], layers.edge_ptr[p + 1]):
+        for e in range(template.edge_ptr[p], template.edge_ptr[p + 1]):
             i = int(edge_node[e])
-            child = layers.edge_child[e]
+            child = template.edge_child[e]
             if i < sink and value[child] + edge_best[e] == target:
                 sink, sink_child = i, child
         mask ^= 1 << sink
@@ -342,9 +343,10 @@ def solve_cover(
     topological order as the witness, and books the analytic charge
     ceil(sqrt(members)) * ceil(log2(members)) instead of simulating.
     Every member solve of a call shares one lattice template and reads
-    the table's flat entry arrays.  A lattice whose member table (D * n
-    float64) and two int64 edge arrays would exceed ``LATTICE_BYTES_CAP``
-    raises ``InstanceTooLargeError`` before any of it is allocated.
+    the table's flat entry arrays.  A lattice whose build peak
+    (``lattice_build_bytes``) plus a member's (D, n) float64 table and two
+    E-long edge arrays would exceed ``LATTICE_BYTES_CAP`` raises
+    ``InstanceTooLargeError`` before any of it is allocated.
     """
     if strategy not in COVER_STRATEGIES:
         raise StrategyUnavailableError(
@@ -364,10 +366,13 @@ def solve_cover(
         )
     downsets = downset_count_formula(partition.n, partition.k)
     edges = lattice_edge_count_formula(partition.n, partition.k)
-    if 8 * (downsets * partition.n + 2 * edges) > LATTICE_BYTES_CAP:
+    needed = lattice_build_bytes(partition.n, partition.k) + 8 * (
+        downsets * partition.n + 2 * edges
+    )
+    if needed > LATTICE_BYTES_CAP:
         raise InstanceTooLargeError(
-            f"lattice of {downsets} downsets and {edges} edges exceeds "
-            f"{LATTICE_BYTES_CAP} bytes"
+            f"lattice of {downsets} downsets and {edges} edges needs {needed} "
+            f"bytes, over the {LATTICE_BYTES_CAP} byte cap"
         )
     template = LatticeTemplate(partition)
 

@@ -38,7 +38,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -238,21 +238,14 @@ def parse_scores(data: str | bytes) -> LocalScoreTable:
     return LocalScoreTable.from_arrays(n, nodes, masks, scores, names)
 
 
-def write_scores(table: LocalScoreTable, names: Sequence[str] | None = None) -> str:
+def write_scores(table: LocalScoreTable) -> str:
     """Serialize a table to score-file text; inverse of :func:`parse_scores`.
 
-    Reads the table's flat arrays; each distinct parent set's
+    Variables are written under the table's names, or X0, X1, .. if it has
+    none.  Reads the table's flat arrays; each distinct parent set's
     ``COUNT NAME..`` text is formatted once.
     """
-    if names is None:
-        names = table.names
-    if names is None:
-        names = tuple(f"X{i}" for i in range(table.n))
-    names = tuple(names)
-    if len(names) != table.n:
-        raise ValueError("names length must equal the variable count")
-    if len(set(names)) != table.n:
-        raise ValueError("variable names must be unique")
+    names = table.names or tuple(f"X{i}" for i in range(table.n))
     masks = table.masks.tolist()
     tails = {
         mask: " ".join([str(mask.bit_count()), *(names[j] for j in NodeSet(mask))])
@@ -308,10 +301,8 @@ class DiscreteDataset:
         return int(self.rows.shape[1])
 
     @classmethod
-    def from_csv(
-        cls, text: str, arities: Sequence[int] | None = None
-    ) -> "DiscreteDataset":
-        """Read a header + integer-cell CSV; arities default to max+1."""
+    def from_csv(cls, text: str) -> "DiscreteDataset":
+        """Read a header + integer-cell CSV; each column's arity is its max + 1."""
         reader = csv.reader(io.StringIO(text))
         try:
             header = next(reader)
@@ -336,9 +327,7 @@ class DiscreteDataset:
             raise DatasetError("cells must be state indices below 2**63") from None
         if data.min() < 0:
             raise DatasetError("cells must be non-negative state indices")
-        if arities is None:
-            arities = tuple(int(v) + 1 for v in data.max(axis=0))
-        return cls(names, data, tuple(int(r) for r in arities))
+        return cls(names, data, tuple(int(v) + 1 for v in data.max(axis=0)))
 
 
 def _count_tables(
@@ -530,8 +519,8 @@ def prune_dominated(table: LocalScoreTable) -> LocalScoreTable:
 
     Domination is judged against the input table, not against survivors,
     and ties keep the subset.  The empty set survives by construction.
-    The result can fail :func:`is_closed_under_inclusion` even when the
-    input satisfied it: a surviving set may lose an intermediate subset.
+    The result need not be closed under inclusion even when the input
+    was: a surviving set may lose an intermediate subset.
     """
     keep: list[bool] = []
     for i in range(table.n):
@@ -547,13 +536,3 @@ def prune_dominated(table: LocalScoreTable) -> LocalScoreTable:
         table.n, table.nodes[k], table.masks[k], table.scores[k], table.names
     )
 
-
-def is_closed_under_inclusion(table: LocalScoreTable) -> bool:
-    """True iff every subset of every listed parent set is also listed."""
-    # Removing single elements suffices: closure follows by induction.
-    keys = table.nodes << MAX_NODES | table.masks
-    for j in range(table.n):
-        has_j = (table.masks >> j) & 1 == 1
-        if not np.isin(keys[has_j] ^ (1 << j), keys).all():
-            return False
-    return True

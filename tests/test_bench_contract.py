@@ -3,9 +3,10 @@
 ``perfbench/spans.py`` silently leaves out any per-layer metric whose
 boundary or observed attribute no longer exists in the package, so a
 renamed function or attribute would shrink the traced run's result
-without failing it.  These checks load the benchmark's span tracer and
-workloads from their files, unchanged, and run one op of each workload
-under the tracer.
+without failing it.  The first check loads the benchmark's span tracer
+and workloads from their files, unchanged, and runs one op of each
+workload under the tracer.  The second runs ``perfbench/run.py`` itself,
+as the benchmark does, and reads its last line of output.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -48,3 +51,19 @@ def test_traced_run_reports_every_per_layer_metric():
     # The two trace.* metrics come from the run loop, not from the tracer.
     expected = {m["name"] for m in spec["per_layer"] if not m["name"].startswith("trace.")}
     assert set(tracer.layer_metrics(1)) == expected
+
+
+def test_traced_csv_to_dag_run_ends_in_a_complete_result():
+    # Anything printed after the result line, by the run or the library,
+    # would make the last line unreadable for the benchmark.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "csv-to-dag",
+         "--trace", "1", "--seconds", "1"],
+        capture_output=True, text=True, timeout=120, env=env, cwd=PERFBENCH.parent,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    assert set(result["metrics"]) == {m["name"] for m in spec["per_layer"]}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,22 +18,68 @@ from qbnsl.bucket_cover import (
     IndexOutOfRangeError,
     InvalidKError,
     LatticeTemplate,
-    NotADownsetError,
+    closure_digit,
     cover_size,
     covering_member,
     downset_count_formula,
-    index_of_member,
-    is_downset,
+    lattice_build_bytes,
     lattice_edge_count_formula,
     member_by_index,
+    member_radix,
     split_slot_positions,
 )
 from qbnsl.instance import LinearOrder, NodeSet
 from qbnsl.seeding import rng_for
+from reference import (
+    NotADownsetError,
+    downset_by_index,
+    extended_by,
+    index_of_downset,
+    is_downset,
+    pairs,
+)
+
+# Member and downset queries that only these tests ask.
+
+
+def block_of(partition: BlockPartition, node: int) -> int:
+    for t, block in enumerate(partition.blocks):
+        if node in block:
+            return t
+    raise ValueError(f"node {node} not in partition")
+
+
+def predecessors(member: CoverMember, node: int) -> NodeSet:
+    """Nodes required to precede ``node``; empty for first-half nodes."""
+    t = block_of(member.partition, node)
+    if node in member.splits[t]:
+        return NodeSet(0)
+    return member.splits[t]
+
+
+def index_of_member(member: CoverMember) -> int:
+    """Inverse of :func:`member_by_index`: mixed radix over colex split ranks."""
+    index = 0
+    for block, split in zip(member.partition.blocks, member.splits):
+        positions = {e: p for p, e in enumerate(block)}
+        rank = sum(math.comb(positions[e], j) for j, e in enumerate(split, 1))
+        index = index * member_radix(len(block)) + rank
+    return index
+
+
+def removable_elements(member: CoverMember, subset: "NodeSet | int") -> NodeSet:
+    """Elements whose removal keeps the subset downward closed."""
+    bits = int(subset)
+    out = 0
+    for block, split in zip(member.partition.blocks, member.splits):
+        local = bits & block.bits
+        in_second = local & ~split.bits
+        out |= in_second if in_second else local
+    return NodeSet(out)
 
 
 def brute_is_downset(member: CoverMember, bits: int) -> bool:
-    for smaller, larger in member.pairs():
+    for smaller, larger in pairs(member):
         if (bits >> larger) & 1 and not (bits >> smaller) & 1:
             return False
     return True
@@ -52,7 +99,7 @@ def test_partition_validation():
 def test_contiguous_blocks_and_remainder():
     p = BlockPartition.contiguous(10, 4)
     assert [sorted(b) for b in p.blocks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-    assert p.block_of(5) == 1 and p.block_of(9) == 2
+    assert block_of(p, 5) == 1 and block_of(p, 9) == 2
     q = BlockPartition.contiguous(9, 4)
     assert [len(b) for b in q.blocks] == [4, 4, 1]
 
@@ -165,11 +212,10 @@ def test_member_roundtrip_and_distinctness(n, k):
 
 def test_member_predecessors_and_pairs(demo_member):
     # Second-half nodes are preceded by their block's whole first half.
-    assert demo_member.predecessors(0) == NodeSet.of(2, 3)
-    assert demo_member.predecessors(4) == NodeSet.of(6, 7)
-    assert demo_member.predecessors(2) == NodeSet(0)
-    pairs = set(demo_member.pairs())
-    assert pairs == {(2, 0), (2, 1), (3, 0), (3, 1), (6, 4), (6, 5), (7, 4), (7, 5)}
+    assert predecessors(demo_member, 0) == NodeSet.of(2, 3)
+    assert predecessors(demo_member, 4) == NodeSet.of(6, 7)
+    assert predecessors(demo_member, 2) == NodeSet(0)
+    assert set(pairs(demo_member)) == {(2, 0), (2, 1), (3, 0), (3, 1), (6, 4), (6, 5), (7, 4), (7, 5)}
 
 
 def test_member_relation_irreflexive_and_transitive():
@@ -177,11 +223,11 @@ def test_member_relation_irreflexive_and_transitive():
         p = BlockPartition.contiguous(n, k)
         for idx in range(cover_size(n, k)):
             member = member_by_index(p, idx)
-            pairs = set(member.pairs())
-            assert all(a != b for a, b in pairs)
-            for (a, b), (c, d) in itertools.product(pairs, repeat=2):
+            relation = set(pairs(member))
+            assert all(a != b for a, b in relation)
+            for (a, b), (c, d) in itertools.product(relation, repeat=2):
                 if b == c:
-                    assert (a, d) in pairs
+                    assert (a, d) in relation
 
 
 def test_is_downset_examples(demo_member):
@@ -205,39 +251,38 @@ def test_downset_index_single_pair_block():
     p = BlockPartition.contiguous(2, 2)
     member = member_by_index(p, 0)  # split {0}
     idx = DownsetIndex(member)
-    assert len(idx) == 3
-    decoded = [idx.downset_by_index(i) for i in range(3)]
+    assert idx.size == 3
+    decoded = [downset_by_index(idx, i) for i in range(3)]
     assert decoded == [NodeSet(0), NodeSet.of(0), NodeSet.of(0, 1)]
     for i in range(3):
-        assert idx.index_of_downset(decoded[i]) == i
+        assert index_of_downset(idx, decoded[i]) == i
     with pytest.raises(NotADownsetError):
-        idx.index_of_downset(NodeSet.of(1))
+        index_of_downset(idx, NodeSet.of(1))
     with pytest.raises(IndexOutOfRangeError):
-        idx.downset_by_index(3)
+        downset_by_index(idx, 3)
 
 
 def test_downset_index_exhaustive_on_demo_member(demo_member):
     idx = DownsetIndex(demo_member)
-    assert len(idx) == 49
+    assert idx.size == 49
     seen = set()
     for i in range(49):
-        s = idx.downset_by_index(i)
+        s = downset_by_index(idx, i)
         assert is_downset(demo_member, s)
-        assert idx.index_of_downset(s) == i
+        assert index_of_downset(idx, s) == i
         seen.add(s.bits)
     brute = {b for b in range(1 << 8) if brute_is_downset(demo_member, b)}
     assert seen == brute
 
 
 def test_downset_index_removable_elements(demo_member):
-    idx = DownsetIndex(demo_member)
     # Full block: only the second half is removable...
-    assert idx.removable_elements(NodeSet.of(2, 3, 0)) == NodeSet.of(0)
+    assert removable_elements(demo_member, NodeSet.of(2, 3, 0)) == NodeSet.of(0)
     # ...until the second half is gone, then the first half opens up.
-    assert idx.removable_elements(NodeSet.of(2, 3)) == NodeSet.of(2, 3)
-    assert idx.removable_elements(NodeSet(0)) == NodeSet(0)
+    assert removable_elements(demo_member, NodeSet.of(2, 3)) == NodeSet.of(2, 3)
+    assert removable_elements(demo_member, NodeSet(0)) == NodeSet(0)
     full = NodeSet.full(8)
-    assert idx.removable_elements(full) == NodeSet.of(0, 1, 4, 5)
+    assert removable_elements(demo_member, full) == NodeSet.of(0, 1, 4, 5)
 
 
 def test_downset_index_edges_connect_the_lattice(demo_member):
@@ -245,13 +290,13 @@ def test_downset_index_edges_connect_the_lattice(demo_member):
     edges = idx.edges()
     assert len(edges) == 49
     for i, links in enumerate(edges):
-        s = idx.downset_by_index(i)
-        removable = idx.removable_elements(s)
+        s = downset_by_index(idx, i)
+        removable = removable_elements(demo_member, s)
         assert [e for e, _ in links] == sorted(removable)
         for elem, child in links:
-            assert idx.downset_by_index(child) == s.remove(elem)
+            assert downset_by_index(idx, child) == s.remove(elem)
     # Every nonempty downset has at least one removable element.
-    assert all(links for i, links in enumerate(edges) if i != idx.index_of_downset(0))
+    assert all(links for i, links in enumerate(edges) if i != index_of_downset(idx, 0))
 
 
 @given(st.integers(0, 2**31))
@@ -263,12 +308,12 @@ def test_downset_removal_keeps_downsets(seed):
     p = BlockPartition.contiguous(n, k)
     member = member_by_index(p, int(rng.integers(cover_size(n, k))))
     idx = DownsetIndex(member)
-    i = int(rng.integers(len(idx)))
-    s = idx.downset_by_index(i)
-    for elem in idx.removable_elements(s):
+    i = int(rng.integers(idx.size))
+    s = downset_by_index(idx, i)
+    for elem in removable_elements(member, s):
         assert is_downset(member, s.remove(elem))
     for elem in s:
-        if elem not in idx.removable_elements(s):
+        if elem not in removable_elements(member, s):
             assert not is_downset(member, s.remove(elem))
 
 
@@ -317,13 +362,95 @@ def test_template_slot_masks_match_brute_downsets(n, k, shuffled):
 )
 def test_edge_count_formula_matches_template(n, k):
     for partition in (BlockPartition.contiguous(n, k), BlockPartition.shuffled(n, k, seed=n)):
-        edges = LatticeTemplate(partition).layers.edge_slot
+        edges = LatticeTemplate(partition).edge_slot
         assert len(edges) == lattice_edge_count_formula(n, k)
+
+
+def reference_layers(template: LatticeTemplate):
+    """The covering edges as the sort-based build made them before the
+    template placed each edge directly: every (parent, slot, child) triple,
+    then one lexsort by (parent position, slot)."""
+    size = template.size
+    n = template.partition.n
+    index = np.arange(size, dtype=np.int64)
+    cardinality = np.bitwise_count(template.masks)
+    order = np.argsort(cardinality, kind="stable")
+    position = np.empty(size, dtype=np.int64)
+    position[order] = index
+    parents, slots, children = [], [], []
+    for t, (offset, size_t, h) in enumerate(
+        zip(template.offsets, template.block_sizes, template.halves)
+    ):
+        weight = template.weights[t]
+        digits = (index // weight) % template.radices[t]
+        second_bits = ((1 << size_t) - 1) ^ ((1 << h) - 1)
+        for digit, local in enumerate(template.local_traces(t).tolist()):
+            movable = (local & second_bits) or local
+            downsets = index[digits == digit]
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                child = int(closure_digit(local ^ low, h))
+                parents.append(downsets)
+                slots.append(np.full(len(downsets), offset + low.bit_length() - 1))
+                children.append(downsets + (child - digit) * weight)
+    parent, slot, child = map(np.concatenate, (parents, slots, children))
+    by_position = np.lexsort((slot, position[parent]))
+    edge_slot, edge_child = slot[by_position], child[by_position]
+    edge_ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(position[parent], minlength=size), out=edge_ptr[1:])
+    layer_ptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(cardinality, minlength=n + 1), out=layer_ptr[1:])
+    steps = []
+    for c in range(1, n + 1):
+        lo, hi = int(layer_ptr[c]), int(layer_ptr[c + 1])
+        first, last = int(edge_ptr[lo]), int(edge_ptr[hi])
+        steps.append(
+            (order[lo:hi], slice(first, last), edge_child[first:last], edge_ptr[lo:hi] - first)
+        )
+    return order, position, edge_ptr, edge_slot, edge_child, steps
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n,k,seed",
+    [(2, 2, None), (5, 2, 1), (8, 4, None), (9, 4, 2), (10, 6, 3), (12, 4, 4),
+     (13, 4, None), (15, 8, 5), (16, 16, None), (11, 2, 6)],
+)
+def test_template_edges_match_sort_based_reference(n, k, seed):
+    if seed is None:
+        partition = BlockPartition.contiguous(n, k)
+    else:
+        partition = BlockPartition.shuffled(n, k, seed)
+    template = LatticeTemplate(partition)
+    order, position, edge_ptr, edge_slot, edge_child, steps = reference_layers(template)
+    for name, want in [("order", order), ("position", position), ("edge_ptr", edge_ptr),
+                       ("edge_slot", edge_slot), ("edge_child", edge_child)]:
+        assert same_array(getattr(template, name), want), name
+    assert len(template.steps) == len(steps)
+    for got, want in zip(template.steps, steps):
+        assert got[1] == want[1]
+        assert all(same_array(g, w) for g, w in zip(got[::2] + got[3:], want[::2] + want[3:]))
+
+
+@pytest.mark.parametrize("n,k", [(20, 2), (16, 4)])
+def test_template_build_peak_within_counted_bytes(n, k):
+    partition = BlockPartition.contiguous(n, k)
+    tracemalloc.start()
+    try:
+        LatticeTemplate(partition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= lattice_build_bytes(n, k)
 
 
 def test_covering_member_demo_order(demo_partition, demo_order, demo_member):
     assert covering_member(demo_partition, demo_order) == demo_member
-    assert demo_member.extended_by(demo_order)
+    assert extended_by(demo_member, demo_order)
 
 
 def test_covering_member_identity_order_takes_low_indices():
@@ -342,13 +469,13 @@ def test_cover_property_sampled(seed):
     p = BlockPartition.contiguous(n, k)
     order = LinearOrder(tuple(int(v) for v in rng.permutation(n)))
     member = covering_member(p, order)
-    assert member.extended_by(order)
+    assert extended_by(member, order)
     assert index_of_member(member) < cover_size(n, k)
 
 
 def test_extended_by_detects_violations(demo_member):
     bad = LinearOrder((0, 1, 2, 3, 4, 5, 6, 7))  # 0 before its required {2,3}
-    assert not demo_member.extended_by(bad)
+    assert not extended_by(demo_member, bad)
 
 
 def test_huge_report_sizes_do_not_build_partitions():

@@ -6,13 +6,16 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbnsl
-from qbnsl.cli import ALGORITHMS, build_parser, main
+from qbnsl.cli import ALGORITHMS, MAX_REPORT_N, build_parser, main
 from qbnsl.scores_io import parse_scores
 
 FIXTURE = "2\nA 2\n-1.5 0\n-1.0 1 B\nB 1\n-2.0 0\n"
@@ -129,6 +132,10 @@ def test_infeasible_configurations_exit_two(score_file, tmp_path, capsys):
         ("solve", "pair.scores", "--sim-cap", "-5"),
         ("solve", "pair.scores", "--sim-cap", "0"),
         ("solve", "pair.scores", "--sim-cap", "4097"),
+        ("cover-stats", "--n", "12000", "--k", "2"),
+        ("cover-stats", "--n", "10000", "--k", "10000"),
+        ("cover-stats", "--n", "1000000000000", "--k", "2"),
+        ("cover-stats", "--n", "1000", "--k", "2", "--entries", str(10**4299)),
     ],
 )
 def test_nonpositive_counts_exit_two(capsys, argv):
@@ -139,9 +146,15 @@ def test_nonpositive_counts_exit_two(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
-def test_caps_accept_their_maximum():
+def test_caps_accept_their_maximum(capsys):
     args = build_parser().parse_args(["solve", "s", "--sim-cap", "4096", "--dp-cap", "20"])
     assert args.sim_cap == 4096 and args.dp_cap == 20
+    most = MAX_REPORT_N << (MAX_REPORT_N - 1)  # n * 2^(n-1), every parent set listed
+    for k in (2, MAX_REPORT_N):
+        for entries in ((), ("--entries", most)):
+            code, out, err = run(capsys, "cover-stats", "--n", MAX_REPORT_N, "--k", k, *entries)
+            assert code == 0 and err == ""
+            assert f"n = {MAX_REPORT_N}" in out and "work_proxy = " in out
 
 
 def test_cover_lattice_beyond_memory_cap_exits_two(tmp_path):
@@ -313,3 +326,86 @@ def test_parser_prog_and_config_validation(score_file, tmp_path, capsys):
         capsys, "solve", tmp_path / "missing.scores", "--algo", "cover", "--k", "5"
     )
     assert code == 3 and "error:" in err
+
+
+# Exit-code fuzz: every run of the command line ends in 0, 2 or 3, never in
+# a traceback.  Counts come from the edges of their ranges and far beyond;
+# files are small, valid or broken.  ``bench`` is left out: large counts
+# only make it run long.
+COUNTS = (-1, 0, 1, 2, 3, 12000, 10**12)
+
+
+def broken(draw, text: str) -> str:
+    """The text as is (most often), cut short, or with one token replaced."""
+    how = draw(st.sampled_from(["keep", "keep", "cut", "token"]))
+    if how == "cut":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if how == "token":
+        tokens = text.replace(",", " , ").split(" ")
+        at = draw(st.integers(0, len(tokens) - 1))
+        tokens[at] = draw(st.sampled_from(["-1", "x", "", "1.5", "nan", str(2**64), "A"]))
+        return " ".join(tokens).replace(" , ", ",")
+    return text
+
+
+@st.composite
+def csv_files(draw):
+    names = draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=4, unique=True))
+    cell = st.integers(0, 3)
+    rows = draw(st.lists(st.lists(cell, min_size=len(names), max_size=len(names)),
+                         min_size=1, max_size=12))
+    lines = [",".join(names)] + [",".join(map(str, row)) for row in rows]
+    return broken(draw, "\n".join(lines) + "\n")
+
+
+@st.composite
+def score_files(draw):
+    n = draw(st.integers(1, 5))
+    lines = [str(n)]
+    for i in range(n):
+        others = [f"V{j}" for j in range(n) if j != i]
+        parents = st.lists(st.sampled_from(others), max_size=2, unique=True) if others else st.just([])
+        records = [[]] + draw(st.lists(parents, max_size=3, unique_by=tuple))
+        lines.append(f"V{i} {len(records)}")
+        for record in records:
+            score = draw(st.sampled_from(["-1.5", "0.0", "2", "-3.25"]))
+            lines.append(" ".join([score, str(len(record)), *record]))
+    return broken(draw, "\n".join(lines) + "\n")
+
+
+@st.composite
+def cli_runs(draw):
+    count = lambda: str(draw(st.sampled_from(COUNTS)))  # noqa: E731
+    command = draw(st.sampled_from(["score", "solve", "cover-stats"]))
+    if command == "cover-stats":
+        argv = ["cover-stats", "--n", count(), "--k", count()]
+        return argv + (["--entries", count()] if draw(st.booleans()) else []), None
+    if command == "score":
+        argv = ["score", "data.csv", "--max-indegree", count()]
+        if draw(st.booleans()):
+            argv += ["--max-entries", count()]
+        return argv, ("data.csv", draw(csv_files()))
+    argv = ["solve", "net.scores", "--algo", draw(st.sampled_from(ALGORITHMS)), "--k", count()]
+    for flag in ("--dp-cap", "--sim-cap", "--seed"):
+        if draw(st.booleans()):
+            argv += [flag, count()]
+    return argv, ("net.scores", draw(score_files()))
+
+
+@given(cli_runs())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_cli_exit_codes_fuzz(run_case):
+    argv, data = run_case
+    limit = 3 << 29  # 1.5 GiB of address space, in the child only
+    env = dict(os.environ, PYTHONPATH=str(Path(qbnsl.__file__).parents[1]))
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        if data is not None:
+            Path(tmp, data[0]).write_text(data[1], encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbnsl.cli", *argv],
+            capture_output=True, text=True, timeout=30, env=env, cwd=tmp,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+    assert proc.returncode in (0, 2, 3), (argv, data, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, data, proc.stderr)

@@ -15,7 +15,6 @@ from qbnsl.bucket_cover import (
     BlockPartition,
     DownsetIndex,
     cover_size,
-    is_downset,
     member_by_index,
 )
 from qbnsl.dp_exact import solve_dp
@@ -39,6 +38,14 @@ from qbnsl.po_dp import (
 )
 from qbnsl.seeding import rng_for
 from qbnsl.tables import random_table
+from reference import (
+    downset_by_index,
+    extended_by,
+    index_of_downset,
+    is_downset,
+    ledger_counts,
+    prefixes,
+)
 
 
 def random_member(rng, n, k):
@@ -78,10 +85,10 @@ def reference_best_parents(table, member, index):
     edges = index.edges()
     values, argmax = [], []
     for i in range(table.n):
-        vals = [float("-inf")] * len(index)
-        args = [0] * len(index)
+        vals = [float("-inf")] * index.size
+        args = [0] * index.size
         for mask, score in table.items(i):
-            d = index.index_of_downset(downward_closure(member, mask))
+            d = index_of_downset(index, downward_closure(member, mask))
             if score > vals[d] or (score == vals[d] and _tighter(mask, args[d])):
                 vals[d] = score
                 args[d] = mask
@@ -104,9 +111,9 @@ def reference_solve_member(table, member):
     index = DownsetIndex(member)
     values, argmax = reference_best_parents(table, member, index)
     edges = index.edges()
-    value = [float("-inf")] * len(index)
+    value = [float("-inf")] * index.size
     value[0] = 0.0
-    sink = [-1] * len(index)
+    sink = [-1] * index.size
     for d, _mask in index.by_cardinality():
         if d == 0:
             continue
@@ -116,11 +123,11 @@ def reference_solve_member(table, member):
                 value[d], sink[d] = cand, elem
     parents = [NodeSet(0)] * table.n
     mask = (1 << table.n) - 1
-    d = index.index_of_downset(mask)
+    d = index_of_downset(index, mask)
     while mask:
         i = sink[d]
         mask ^= 1 << i
-        d = index.index_of_downset(mask)
+        d = index_of_downset(index, mask)
         parents[i] = NodeSet(argmax[i][d])
     dag = Dag(table.n, tuple(parents))
     return total_score(dag, table), dag
@@ -182,8 +189,8 @@ def test_downward_closure_is_minimal_and_idempotent(seed):
     assert downward_closure(member, closed) == closed
     # Membership transfer: J inside a downset iff its closure is.
     idx = DownsetIndex(member)
-    for i in range(len(idx)):
-        s = int(idx.downset_by_index(i))
+    for i in range(idx.size):
+        s = int(downset_by_index(idx, i))
         assert (bits & ~s == 0) == (int(closed) & ~s == 0)
 
 
@@ -193,7 +200,9 @@ def test_downset_best_parents_demo_values(demo_member):
     table = LocalScoreTable(8, entries)
     idx = DownsetIndex(demo_member)
     best = downset_best_parents(table, demo_member, idx)
-    at = idx.index_of_downset
+    def at(subset):
+        return index_of_downset(idx, subset)
+
     assert best.values[5][at(NodeSet.of(6, 7))] == 2.0
     assert best.values[5][at(NodeSet.of(2, 3, 6, 7))] == 3.0
     _, reference_argmax = reference_best_parents(table, demo_member, idx)
@@ -213,8 +222,8 @@ def test_downset_best_parents_equals_scan_oracle(seed):
     idx = DownsetIndex(member)
     best = downset_best_parents(table, member, idx)
     _, reference_argmax = reference_best_parents(table, member, idx)
-    for d in range(len(idx)):
-        s = int(idx.downset_by_index(d))
+    for d in range(idx.size):
+        s = int(downset_by_index(idx, d))
         for i in range(n):
             score, parents = best_parents_in(table, i, s & ~(1 << i))
             assert best.values[i][d] == pytest.approx(score, abs=0)
@@ -247,7 +256,7 @@ def test_downset_best_parents_edge_budget(seed):
     member = random_member(rng, n, k)
     idx = DownsetIndex(member)
     best = downset_best_parents(table, member, idx)
-    assert best.edge_visits <= n * n * len(idx)
+    assert best.edge_visits <= n * n * idx.size
 
 
 @given(st.integers(0, 2**31), st.booleans(), st.booleans())
@@ -288,7 +297,7 @@ def test_solve_cover_matches_python_reference(seed, tie_heavy, shuffled):
         score, dag, ledger = solve_cover(table, partition, strategy, seed=seed)
         ref_score, ref_dag, ref_ledger = reference_solve_cover(results, strategy, seed)
         assert (score, dag) == (ref_score, ref_dag)
-        assert ledger.as_dict() == ref_ledger.as_dict()
+        assert ledger_counts(ledger) == ledger_counts(ref_ledger)
 
 
 def random_cover_case(seed, tie_heavy, shuffled, label):
@@ -317,7 +326,7 @@ def test_member_optima_match_python_reference(seed, tie_heavy, shuffled):
             for idx in range(members)
         ]
     )
-    row = len(DownsetIndex(member_by_index(partition, 0))) * partition.n
+    row = DownsetIndex(member_by_index(partition, 0)).size * partition.n
     # The default chunk budget, one member per chunk, and three members per
     # chunk (a ragged last chunk unless members divide by 3).
     for chunk in (po_dp._CHUNK_ELEMENTS, 1, 3 * row):
@@ -418,11 +427,9 @@ def brute_best_over_extensions(table, member):
     best = float("-inf")
     for perm in itertools.permutations(range(table.n)):
         order = LinearOrder(perm)
-        if not member.extended_by(order):
+        if not extended_by(member, order):
             continue
-        total = sum(
-            best_parents_in(table, node, preds)[0] for node, preds in order.prefixes()
-        )
+        total = sum(best_parents_in(table, node, preds)[0] for node, preds in prefixes(order))
         best = max(best, total)
     return best
 
@@ -487,7 +494,7 @@ def test_cover_grover_sim_is_deterministic_given_seed():
     ]
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
-    assert runs[0][2].as_dict() == runs[1][2].as_dict()
+    assert ledger_counts(runs[0][2]) == ledger_counts(runs[1][2])
 
 
 def test_cover_grover_sim_ledger_separates_units():

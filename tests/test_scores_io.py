@@ -24,7 +24,6 @@ from qbnsl.scores_io import (
     TooManyEntriesError,
     UnknownVariableError,
     bic_scores,
-    is_closed_under_inclusion,
     parse_scores,
     prune_dominated,
     write_scores,
@@ -32,6 +31,17 @@ from qbnsl.scores_io import (
 from qbnsl.tables import random_table
 
 FIXTURE = "2\nA 2\n-1.5 0\n-1.0 1 B\nB 1\n-2.0 0\n"
+
+
+def is_closed_under_inclusion(table: LocalScoreTable) -> bool:
+    """True iff every subset of every listed parent set is also listed."""
+    # Removing single elements suffices: closure follows by induction.
+    keys = table.nodes << MAX_NODES | table.masks
+    for j in range(table.n):
+        has_j = (table.masks >> j) & 1 == 1
+        if not np.isin(keys[has_j] ^ (1 << j), keys).all():
+            return False
+    return True
 
 
 # Reference: the record-by-record score-file round trip that the library's

@@ -16,8 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
     "argv,header",
     [
         (("demo_pipeline.py", "--rows", "200"), "rows = 200, local score entries F"),
-        (("query_scaling.py", "--max-n", "12"), "   n        members       downsets"),
-        (("grover_success_curve.py", "--trials", "20"), "     m  iters  measured"),
     ],
 )
 def test_script_runs(argv, header):
