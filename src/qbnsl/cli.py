@@ -198,12 +198,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             partition = BlockPartition.contiguous(table.n, args.k)
         strategy = "classical-scan" if args.algo == "cover" else "grover-sim"
         score, dag, ledger = solve_cover(
-            table,
-            partition,
-            strategy,
-            seed=args.seed,
-            sim_cap=args.sim_cap,
-            dp_cap=args.dp_cap,
+            table, partition, strategy, seed=args.seed, sim_cap=args.sim_cap
         )
     lines = [f"score = {score:.9f}", f"algo = {args.algo}"]
     if ledger is not None:

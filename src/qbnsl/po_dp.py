@@ -28,10 +28,11 @@ where tol = 1e-9 * (1 + |max optimum|) (see :func:`solve_cover`).  A
 rescored total differs from its DP value only by summation order; a
 traced member off by more than tol / 2 raises ``RuntimeError``.
 
-On top sit three search strategies over the whole cover: exhaustive
-classical scan, simulated quantum maximum finding, and an analytic cost
-model that books the quantum charge without simulating.  This is correct
-for arbitrary listed parent sets (no closure-under-inclusion assumption).
+On top sit three search strategies over the whole cover: the classical
+scan, simulated quantum maximum finding, and an analytic cost model that
+takes the scan's answer and books the quantum charge without simulating.
+A work cap (members x D) and a byte cap refuse a cover before its lattice
+is built.  This is correct for arbitrary listed parent sets.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .bucket_cover import (
     LatticeTemplate,
     closure_digit,
     cover_size,
-    covering_member,
     downset_count_formula,
     lattice_build_bytes,
     lattice_edge_count_formula,
@@ -64,12 +64,12 @@ from .instance import (
     LocalScoreTable,
     NodeSet,
     best_parents_in,
-    topological_order,
     total_score,
 )
 
 COVER_STRATEGIES = ("classical-scan", "grover-sim", "grover-cost-model")
-SCAN_MEMBER_CAP = 1_000_000
+# Members times downsets: (21, 4), at 2.6e8, runs; (22, 4) at 7.8e8 does not.
+SCAN_WORK_CAP = 1 << 28
 # solve_dp's subset tables at its cap: n * 2^(n-1) float64, 80 MiB at n = 20.
 LATTICE_BYTES_CAP = DP_CAP * (1 << (DP_CAP - 1)) * 8
 _NEG_INF = float("-inf")
@@ -91,7 +91,6 @@ class DownsetScoreTable:
     lattice edge per slice of the other blocks), for work-bound checks.
     """
 
-    index: DownsetIndex
     values: np.ndarray
     edge_visits: int
 
@@ -151,9 +150,7 @@ def _member_dp(
 
 
 def downset_best_parents(
-    table: LocalScoreTable,
-    member: CoverMember,
-    index: DownsetIndex | None = None,
+    table: LocalScoreTable, index: DownsetIndex
 ) -> DownsetScoreTable:
     """Best-parent scores for every node over every downset of the member.
 
@@ -165,10 +162,8 @@ def downset_best_parents(
     same (cardinality, bitmask) tie rule.
     """
     n = table.n
-    if n != member.partition.n:
+    if n != index.member.partition.n:
         raise ValueError("table and member sizes differ")
-    if index is None:
-        index = DownsetIndex(member)
     template = index.template
     nodes = np.array(index.nodes)
     flat = table.nodes.copy()
@@ -179,7 +174,7 @@ def downset_best_parents(
         flat += closure_digit(local, h) * (weight * n)
     by_downset = _bucket_maxima(flat, table.scores, template.size, n)
     visits = _fold_sub_downsets(by_downset, template)
-    return DownsetScoreTable(index, by_downset.T, visits)
+    return DownsetScoreTable(by_downset.T, visits)
 
 
 def _fold_sub_downsets(values: np.ndarray, template: LatticeTemplate) -> int:
@@ -206,6 +201,11 @@ def _fold_sub_downsets(values: np.ndarray, template: LatticeTemplate) -> int:
                 folds += upper.size
         outer *= radix
     return folds
+
+
+def _chunk_members(members: int, downsets: int, n: int) -> int:
+    """Members per chunk of ``member_optima``: B * D * n <= 2^16, B >= 1."""
+    return max(1, min(members, _CHUNK_ELEMENTS // (downsets * n)))
 
 
 def member_optima(
@@ -241,7 +241,7 @@ def member_optima(
         blocks.append((elems, slots, patterns, which))
     weights = [1 << np.arange(len(elems)) for elems, _, _, _ in blocks]
     members = math.prod(len(slots) for _, slots, _, _ in blocks)
-    batch = max(1, min(members, _CHUNK_ELEMENTS // (size * n)))
+    batch = _chunk_members(members, size, n)
     optima = np.empty(members)
     for lo in range(0, members, batch):
         hi = min(lo + batch, members)
@@ -264,33 +264,24 @@ def member_optima(
 
 
 def solve_member(
-    table: LocalScoreTable,
-    member: CoverMember,
-    index: DownsetIndex | None = None,
-    best: DownsetScoreTable | None = None,
+    table: LocalScoreTable, member: CoverMember, template: LatticeTemplate | None = None
 ) -> tuple[float, Dag]:
     """Best network score over linear orders extending the member.
 
     DP over downsets: the value of a downset is the best way to schedule
     its nodes, choosing a last node among the removable ones and giving it
     its best parents inside the remaining downset.  It is the layered DP
-    kernel with a batch of one.  The traceback takes, at each downset, the
-    smallest node whose candidate equals the downset's value and gives it
-    ``best_parents_in`` the remaining downset.  Returns the rescored total
-    of that witness DAG and the DAG.
+    kernel with a batch of one over ``template``, built if not given.  The
+    traceback takes, at each downset, the smallest node whose candidate
+    equals the downset's value and gives it ``best_parents_in`` the
+    remaining downset.  Returns the witness DAG's rescored total and the DAG.
     """
+    index = DownsetIndex(member, template)
+    best = downset_best_parents(table, index)
     n = table.n
-    if n != member.partition.n:
-        raise ValueError("table and member sizes differ")
-    if index is None:
-        index = DownsetIndex(member)
-    if best is None:
-        best = downset_best_parents(table, member, index)
     template = index.template
     edge_node = np.array(index.nodes)[template.edge_slot]
-    value, edge_best = _member_dp(
-        np.ascontiguousarray(best.values.T), edge_node, template
-    )
+    value, edge_best = _member_dp(np.ascontiguousarray(best.values.T), edge_node, template)
     parents = [NodeSet(0)] * n
     mask = (1 << n) - 1
     d = index.size - 1
@@ -316,10 +307,7 @@ def solve_cover(
     strategy: str,
     *,
     seed: int = 0,
-    repetitions: int = 7,
-    scan_cap: int = SCAN_MEMBER_CAP,
     sim_cap: int = MAX_SIM_DOMAIN,
-    dp_cap: int = DP_CAP,
 ) -> tuple[float, Dag, QueryLedger]:
     """Maximize the member optimum over the whole cover.
 
@@ -328,87 +316,83 @@ def solve_cover(
     (grover-sim with failure probability below 5e-4 per call), as the
     rescored total of the returned witness.
 
-    Every member counts as one classical evaluation.  classical-scan is
-    values first: ``member_optima`` gives every member's DP optimum, and
-    only the candidates, the members within tol = 1e-9 * (1 + |max
-    optimum|) of the maximum, are traced; the highest rescored total wins
-    (ties keep the lowest member index).  grover-sim traces and rescores
-    every member, because its oracle table must order members exactly as
-    rescored totals do and members sharing a constrained optimum tie, so
-    near ties are the rule rather than the exception; it then runs
-    simulated quantum maximum finding over the table, charging oracle
-    applications to the ledger, and re-solves the winner (one more
-    classical evaluation).  grover-cost-model computes the
-    answer classically, locates the member covering an optimal
-    topological order as the witness, and books the analytic charge
+    classical-scan is values first: ``member_optima`` gives every member's
+    DP optimum, and only the candidates, the members within tol = 1e-9 *
+    (1 + |max optimum|) of the maximum, are traced; the highest rescored
+    total wins (ties keep the lowest member index).  It books every member
+    as one classical evaluation.  grover-cost-model returns the scan's
+    answer, checks it against ``solve_dp`` to 1e-9 where n <= ``DP_CAP``,
+    and books one classical evaluation plus the analytic charge
     ceil(sqrt(members)) * ceil(log2(members)) instead of simulating.
+    grover-sim traces and rescores every member, because its oracle table
+    must order members exactly as rescored totals do and members sharing
+    a constrained optimum tie, so near ties are the rule rather than the
+    exception; it then runs simulated quantum maximum finding over the
+    table, charging oracle applications to the ledger, and re-solves the
+    winner (one more classical evaluation).
+
     Every member solve of a call shares one lattice template and reads
-    the table's flat entry arrays.  A lattice whose build peak
-    (``lattice_build_bytes``) plus a member's (D, n) float64 table and two
-    E-long edge arrays would exceed ``LATTICE_BYTES_CAP`` raises
-    ``InstanceTooLargeError`` before any of it is allocated.
+    the table's flat entry arrays.  Before any of it is allocated, two
+    caps raise ``InstanceTooLargeError``: the byte cap, when the template
+    build (``lattice_build_bytes``) plus the member phase's arrays would
+    exceed ``LATTICE_BYTES_CAP``, and the work cap, when members times
+    downsets exceeds ``SCAN_WORK_CAP``.
     """
     if strategy not in COVER_STRATEGIES:
         raise StrategyUnavailableError(
             f"strategy {strategy!r} not in {COVER_STRATEGIES}"
         )
-    if table.n != partition.n:
+    n, k = partition.n, partition.k
+    if table.n != n:
         raise ValueError("table and partition sizes differ")
-    members = cover_size(partition.n, partition.k)
-    ledger = QueryLedger()
-    if strategy == "classical-scan" and members > scan_cap:
-        raise InstanceTooLargeError(
-            f"cover has {members} members; classical-scan cap is {scan_cap}"
-        )
+    members = cover_size(n, k)
     if strategy == "grover-sim" and members > sim_cap:
         raise InstanceTooLargeError(
             f"cover has {members} members; grover-sim cap is {sim_cap}"
         )
-    downsets = downset_count_formula(partition.n, partition.k)
-    edges = lattice_edge_count_formula(partition.n, partition.k)
-    needed = lattice_build_bytes(partition.n, partition.k) + 8 * (
-        downsets * partition.n + 2 * edges
+    downsets = downset_count_formula(n, k)
+    edges = lattice_edge_count_formula(n, k)
+    entries = len(table.scores)
+    # Per member of a chunk: the (D, n) table, D DP values, five E-long
+    # gathers, three F-long cell arrays and the k-wide split temporaries of
+    # at most min(F, 2^k) block patterns; once, those of all F entries.
+    batch = _chunk_members(members, downsets, n)
+    needed = lattice_build_bytes(n, k) + 8 * (
+        batch
+        * (downsets * (n + 1) + 5 * edges + 3 * entries + 2 * k * min(entries, 1 << k))
+        + 2 * k * entries
     )
     if needed > LATTICE_BYTES_CAP:
         raise InstanceTooLargeError(
             f"lattice of {downsets} downsets and {edges} edges needs {needed} "
             f"bytes, over the {LATTICE_BYTES_CAP} byte cap"
         )
+    if members * downsets > SCAN_WORK_CAP:
+        raise InstanceTooLargeError(
+            f"cover of {members} members x {downsets} downsets is over the "
+            f"{SCAN_WORK_CAP} work cap"
+        )
     template = LatticeTemplate(partition)
-
-    def solve(member: CoverMember) -> tuple[float, Dag]:
-        index = DownsetIndex(member, template)
-        best = downset_best_parents(table, member, index)
-        return solve_member(table, member, index, best)
-
-    if strategy == "grover-cost-model":
-        # Exact answer plus analytic accounting.
-        opt_score, opt_dag = solve_dp(table, cap=dp_cap)
-        score, dag = solve(covering_member(partition, topological_order(opt_dag)))
-        ledger.count_classical()
-        if abs(score - opt_score) > 1e-9:
-            raise RuntimeError("cover identity violated: member optimum != DP optimum")
-        ledger.charge_quantum(quantum_charge(members))
-        return score, dag, ledger
+    ledger = QueryLedger()
 
     if strategy == "grover-sim":
-        scores = [solve(member_by_index(partition, idx))[0] for idx in range(members)]
+        scores = [
+            solve_member(table, member_by_index(partition, idx), template)[0]
+            for idx in range(members)
+        ]
         ledger.count_classical(members)
         oracle = MaxOracle(members, scores.__getitem__, ledger)
-        best_idx, _, _ = max_find(
-            oracle, members, "sim", rng_seed=seed, repetitions=repetitions
-        )
+        best_idx, _, _ = max_find(oracle, members, "sim", rng_seed=seed)
         ledger.count_classical()
-        score, dag = solve(member_by_index(partition, best_idx))
+        score, dag = solve_member(table, member_by_index(partition, best_idx), template)
         return score, dag, ledger
 
-    # classical-scan: values first, then trace only the candidates.
+    # Values first, then trace only the candidates.
     optima = member_optima(table, partition, template)
-    ledger.count_classical(members)
     tol = 1e-9 * (1.0 + abs(float(optima.max())))
     best: tuple[float, Dag] | None = None
     for idx in np.flatnonzero(optima >= optima.max() - tol).tolist():
-        score, dag = solve(member_by_index(partition, idx))
+        score, dag = solve_member(table, member_by_index(partition, idx), template)
         if abs(score - optima[idx]) > tol / 2:
             raise RuntimeError(
                 f"member {idx}: witness rescores to {score!r}, DP gave {optima[idx]!r}"
@@ -416,4 +400,11 @@ def solve_cover(
         if best is None or score > best[0]:
             best = score, dag
     assert best is not None
+    if strategy == "classical-scan":
+        ledger.count_classical(members)
+        return best[0], best[1], ledger
+    if n <= DP_CAP and abs(best[0] - solve_dp(table)[0]) > 1e-9:
+        raise RuntimeError("cover identity violated: member optimum != DP optimum")
+    ledger.count_classical()
+    ledger.charge_quantum(quantum_charge(members))
     return best[0], best[1], ledger

@@ -281,6 +281,11 @@ class DiscreteDataset:
             raise DatasetError(f"column count must be in 1..{MAX_NODES}")
         if len(self.names) != n or len(set(self.names)) != n:
             raise DatasetError("column names must be unique and match the row width")
+        for j, name in enumerate(self.names):  # score-file names: one token, no '#'
+            if name.split() != [name] or name.startswith("#"):
+                raise DatasetError(
+                    f"column {j + 1} name {name!r} is empty, has whitespace or starts with '#'"
+                )
         if len(self.arities) != n:
             raise DatasetError("arities must list one value per column")
         for j, r in enumerate(self.arities):

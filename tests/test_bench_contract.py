@@ -52,6 +52,19 @@ def test_traced_run_reports_every_per_layer_metric():
     expected = {m["name"] for m in spec["per_layer"] if not m["name"].startswith("trace.")}
     assert set(tracer.layer_metrics(1)) == expected
 
+    # The member spans must keep counting on the traced cover-scan op.
+    wl = workloads.WORKLOADS["cover-scan"]
+    case = wl.prepare(qb, wl.make(workloads.op_rng(1, wl.key, 1), 1))
+    tracer = spans.Tracer(qb)
+    tracer.install(0)
+    try:
+        wl.op(qb, case)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(1)
+    assert metrics["bucket_cover.downsets_per_member"]["value"] == 343
+    assert metrics["po_dp.members_solved"]["value"] >= 1
+
 
 def test_traced_csv_to_dag_run_ends_in_a_complete_result():
     # Anything printed after the result line, by the run or the library,

@@ -158,12 +158,12 @@ def test_caps_accept_their_maximum(capsys):
 
 
 def test_cover_lattice_beyond_memory_cap_exits_two(tmp_path):
-    # 28 nodes in pairs: 3^14 downsets and 44,641,044 lattice edges.  The
-    # size check must refuse it before any lattice array exists.  The child
-    # runs under an address-space limit, so a regression fails with a
-    # MemoryError there instead of taking the test host's memory.
-    path = tmp_path / "n28.scores"
-    path.write_text("28\n" + "".join(f"V{i} 1\n0.0 0\n" for i in range(28)), encoding="utf-8")
+    # 28 nodes in pairs: 3^14 downsets and 44,641,044 lattice edges, over
+    # the byte cap.  24 nodes in fours: 46,656 members of 117,649 downsets,
+    # hours of work, over the work cap.  The size checks must refuse both
+    # before any lattice array exists.  The child runs under an
+    # address-space limit, so a regression fails with a MemoryError there
+    # instead of taking the test host's memory.
     child = (
         "import sys, time\n"
         "from qbnsl.cli import main\n"
@@ -175,14 +175,19 @@ def test_cover_lattice_beyond_memory_cap_exits_two(tmp_path):
     limit = 1 << 30
     env = dict(os.environ, PYTHONPATH=str(Path(qbnsl.__file__).parents[1]))
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")  # thread buffers count too
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "solve", str(path), "--algo", "cover", "--k", "2"],
-        capture_output=True, text=True, timeout=60, env=env,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
-    assert proc.returncode == 2 and "error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert float(proc.stdout.split()[-1]) < 1.0
+    for n, k in ((28, 2), (24, 4)):
+        path = tmp_path / f"n{n}.scores"
+        path.write_text(
+            f"{n}\n" + "".join(f"V{i} 1\n0.0 0\n" for i in range(n)), encoding="utf-8"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "solve", str(path), "--algo", "cover", "--k", str(k)],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2 and "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert float(proc.stdout.split()[-1]) < 1.0
 
 
 def test_io_and_parse_errors_exit_three(tmp_path, capsys):
@@ -210,6 +215,9 @@ def test_io_and_parse_errors_exit_three(tmp_path, capsys):
         ("A,B\n0,-1\n", (), 3),
         ("A,B\n1,99999999999999999999\n", (), 3),
         (HUGE_STATES_CSV, ("--max-indegree", "2"), 0),
+        ("a b,c\n0,1\n", (), 3),
+        ("#a,c\n0,1\n", (), 3),
+        ("a,,c\n0,1,0\n", (), 3),
     ],
     ids=[
         "pair",
@@ -219,6 +227,9 @@ def test_io_and_parse_errors_exit_three(tmp_path, capsys):
         "negative-cell",
         "cell-beyond-int64",
         "huge-state-indices",
+        "name-with-space",
+        "name-starts-with-hash",
+        "empty-name",
     ],
 )
 def test_score_exit_codes(tmp_path, capsys, csv_text, argv, expected):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from qbnsl.bucket_cover import (
     member_by_index,
 )
 from qbnsl.dp_exact import solve_dp
-from qbnsl.grover_sim import MaxOracle, QueryLedger, max_find
+from qbnsl.grover_sim import MaxOracle, QueryLedger, max_find, quantum_charge
 from qbnsl.instance import (
     Dag,
     InstanceTooLargeError,
@@ -199,7 +200,7 @@ def test_downset_best_parents_demo_values(demo_member):
     entries[5] = {0: 0.0, 1 << 7: 2.0, (1 << 3) | (1 << 6): 3.0}
     table = LocalScoreTable(8, entries)
     idx = DownsetIndex(demo_member)
-    best = downset_best_parents(table, demo_member, idx)
+    best = downset_best_parents(table, idx)
     def at(subset):
         return index_of_downset(idx, subset)
 
@@ -220,7 +221,7 @@ def test_downset_best_parents_equals_scan_oracle(seed):
     table = random_table(rng, n)
     member = random_member(rng, n, k)
     idx = DownsetIndex(member)
-    best = downset_best_parents(table, member, idx)
+    best = downset_best_parents(table, idx)
     _, reference_argmax = reference_best_parents(table, member, idx)
     for d in range(idx.size):
         s = int(downset_by_index(idx, d))
@@ -239,7 +240,7 @@ def test_downset_best_parents_monotone_along_edges(seed):
     table = random_table(rng, n)
     member = random_member(rng, n, k)
     idx = DownsetIndex(member)
-    best = downset_best_parents(table, member, idx)
+    best = downset_best_parents(table, idx)
     for d, links in enumerate(idx.edges()):
         for _, child in links:
             for i in range(n):
@@ -255,7 +256,7 @@ def test_downset_best_parents_edge_budget(seed):
     table = random_table(rng, n)
     member = random_member(rng, n, k)
     idx = DownsetIndex(member)
-    best = downset_best_parents(table, member, idx)
+    best = downset_best_parents(table, idx)
     assert best.edge_visits <= n * n * idx.size
 
 
@@ -272,7 +273,7 @@ def test_template_path_matches_python_reference(seed, tie_heavy, shuffled):
         partition = BlockPartition.contiguous(n, k)
     member = member_by_index(partition, int(rng.integers(cover_size(n, k))))
     idx = DownsetIndex(member)
-    best = downset_best_parents(table, member, idx)
+    best = downset_best_parents(table, idx)
     reference_values, _ = reference_best_parents(table, member, idx)
     assert best.values.tolist() == reference_values
     assert solve_member(table, member) == reference_solve_member(table, member)
@@ -524,8 +525,9 @@ def test_cover_strategy_validation_and_caps():
     partition = BlockPartition.contiguous(8, 4)
     with pytest.raises(StrategyUnavailableError):
         solve_cover(table, partition, "annealing")
-    with pytest.raises(InstanceTooLargeError):
-        solve_cover(table, partition, "classical-scan", scan_cap=10)
+    with mock.patch.object(po_dp, "SCAN_WORK_CAP", 10):
+        with pytest.raises(InstanceTooLargeError):
+            solve_cover(table, partition, "classical-scan")
     with pytest.raises(InstanceTooLargeError):
         solve_cover(table, partition, "grover-sim", sim_cap=10)
     with pytest.raises(ValueError):
@@ -564,13 +566,78 @@ def test_table_arrays_match_score_entries_reference(seed, n, shuffled):
 
 
 def test_lattice_beyond_the_byte_cap_is_refused_before_allocation():
-    # n = 28 in pairs: 3^14 downsets and 44,641,044 edges, GiBs of arrays.
-    table = LocalScoreTable(28, [{0: 0.0}] * 28)
-    partition = BlockPartition.contiguous(28, 2)
-    for strategy in po_dp.COVER_STRATEGIES:
+    # n = 28 in pairs: 3^14 downsets and 44,641,044 edges, GiBs of arrays;
+    # grover-sim's member cap (16,384 > 4,096) is checked first.  n = k = 26:
+    # 10,400,600 members of 16,383 downsets, a small lattice but hours of work.
+    rows = [
+        (28, 2, strategy, "grover-sim cap" if strategy == "grover-sim" else "lattice")
+        for strategy in po_dp.COVER_STRATEGIES
+    ]
+    rows.append((26, 26, "grover-cost-model", "work cap"))
+    for n, k, strategy, message in rows:
+        table = LocalScoreTable(n, [{0: 0.0}] * n)
         with mock.patch.object(po_dp, "LatticeTemplate") as template:
             with pytest.raises(InstanceTooLargeError) as err:
-                solve_cover(table, partition, strategy)
+                solve_cover(table, BlockPartition.contiguous(n, k), strategy)
         template.assert_not_called()
-        # grover-sim's member cap (16,384 > 4,096) is checked first.
-        assert ("grover-sim cap" if strategy == "grover-sim" else "lattice") in str(err.value)
+        assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "n,k,admitted",
+    [(20, 4, True), (21, 4, True), (22, 4, False), (20, 20, False), (24, 4, False)],
+)
+def test_work_cap_counts_members_times_downsets(n, k, admitted):
+    # (21, 4): 7,776 x 33,614 = 2.6e8 <= 2^28; (22, 4): 15,552 x 50,421.
+    class Admitted(Exception):
+        pass
+
+    table = LocalScoreTable(n, [{0: 0.0}] * n)
+    with mock.patch.object(po_dp, "LatticeTemplate", side_effect=Admitted):
+        # grover-sim's member cap refuses all five covers first.
+        for strategy in ("classical-scan", "grover-cost-model"):
+            with pytest.raises(Admitted if admitted else InstanceTooLargeError):
+                solve_cover(table, BlockPartition.contiguous(n, k), strategy)
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_scan_peak_within_counted_bytes(n):
+    # Empty-set tables: every member ties at 0, so every member is traced.
+    table = LocalScoreTable(n, [{0: 0.0}] * n)
+    partition = BlockPartition.contiguous(n, 2)
+    tracemalloc.start()
+    try:
+        solve_cover(table, partition, "classical-scan")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The byte check counts at least the peak: a cap one byte below refuses.
+    with mock.patch.object(po_dp, "LATTICE_BYTES_CAP", peak - 1):
+        with pytest.raises(InstanceTooLargeError, match="byte cap"):
+            solve_cover(table, partition, "classical-scan")
+
+
+@given(st.integers(0, 2**31), st.booleans(), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_cost_model_returns_the_classical_scan_answer(seed, tie_heavy, shuffled):
+    table, partition = random_cover_case(seed, tie_heavy, shuffled, "cost-model-scan")
+    members = cover_size(partition.n, partition.k)
+    score, dag, ledger = solve_cover(table, partition, "grover-cost-model")
+    assert (score, dag) == solve_cover(table, partition, "classical-scan")[:2]
+    assert ledger_counts(ledger) == {
+        "classical_evals": 1,
+        "charged_quantum_queries": quantum_charge(members),
+    }
+
+
+def test_cost_model_checks_solve_dp_only_up_to_the_dp_cap():
+    rng = rng_for(81, "cost-dp-cap")
+    table = random_table(rng, 8)
+    partition = BlockPartition.contiguous(8, 4)
+    score, dag, _ = solve_cover(table, partition, "classical-scan")
+    with mock.patch.object(po_dp, "DP_CAP", 7), mock.patch.object(po_dp, "solve_dp") as dp:
+        assert solve_cover(table, partition, "grover-cost-model")[:2] == (score, dag)
+    dp.assert_not_called()
+    with mock.patch.object(po_dp, "solve_dp", return_value=(score + 1e-6, dag)):
+        with pytest.raises(RuntimeError, match="cover identity"):
+            solve_cover(table, partition, "grover-cost-model")

@@ -670,6 +670,14 @@ def test_from_csv_infers_arity_and_checks_cells():
         DiscreteDataset.from_csv("A,A\n0,1\n")
     with pytest.raises(DatasetError):
         DiscreteDataset.from_csv("A,B\n1,99999999999999999999\n")
+    # Names a score file cannot hold: the error names the column.
+    for text, column in (
+        ("a b,c\n0,1\n", "column 1 name 'a b'"),
+        ("#a,c\n0,1\n", "column 1 name '#a'"),
+        ("a,,c\n0,1,0\n", "column 2 name ''"),
+    ):
+        with pytest.raises(DatasetError, match=column):
+            DiscreteDataset.from_csv(text)
 
 
 def test_prune_drops_dominated_singleton():
