@@ -13,13 +13,11 @@ from .instance import (
     CyclicGraphError,
     Dag,
     InstanceTooLargeError,
-    LinearOrder,
     LocalScoreTable,
     MissingParentSetError,
     NodeSet,
     best_parents_in,
     is_acyclic,
-    topological_order,
     total_score,
 )
 from .scores_io import (
@@ -51,7 +49,6 @@ from .bucket_cover import (
     IndexOutOfRangeError,
     InvalidKError,
     cover_size,
-    covering_member,
     downset_count_formula,
     member_by_index,
 )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import MAX_NODES, LinearOrder, NodeSet
+from .instance import MAX_NODES, NodeSet
 from .seeding import rng_for
 
 
@@ -241,22 +241,6 @@ def lattice_build_bytes(n: int, k: int) -> int:
     """
     downsets = downset_count_formula(n, k)
     return 8 * (2 * lattice_edge_count_formula(n, k) + 10 * downsets) + (1 << 16)
-
-
-def covering_member(partition: BlockPartition, order: LinearOrder) -> CoverMember:
-    """The member whose constraints the given linear order extends.
-
-    Per block, the first half collects the ceil-half of the block's
-    elements that appear earliest in the order.
-    """
-    if order.n != partition.n:
-        raise ValueError("order and partition sizes differ")
-    pos = order.positions()
-    splits = []
-    for block in partition.blocks:
-        ranked = sorted(block, key=lambda v: pos[v])
-        splits.append(NodeSet.from_nodes(ranked[: _half(len(block))]))
-    return CoverMember(partition, tuple(splits))
 
 
 def closure_digit(local, h: int):

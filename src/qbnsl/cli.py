@@ -21,15 +21,8 @@ from .bucket_cover import (
     cover_size,
     downset_count_formula,
 )
-from .dp_exact import (
-    DAG_BRUTE_CAP,
-    DP_CAP,
-    brute_force_dags,
-    brute_force_orders,
-    solve_dp,
-)
+from .dp_exact import DAG_BRUTE_CAP, brute_force_dags, brute_force_orders, solve_dp
 from .grover_sim import (
-    MAX_SIM_DOMAIN,
     DomainTooLargeError,
     MaxOracle,
     cost_report,
@@ -98,10 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--out", help="edge-list path; a .dot sibling is written too")
-    p_solve.add_argument("--dp-cap", type=bounded_int(1, DP_CAP), default=DP_CAP)
-    p_solve.add_argument(
-        "--sim-cap", type=bounded_int(1, MAX_SIM_DOMAIN), default=MAX_SIM_DOMAIN
-    )
     p_solve.add_argument(
         "--shuffle-blocks",
         action="store_true",
@@ -186,7 +175,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     ledger = None
     dag = None
     if args.algo == "dp":
-        score, dag = solve_dp(table, cap=args.dp_cap)
+        score, dag = solve_dp(table)
     elif args.algo == "brute-orders":
         score = brute_force_orders(table)
     elif args.algo == "brute-dags":
@@ -197,9 +186,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         else:
             partition = BlockPartition.contiguous(table.n, args.k)
         strategy = "classical-scan" if args.algo == "cover" else "grover-sim"
-        score, dag, ledger = solve_cover(
-            table, partition, strategy, seed=args.seed, sim_cap=args.sim_cap
-        )
+        score, dag, ledger = solve_cover(table, partition, strategy, seed=args.seed)
     lines = [f"score = {score:.9f}", f"algo = {args.algo}"]
     if ledger is not None:
         lines.append(f"classical_evals = {ledger.classical_evals}")

@@ -1,12 +1,12 @@
 """Classical exact solvers: subset dynamic programming and brute forcers.
 
-The subset DP runs in O(2^n * n^2) after per-node subset-max tables are
-built, and is the reference solver for n up to ~20.  The subset-max
-tables hold values only and are indexed over the other n-1 nodes, with
-the node's own bit squeezed out; the traceback recovers each witness
-parent set with ``best_parents_in``.  The brute forcers exist purely as oracles for
-the test suite: one maximizes over all node orderings, one over all
-parent assignments that form a DAG.
+The subset DP runs in O(2^n * n^2) after one (n, 2^(n-1)) subset-max
+array is built, and is the reference solver for n up to ``DP_CAP``.  Row
+i holds values only, over the other n-1 nodes (bit i squeezed out); the
+traceback recovers each witness parent set with ``best_parents_in``.
+The brute forcers are test oracles, over all node orderings and over all
+parent assignments that form a DAG.  Each solver refuses an instance
+over its size cap, a module constant read at call time.
 """
 
 from __future__ import annotations
@@ -31,41 +31,31 @@ ORDER_BRUTE_CAP = 8
 DAG_BRUTE_CAP = 4
 
 
-def popcounts(size: int) -> np.ndarray:
-    """Bit-count of every integer in [0, size)."""
-    return np.bitwise_count(np.arange(size, dtype=np.int64))
+def best_parents_all_subsets(table: LocalScoreTable) -> np.ndarray:
+    """Subset-max transform of every node's score entries over its n-1 others.
 
-
-def best_parents_all_subsets(
-    table: LocalScoreTable, i: int, cap: int = DP_CAP
-) -> np.ndarray:
-    """Subset-max transform of node i's score entries over the other n-1 nodes.
-
-    ``values[k]`` is max{ s_i(J) : J listed for i, J subset of S } for the
-    mask S of the other nodes whose bits, with bit i squeezed out, spell k:
-    k = (S & low) | ((S >> 1) & ~low) with low = 2^i - 1.  The array has
-    2^(n-1) entries, ascending S.
+    ``values[i, k]`` is max{ s_i(J) : J listed for i, J subset of S } for
+    the mask S of the nodes other than i whose bits, with bit i squeezed
+    out, spell k: k = (S & low) | ((S >> 1) & ~low) with low = 2^i - 1.
+    The array is (n, 2^(n-1)), ascending S in each row.
     """
     n = table.n
-    if n > cap:
-        raise InstanceTooLargeError(f"n={n} exceeds the subset-table cap {cap}")
-    if not 0 <= i < n:
-        raise ValueError(f"node index {i} out of range")
-    lo, hi = table.offsets[i], table.offsets[i + 1]
-    masks = table.masks[lo:hi]
-    low = (1 << i) - 1
-    values = np.full(1 << (n - 1), -np.inf, dtype=np.float64)
-    values[(masks & low) | ((masks >> 1) & ~low)] = table.scores[lo:hi]
-    # One max-propagation pass per dimension: after pass j, each index holds
-    # the best over seeded subsets differing only in bits <= j.
+    if n > DP_CAP:
+        raise InstanceTooLargeError(f"n={n} exceeds the subset-table cap {DP_CAP}")
+    low = (1 << table.nodes) - 1
+    squeezed = (table.masks & low) | ((table.masks >> 1) & ~low)
+    values = np.full((n, 1 << (n - 1)), -np.inf, dtype=np.float64)
+    values[table.nodes, squeezed] = table.scores
+    # One max-propagation pass per dimension over all rows: after pass j,
+    # each index holds the best over seeded subsets differing only in bits <= j.
     for j in range(n - 1):
-        pairs = values.reshape(-1, 2, 1 << j)
-        hi, lo = pairs[:, 1, :], pairs[:, 0, :]
-        np.maximum(hi, lo, out=hi)
+        pairs = values.reshape(n, -1, 2, 1 << j)
+        hi = pairs[:, :, 1, :]
+        np.maximum(hi, pairs[:, :, 0, :], out=hi)
     return values
 
 
-def solve_dp(table: LocalScoreTable, cap: int = DP_CAP) -> tuple[float, Dag]:
+def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:
     """Exact optimum over all DAGs by dynamic programming over subsets.
 
     opt[S] is the best score of a network on the nodes of S; each step
@@ -75,17 +65,15 @@ def solve_dp(table: LocalScoreTable, cap: int = DP_CAP) -> tuple[float, Dag]:
     ties the smallest (cardinality, bitmask).
     """
     n = table.n
-    if n > cap:
-        raise InstanceTooLargeError(f"n={n} exceeds the DP cap {cap}")
+    if n > DP_CAP:
+        raise InstanceTooLargeError(f"n={n} exceeds the DP cap {DP_CAP}")
     size = 1 << n
     half = size >> 1
-    best_parent_values = np.empty((n, half), dtype=np.float64)
-    for i in range(n):
-        best_parent_values[i] = best_parents_all_subsets(table, i, cap=cap)
+    best_parent_values = best_parents_all_subsets(table)
     # Squeezed masks by cardinality, ascending within each layer.  Layer l
     # of the DP reads, for every sink i, the same squeezed indices: the
     # masks of l-1 other nodes; unsqueezing them per i gives S minus i.
-    by_layer = np.argsort(popcounts(half), kind="stable")
+    by_layer = np.argsort(np.bitwise_count(np.arange(half)), kind="stable")
     layer_ends = np.cumsum([math.comb(n - 1, c) for c in range(n)]).tolist()
     nodes = np.arange(n)[:, None]
     low = (1 << nodes) - 1
@@ -116,7 +104,7 @@ def solve_dp(table: LocalScoreTable, cap: int = DP_CAP) -> tuple[float, Dag]:
     return total_score(dag, table), dag
 
 
-def brute_force_orders(table: LocalScoreTable, cap: int = ORDER_BRUTE_CAP) -> float:
+def brute_force_orders(table: LocalScoreTable) -> float:
     """Oracle: maximize over all n! node orderings.
 
     For a fixed ordering the best network takes, per node, its best listed
@@ -125,8 +113,10 @@ def brute_force_orders(table: LocalScoreTable, cap: int = ORDER_BRUTE_CAP) -> fl
     scans, independent of the DP's subset-max propagation.
     """
     n = table.n
-    if n > cap:
-        raise InstanceTooLargeError(f"n={n} exceeds the order brute-force cap {cap}")
+    if n > ORDER_BRUTE_CAP:
+        raise InstanceTooLargeError(
+            f"n={n} exceeds the order brute-force cap {ORDER_BRUTE_CAP}"
+        )
     size = 1 << n
     best_in: list[list[float]] = [[0.0] * size for _ in range(n)]
     for i in range(n):
@@ -164,11 +154,11 @@ def enumerate_dags(table: LocalScoreTable):
             yield dag
 
 
-def brute_force_dags(table: LocalScoreTable, cap: int = DAG_BRUTE_CAP) -> float:
+def brute_force_dags(table: LocalScoreTable) -> float:
     """Oracle: maximize the total score over every explicitly enumerated DAG."""
     n = table.n
-    if n > cap:
-        raise InstanceTooLargeError(f"n={n} exceeds the DAG brute-force cap {cap}")
+    if n > DAG_BRUTE_CAP:
+        raise InstanceTooLargeError(f"n={n} exceeds the DAG brute-force cap {DAG_BRUTE_CAP}")
     best = None
     for dag in enumerate_dags(table):
         score = sum(table.score(i, dag.parents[i]) for i in range(n))

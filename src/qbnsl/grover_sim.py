@@ -21,7 +21,7 @@ import mpmath as mp
 import numpy as np
 
 from .bucket_cover import cover_size, downset_count_formula, lattice_radix, member_radix
-from .seeding import rng_for, seed_sequence
+from .seeding import seed_sequence
 
 MAX_SIM_DOMAIN = 4096
 _PROB_TOL = 1e-9  # allowed drift of a trial's total measurement probability from 1
@@ -159,11 +159,7 @@ def grover_trial(
 
 
 def grover_search_sim(
-    marks: np.ndarray,
-    rng_seed: int | None = None,
-    *,
-    rng: np.random.Generator | None = None,
-    ledger: QueryLedger | None = None,
+    marks: np.ndarray, rng: np.random.Generator, ledger: QueryLedger | None = None
 ) -> int | None:
     """Find some marked x in [0, m), or None if none was certified.
 
@@ -183,8 +179,6 @@ def grover_search_sim(
         raise ValueError("domain must be nonempty")
     if m > MAX_SIM_DOMAIN:
         raise DomainTooLargeError(f"m={m} exceeds the simulation cap {MAX_SIM_DOMAIN}")
-    if rng is None:
-        rng = rng_for(0 if rng_seed is None else rng_seed, "grover-search")
     size = padded_size(m)
     padded = np.zeros(size, dtype=bool)
     padded[:m] = diagonal

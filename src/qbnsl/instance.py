@@ -318,31 +318,6 @@ class Dag:
                 yield parent, child
 
 
-@dataclass(frozen=True, slots=True)
-class LinearOrder:
-    """A total order on 0..n-1, stored as the node sequence itself."""
-
-    perm: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError("perm must be a permutation of 0..n-1")
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.perm)
-
-    def positions(self) -> tuple[int, ...]:
-        """positions()[i] is the rank of node i in the order."""
-        pos = [0] * len(self.perm)
-        for rank, node in enumerate(self.perm):
-            pos[node] = rank
-        return tuple(pos)
-
-
 def _sink_first_order(dag: Dag) -> list[int] | None:
     """Place nodes whose parents are all placed, smallest index first.
 
@@ -350,32 +325,20 @@ def _sink_first_order(dag: Dag) -> list[int] | None:
     """
     order: list[int] = []
     placed = 0
-    remaining = set(range(dag.n))
-    while remaining:
-        ready = None
-        for i in sorted(remaining):
-            if dag.parents[i].bits & ~placed == 0:
-                ready = i
+    for _ in range(dag.n):
+        for i in range(dag.n):
+            if not placed >> i & 1 and dag.parents[i].bits & ~placed == 0:
                 break
-        if ready is None:
+        else:
             return None
-        order.append(ready)
-        placed |= 1 << ready
-        remaining.discard(ready)
+        order.append(i)
+        placed |= 1 << i
     return order
 
 
 def is_acyclic(dag: Dag) -> bool:
     """True iff the graph admits a topological order."""
     return _sink_first_order(dag) is not None
-
-
-def topological_order(dag: Dag) -> LinearOrder:
-    """A topological order of the DAG; ties pick the smallest node index."""
-    order = _sink_first_order(dag)
-    if order is None:
-        raise CyclicGraphError("graph contains a cycle")
-    return LinearOrder(tuple(order))
 
 
 def total_score(dag: Dag, table: LocalScoreTable) -> float:

@@ -307,7 +307,6 @@ def solve_cover(
     strategy: str,
     *,
     seed: int = 0,
-    sim_cap: int = MAX_SIM_DOMAIN,
 ) -> tuple[float, Dag, QueryLedger]:
     """Maximize the member optimum over the whole cover.
 
@@ -332,11 +331,12 @@ def solve_cover(
     winner (one more classical evaluation).
 
     Every member solve of a call shares one lattice template and reads
-    the table's flat entry arrays.  Before any of it is allocated, two
-    caps raise ``InstanceTooLargeError``: the byte cap, when the template
-    build (``lattice_build_bytes``) plus the member phase's arrays would
-    exceed ``LATTICE_BYTES_CAP``, and the work cap, when members times
-    downsets exceeds ``SCAN_WORK_CAP``.
+    the table's flat entry arrays.  Before any of it is allocated, the
+    caps raise ``InstanceTooLargeError``: for grover-sim, more members than
+    ``MAX_SIM_DOMAIN``; the byte cap, when the template build
+    (``lattice_build_bytes``) plus the member phase's arrays would exceed
+    ``LATTICE_BYTES_CAP``; and the work cap, when members times downsets
+    exceeds ``SCAN_WORK_CAP``.
     """
     if strategy not in COVER_STRATEGIES:
         raise StrategyUnavailableError(
@@ -346,9 +346,9 @@ def solve_cover(
     if table.n != n:
         raise ValueError("table and partition sizes differ")
     members = cover_size(n, k)
-    if strategy == "grover-sim" and members > sim_cap:
+    if strategy == "grover-sim" and members > MAX_SIM_DOMAIN:
         raise InstanceTooLargeError(
-            f"cover has {members} members; grover-sim cap is {sim_cap}"
+            f"cover has {members} members; grover-sim cap is {MAX_SIM_DOMAIN}"
         )
     downsets = downset_count_formula(n, k)
     edges = lattice_edge_count_formula(n, k)

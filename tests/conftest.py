@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from qbnsl.bucket_cover import BlockPartition, CoverMember
-from qbnsl.instance import Dag, LinearOrder, NodeSet
+from qbnsl.instance import Dag, NodeSet
 from qbnsl.tables import random_table
+from reference import LinearOrder
 
 __all__ = ["random_table"]
 

@@ -7,9 +7,11 @@ cover property and the template against independent pure-Python answers.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
 from qbnsl.bucket_cover import (
+    BlockPartition,
     CoverMember,
     DownsetIndex,
     IndexOutOfRangeError,
@@ -17,11 +19,83 @@ from qbnsl.bucket_cover import (
     closure_digit,
 )
 from qbnsl.grover_sim import QueryLedger
-from qbnsl.instance import LinearOrder, NodeSet
+from qbnsl.instance import CyclicGraphError, Dag, NodeSet, _sink_first_order
 
 
 class NotADownsetError(ValueError):
     """A subset is not downward closed for the given cover member."""
+
+
+@dataclass(frozen=True, slots=True)
+class LinearOrder:
+    """A total order on 0..n-1, stored as the node sequence itself."""
+
+    perm: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if sorted(self.perm) != list(range(len(self.perm))):
+            raise ValueError("perm must be a permutation of 0..n-1")
+
+    @property
+    def n(self) -> int:
+        return len(self.perm)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.perm)
+
+    def positions(self) -> tuple[int, ...]:
+        """positions()[i] is the rank of node i in the order."""
+        pos = [0] * len(self.perm)
+        for rank, node in enumerate(self.perm):
+            pos[node] = rank
+        return tuple(pos)
+
+
+def topological_order(dag: Dag) -> LinearOrder:
+    """A topological order of the DAG; ties pick the smallest node index."""
+    order = _sink_first_order(dag)
+    if order is None:
+        raise CyclicGraphError("graph contains a cycle")
+    return LinearOrder(tuple(order))
+
+
+def sorted_remaining_order(dag: Dag) -> list[int] | None:
+    """The sink-first walk as a set of unplaced nodes, sorted at every step.
+
+    Same rule as ``instance._sink_first_order``: the smallest ready index
+    goes first, and a cycle gives None.
+    """
+    order: list[int] = []
+    placed = 0
+    remaining = set(range(dag.n))
+    while remaining:
+        ready = None
+        for i in sorted(remaining):
+            if dag.parents[i].bits & ~placed == 0:
+                ready = i
+                break
+        if ready is None:
+            return None
+        order.append(ready)
+        placed |= 1 << ready
+        remaining.discard(ready)
+    return order
+
+
+def covering_member(partition: BlockPartition, order: LinearOrder) -> CoverMember:
+    """The member whose constraints the given linear order extends.
+
+    Per block, the first half collects the ceil-half of the block's
+    elements that appear earliest in the order.
+    """
+    if order.n != partition.n:
+        raise ValueError("order and partition sizes differ")
+    pos = order.positions()
+    splits = []
+    for block in partition.blocks:
+        ranked = sorted(block, key=lambda v: pos[v])
+        splits.append(NodeSet.from_nodes(ranked[: (len(block) + 1) // 2]))
+    return CoverMember(partition, tuple(splits))
 
 
 def pairs(member: CoverMember) -> Iterator[tuple[int, int]]:

@@ -19,7 +19,6 @@ from qbnsl.bucket_cover import (
     BlockPartition,
     DownsetIndex,
     cover_size,
-    covering_member,
     downset_count_formula,
     member_by_index,
 )
@@ -33,12 +32,12 @@ from qbnsl.grover_sim import (
     quantum_charge,
     success_probability,
 )
-from qbnsl.instance import LinearOrder, best_parents_in, total_score
+from qbnsl.instance import best_parents_in, total_score
 from qbnsl.po_dp import solve_cover
 from qbnsl.scores_io import prune_dominated
 from qbnsl.seeding import rng_for
 from qbnsl.tables import random_table
-from reference import downset_by_index, extended_by
+from reference import LinearOrder, covering_member, downset_by_index, extended_by
 
 
 def _report(num: int, name: str) -> None:

@@ -20,7 +20,6 @@ from qbnsl.bucket_cover import (
     LatticeTemplate,
     closure_digit,
     cover_size,
-    covering_member,
     downset_count_formula,
     lattice_build_bytes,
     lattice_edge_count_formula,
@@ -28,10 +27,12 @@ from qbnsl.bucket_cover import (
     member_radix,
     split_slot_positions,
 )
-from qbnsl.instance import LinearOrder, NodeSet
+from qbnsl.instance import NodeSet
 from qbnsl.seeding import rng_for
 from reference import (
+    LinearOrder,
     NotADownsetError,
+    covering_member,
     downset_by_index,
     extended_by,
     index_of_downset,

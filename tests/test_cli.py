@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -98,13 +99,20 @@ def test_infeasible_configurations_exit_two(score_file, tmp_path, capsys):
     code, _, err = run(capsys, "solve", score_file, "--algo", "cover", "--k", "3")
     assert code == 2 and "error:" in err
 
-    code, _, err = run(capsys, "solve", score_file, "--dp-cap", "1")
+    # 21 variables: over the DP cap (20), and at k = 6 a cover of 24,000
+    # members, over the simulation cap (4,096), refused before any member
+    # is solved.
+    wide = tmp_path / "wide.scores"
+    wide.write_text(
+        "21\n" + "".join(f"V{i} 1\n0.0 0\n" for i in range(21)), encoding="utf-8"
+    )
+    code, _, err = run(capsys, "solve", wide, "--algo", "dp")
     assert code == 2 and "error:" in err
 
-    code, _, err = run(
-        capsys, "solve", score_file, "--algo", "cover-grover", "--sim-cap", "1"
-    )
-    assert code == 2 and "error:" in err
+    start = time.perf_counter()
+    code, _, err = run(capsys, "solve", wide, "--algo", "cover-grover", "--k", "6")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "grover-sim cap" in err
 
     big = tmp_path / "five.scores"
     big.write_text(
@@ -126,12 +134,7 @@ def test_infeasible_configurations_exit_two(score_file, tmp_path, capsys):
         ("bench", "--suite", "grover", "--trials", "two"),
         ("score", "data.csv", "--max-indegree", "-1"),
         ("score", "data.csv", "--max-indegree", "x"),
-        ("solve", "pair.scores", "--dp-cap", "0"),
-        ("solve", "pair.scores", "--dp-cap", "21"),
         ("score", "data.csv", "--max-entries", "-1"),
-        ("solve", "pair.scores", "--sim-cap", "-5"),
-        ("solve", "pair.scores", "--sim-cap", "0"),
-        ("solve", "pair.scores", "--sim-cap", "4097"),
         ("cover-stats", "--n", "12000", "--k", "2"),
         ("cover-stats", "--n", "10000", "--k", "10000"),
         ("cover-stats", "--n", "1000000000000", "--k", "2"),
@@ -147,8 +150,6 @@ def test_nonpositive_counts_exit_two(capsys, argv):
 
 
 def test_caps_accept_their_maximum(capsys):
-    args = build_parser().parse_args(["solve", "s", "--sim-cap", "4096", "--dp-cap", "20"])
-    assert args.sim_cap == 4096 and args.dp_cap == 20
     most = MAX_REPORT_N << (MAX_REPORT_N - 1)  # n * 2^(n-1), every parent set listed
     for k in (2, MAX_REPORT_N):
         for entries in ((), ("--entries", most)):
@@ -397,9 +398,8 @@ def cli_runs(draw):
             argv += ["--max-entries", count()]
         return argv, ("data.csv", draw(csv_files()))
     argv = ["solve", "net.scores", "--algo", draw(st.sampled_from(ALGORITHMS)), "--k", count()]
-    for flag in ("--dp-cap", "--sim-cap", "--seed"):
-        if draw(st.booleans()):
-            argv += [flag, count()]
+    if draw(st.booleans()):
+        argv += ["--seed", count()]
     return argv, ("net.scores", draw(score_files()))
 
 

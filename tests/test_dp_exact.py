@@ -18,7 +18,6 @@ from qbnsl.dp_exact import (
     brute_force_dags,
     brute_force_orders,
     enumerate_dags,
-    popcounts,
     solve_dp,
 )
 from qbnsl.instance import (
@@ -122,16 +121,11 @@ def full_table(rng: np.random.Generator, n: int) -> LocalScoreTable:
     return LocalScoreTable(n, entries)
 
 
-def test_popcounts_matches_python():
-    got = popcounts(1 << 6)
-    assert all(int(got[m]) == m.bit_count() for m in range(1 << 6))
-
-
 def test_subset_max_four_subset_example():
     t = LocalScoreTable(
         4, [{0: 0.0}, {0: 0.0, 0b0100: 3.0, 0b1100: 5.0}, {0: 0.0}, {0: 0.0}]
     )
-    values = best_parents_all_subsets(t, 1)
+    values = best_parents_all_subsets(t)[1]
     assert values[squeeze(0b1100, 1)] == 5.0
     assert values[squeeze(0b0100, 1)] == 3.0
     assert values[squeeze(0b1000, 1)] == 0.0
@@ -142,7 +136,7 @@ def test_subset_max_four_subset_example():
 
 def test_subset_max_empty_only_is_zero_everywhere():
     t = LocalScoreTable(3, [{0: 0.0}, {0: 0.0}, {0: 0.0}])
-    values = best_parents_all_subsets(t, 0)
+    values = best_parents_all_subsets(t)[0]
     assert values.dtype == np.float64 and values.shape == (4,)
     assert np.all(values == 0.0)
     _, argmax = reference_subset_max(t, 0)
@@ -156,7 +150,7 @@ def test_subset_max_equals_scan_oracle(seed):
     n = int(rng.integers(2, 9))
     t = random_table(rng, n)
     i = int(rng.integers(n))
-    values = best_parents_all_subsets(t, i)
+    values = best_parents_all_subsets(t)[i]
     _, argmax = reference_subset_max(t, i)
     # The table covers the other n-1 nodes only.
     assert values.shape == (1 << (n - 1),)
@@ -174,14 +168,14 @@ def test_values_only_tables_match_tie_key_reference(seed, tie_heavy):
     n = int(rng.integers(2, 11))
     t = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
     reference = [reference_subset_max(t, i)[0][other_masks(n, i)] for i in range(n)]
+    values = best_parents_all_subsets(t)
+    assert values.dtype == np.float64 and values.shape == (n, 1 << (n - 1))
     for i in range(n):
-        values = best_parents_all_subsets(t, i)
-        assert values.dtype == np.float64
-        assert np.array_equal(values, reference[i])
+        assert np.array_equal(values[i], reference[i])
     # solve_dp fed the reference tables gives the same score and witness.
     got = solve_dp(t)
     with mock.patch.object(
-        dp_exact, "best_parents_all_subsets", lambda table, i, cap: reference[i]
+        dp_exact, "best_parents_all_subsets", lambda table: np.stack(reference)
     ):
         assert solve_dp(t) == got
 
@@ -270,8 +264,10 @@ def test_caps_raise_instance_too_large():
         brute_force_orders(big)
     with pytest.raises(InstanceTooLargeError):
         brute_force_dags(LocalScoreTable(5, [{0: 0.0}] * 5))
-    with pytest.raises(InstanceTooLargeError):
-        solve_dp(big, cap=8)
+    solve_dp(big)
+    with mock.patch.object(dp_exact, "DP_CAP", 8):
+        with pytest.raises(InstanceTooLargeError):
+            solve_dp(big)
     assert ORDER_BRUTE_CAP == 8 and DAG_BRUTE_CAP == 4 and DP_CAP == 20
 
 

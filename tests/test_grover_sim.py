@@ -275,7 +275,7 @@ def test_max_find_matches_dense_reference(m):
 
 def test_search_zero_marked_returns_none():
     ledger = QueryLedger()
-    out = grover_search_sim(np.zeros(16, dtype=bool), rng_seed=1, ledger=ledger)
+    out = grover_search_sim(np.zeros(16, dtype=bool), rng_for(1, "grover-search"), ledger)
     assert out is None
     assert ledger.charged_quantum_queries > 0
 
@@ -283,20 +283,20 @@ def test_search_zero_marked_returns_none():
 def test_search_finds_unique_mark_reliably():
     hits = 0
     for t in range(50):
-        out = grover_search_sim(np.arange(16) == 11, rng_seed=t)
+        out = grover_search_sim(np.arange(16) == 11, rng_for(t, "grover-search"))
         hits += int(out == 11)
     assert hits >= 48
 
 
 def test_search_never_returns_padding_or_false_positive():
     for t in range(30):
-        out = grover_search_sim(np.arange(5) == 2, rng_seed=t)
+        out = grover_search_sim(np.arange(5) == 2, rng_for(t, "grover-search"))
         assert out in (None, 2)
 
 
 def test_search_domain_cap():
     with pytest.raises(DomainTooLargeError):
-        grover_search_sim(np.ones(MAX_SIM_DOMAIN + 1, dtype=bool))
+        grover_search_sim(np.ones(MAX_SIM_DOMAIN + 1, dtype=bool), rng_for(0, "grover-search"))
 
 
 def test_quantum_charge_exact_integers():

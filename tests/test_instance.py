@@ -11,19 +11,18 @@ from hypothesis import strategies as st
 
 from qbnsl.instance import (
     MAX_NODES,
+    _sink_first_order,
     CyclicGraphError,
     Dag,
-    LinearOrder,
     LocalScoreTable,
     MissingParentSetError,
     NodeSet,
     best_parents_in,
     is_acyclic,
-    topological_order,
     total_score,
 )
 from qbnsl.tables import random_table
-from reference import prefixes
+from reference import LinearOrder, prefixes, sorted_remaining_order, topological_order
 
 EMPTY_SET = NodeSet(0)
 
@@ -168,6 +167,18 @@ def test_is_acyclic_basics(demo_dag: Dag):
     assert not is_acyclic(two_cycle)
     self_loop = Dag.from_masks(1, [0b1])
     assert not is_acyclic(self_loop)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_sink_first_walk_matches_sorted_remaining_walk(data):
+    # Sparse random parent masks, self-loops allowed: acyclic and cyclic
+    # graphs both come up often.
+    n = data.draw(st.integers(1, 9))
+    nodes = st.lists(st.integers(0, n - 1), max_size=2, unique=True)
+    bits = nodes.map(lambda v: sum(1 << i for i in v))
+    dag = Dag.from_masks(n, data.draw(st.lists(bits, min_size=n, max_size=n)))
+    assert _sink_first_order(dag) == sorted_remaining_order(dag)
 
 
 def test_topological_order_chain_and_tiebreak():

@@ -23,7 +23,6 @@ from qbnsl.grover_sim import MaxOracle, QueryLedger, max_find, quantum_charge
 from qbnsl.instance import (
     Dag,
     InstanceTooLargeError,
-    LinearOrder,
     LocalScoreTable,
     NodeSet,
     best_parents_in,
@@ -40,6 +39,7 @@ from qbnsl.po_dp import (
 from qbnsl.seeding import rng_for
 from qbnsl.tables import random_table
 from reference import (
+    LinearOrder,
     downset_by_index,
     extended_by,
     index_of_downset,
@@ -528,8 +528,9 @@ def test_cover_strategy_validation_and_caps():
     with mock.patch.object(po_dp, "SCAN_WORK_CAP", 10):
         with pytest.raises(InstanceTooLargeError):
             solve_cover(table, partition, "classical-scan")
-    with pytest.raises(InstanceTooLargeError):
-        solve_cover(table, partition, "grover-sim", sim_cap=10)
+    with mock.patch.object(po_dp, "MAX_SIM_DOMAIN", 10):
+        with pytest.raises(InstanceTooLargeError):
+            solve_cover(table, partition, "grover-sim")
     with pytest.raises(ValueError):
         solve_cover(table, BlockPartition.contiguous(6, 2), "classical-scan")
 
