@@ -134,7 +134,12 @@ def test_infeasible_configurations_exit_two(score_file, tmp_path, capsys):
         ("bench", "--suite", "grover", "--trials", "two"),
         ("score", "data.csv", "--max-indegree", "-1"),
         ("score", "data.csv", "--max-indegree", "x"),
+        ("cover-stats", "--n", "8", "--k", "4", "--entries", "0"),
+        ("cover-stats", "--n", "-3", "--k", "2"),
         ("score", "data.csv", "--max-entries", "-1"),
+        ("bench", "--suite", "oracle", "--instances", "x"),
+        ("score", "data.csv", "--max-entries", "x"),
+        ("bench", "--suite", "grover", "--trials", "1.5"),
         ("cover-stats", "--n", "12000", "--k", "2"),
         ("cover-stats", "--n", "10000", "--k", "10000"),
         ("cover-stats", "--n", "1000000000000", "--k", "2"),
