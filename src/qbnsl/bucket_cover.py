@@ -16,8 +16,8 @@ block of size s has C(s, ceil(s/2)) splits (:func:`member_radix`) and
 2^h + 2^(s-h) - 1 downsets for first half h (:func:`lattice_radix`).
 
 Relabelled by slot (block, half, rank within the half), every member of
-a partition has the same downset lattice.  :class:`LatticeTemplate`
-builds it once per partition: the downsets as slot masks and the
+an (n, k) partition has the same downset lattice.  :class:`LatticeTemplate`
+holds it, kept per shape when small: the downsets as slot masks and the
 covering edges as CSR arrays in cardinality layers.  A
 :class:`DownsetIndex` is a thin view that adds one member's slot -> node
 map.
@@ -25,6 +25,7 @@ map.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -231,16 +232,17 @@ def lattice_edge_count_formula(n: int, k: int) -> int:
 def lattice_build_bytes(n: int, k: int) -> int:
     """Bytes that building an (n, k) :class:`LatticeTemplate` peaks at, bounded.
 
-    With D downsets and E edges the template keeps two E-long and five
-    D-long int64 arrays: edge slots and children; masks, order, position,
-    edge pointers and layer segments.  While it places the edges, the build
-    also holds the downset indices, each downset's next free edge place and
-    per-block trace tables, and the edge count pass takes up to 3D of
-    temporaries.  8 * (2E + 10D) bytes covers all of it, plus 64 KiB for
-    the small arrays and Python objects of a tiny lattice.
+    With D downsets and E edges the template keeps three E-long and five
+    D-long int64 arrays: edge slots, children and cells; masks, order,
+    position, edge pointers and layer segments.  While it places the edges,
+    the build also holds the downset indices, each downset's next free edge
+    place and per-block trace tables, and the edge count pass takes up to
+    3D of temporaries: 8 * (3E + 10D) bytes, plus 64 KiB for a tiny
+    lattice's small objects and 32 per entry of ``slot_of``'s split tables.
     """
     downsets = downset_count_formula(n, k)
-    return 8 * (2 * lattice_edge_count_formula(n, k) + 10 * downsets) + (1 << 16)
+    splits = sum(member_radix(s) * s for s in set(_block_sizes(n, k)))
+    return 8 * (3 * lattice_edge_count_formula(n, k) + 10 * downsets) + (1 << 16) + 32 * splits
 
 
 def closure_digit(local, h: int):
@@ -255,13 +257,13 @@ def closure_digit(local, h: int):
 
 
 class LatticeTemplate:
-    """The downset lattice shared by every member of one partition.
+    """The downset lattice shared by every member of every (n, k) partition.
 
     Nodes are relabelled by slot: block t owns the slots ``offsets[t]``
     onwards, first its member's first half, then its second half, each in
-    ascending node order.  In slot space every member of the partition has
-    the same downsets, so the lattice is built once and a member is just
-    its slot -> node map (see :class:`DownsetIndex`).
+    ascending node order.  In slot space every member has the same
+    downsets, so :func:`lattice_template` keeps one per small shape; its
+    arrays are read-only.
 
     Per block of size s with first half h, the local traces are the
     subsets of the first-half slots in counter order (digits 0..2^h-1),
@@ -269,7 +271,9 @@ class LatticeTemplate:
     second-half slots (digit 2^h-1+c for second-half counter c).  Global
     indices are mixed radix over the local digits with block 0 most
     significant, so the lattice is the product of the block lattices.
-    ``masks[d]`` is downset d as a slot bitmask.
+    ``masks[d]`` is downset d as a slot bitmask; ``axes`` describes each
+    block axis for :func:`~qbnsl.po_dp._fold_sub_downsets` as (radix,
+    Boolean parts), a part being (first digit, bits).
 
     The covering edges are CSR arrays in cardinality layers.  ``order``
     lists downset indices by (cardinality, index) and ``position`` inverts
@@ -280,12 +284,21 @@ class LatticeTemplate:
     if nonempty, else all of it.  ``steps[c - 1]`` holds cardinality c's
     downsets, its edge slice, those edges' children and the per-downset
     segment offsets into that slice, ready for one ``reduceat`` per layer.
-    The build peaks at :func:`lattice_build_bytes`.
+
+    The member DP reads node i's best parents in downset c only along the
+    edge removing i's slot j from c + {j}; ``edge_cell`` maps each edge to
+    its cell, indexed by slot.  Cells come in (block, half) groups, laid
+    out as (slot place, own trace without it, other blocks' downset), an
+    own trace taking ``cell_stride[t]`` rows.  ``own_cells[t][q, g]`` is
+    the first row for place q under block-t closure digit g (``sink_row``
+    if the trace holds q); ``other_weights[t]`` weighs the other blocks.
+    ``cell_groups`` lists (first row, last row, fold axes) per (size,
+    half).  The build peaks at :func:`lattice_build_bytes`.
     """
 
-    def __init__(self, partition: BlockPartition) -> None:
-        self.partition = partition
-        self.block_sizes = tuple(len(block) for block in partition.blocks)
+    def __init__(self, n: int, k: int) -> None:
+        self.n, self.k = n, k
+        self.block_sizes = tuple(_block_sizes(n, k))
         self.halves = tuple(_half(size) for size in self.block_sizes)
         offsets = [0]
         for size in self.block_sizes[:-1]:
@@ -297,13 +310,15 @@ class LatticeTemplate:
             weights[t] = weights[t + 1] * self.radices[t + 1]
         self.weights = tuple(weights)
         self.size = size = math.prod(self.radices)
+        self.axes = tuple((r, ((0, h), ((1 << h) - 1, s - h)))
+                          for r, s, h in zip(self.radices, self.block_sizes, self.halves))
         traces = [self.local_traces(t) for t in range(len(self.radices))]
+        self._cell_layout(traces)
         masks = np.zeros(1, dtype=np.int64)
         for local, offset in zip(traces, self.offsets):
             masks = (masks[:, None] | (local << offset)[None, :]).ravel()
         self.masks = masks
 
-        n = partition.n
         index = np.arange(size, dtype=np.int64)
         cardinality = np.bitwise_count(masks)
         self.order = order = np.argsort(cardinality, kind="stable")
@@ -322,15 +337,16 @@ class LatticeTemplate:
         self.edge_ptr = edge_ptr = np.zeros(size + 1, dtype=np.int64)
         np.cumsum(counts[order], out=edge_ptr[1:])
         del counts
-        self.edge_slot = np.empty(edge_ptr[-1], dtype=np.int64)
-        self.edge_child = np.empty(edge_ptr[-1], dtype=np.int64)
+        self.edge_slot, self.edge_child, self.edge_cell = np.empty((3, edge_ptr[-1]), np.int64)
         # Slots ascend block by block, so each edge goes to the next free
         # place of its downset's list.  Block t's digit g downsets are
-        # ``base + g * weight``, where base holds its digit 0 downsets.
+        # ``base + g * weight``, where base holds its digit 0 downsets, in
+        # the order of their other-block downsets.
         cursor = edge_ptr[position]
         for t, (offset, h, weight) in enumerate(zip(self.offsets, self.halves, self.weights)):
             stride = self.radices[t] * weight
             base = (np.arange(0, size, stride)[:, None] + np.arange(weight)).ravel()
+            others = np.arange(len(base))
             for digit in range(self.radices[t]):
                 local, moves = int(traces[t][digit]), int(movable[t][digit])
                 parents = base + digit * weight
@@ -338,8 +354,11 @@ class LatticeTemplate:
                     low = moves & -moves
                     moves ^= low
                     at = cursor[parents]
-                    self.edge_slot[at] = offset + low.bit_length() - 1
-                    self.edge_child[at] = base + int(closure_digit(local ^ low, h)) * weight
+                    q = low.bit_length() - 1
+                    child = int(closure_digit(local ^ low, h))
+                    self.edge_slot[at] = offset + q
+                    self.edge_child[at] = base + child * weight
+                    self.edge_cell[at] = self.own_cells[t][q, child] + others
                     cursor[parents] = at + 1
         del cursor, traces, movable
         layer_ptr = np.zeros(n + 2, dtype=np.int64)
@@ -353,6 +372,50 @@ class LatticeTemplate:
                  edge_ptr[lo:hi] - first)
             )
         self.steps = tuple(steps)
+        # Views made before their base was locked stay writeable: lock each.
+        for array in (masks, order, position, edge_ptr, self.edge_slot, self.edge_child,
+                      self.edge_cell, *self.own_cells,
+                      *(a for step in steps for a in step[::2] + step[3:])):
+            array.flags.writeable = False
+
+    @functools.cached_property
+    def slot_of(self) -> tuple[np.ndarray, ...]:
+        """``slot_of[t][digit, p]``: block t position p's slot place under a split."""
+        tables = {s: np.argsort([split_slot_positions(s, d) for d in range(member_radix(s))],
+                                axis=1) for s in set(self.block_sizes)}  # rows' inverses
+        for table in tables.values():
+            table.flags.writeable = False
+        return tuple(tables[s] for s in self.block_sizes)
+
+    def _cell_layout(self, traces: list[np.ndarray]) -> None:
+        """Place the (block, half) cell groups, stacked by block size."""
+        self.cell_stride = tuple(self.size // radix for radix in self.radices)
+        self.other_weights = tuple(
+            tuple(w // (r if u < t else 1) * (u != t) for u, w in enumerate(self.weights))
+            for t, r in enumerate(self.radices))
+        own_cells = [np.empty((s, r), np.int64) for s, r in zip(self.block_sizes, self.radices)]
+        groups, row = [], 0
+        for s in sorted(set(self.block_sizes)):
+            blocks = [t for t, size in enumerate(self.block_sizes) if size == s]
+            h = self.halves[blocks[0]]
+            for start, places in ((0, h), (h, s - h)):
+                if not places:
+                    continue
+                first = row
+                for t in blocks:
+                    for q in range(start, start + places):
+                        # The trace with bit q dropped, then its own half.
+                        own = ((traces[t] & ((1 << q) - 1)) | (traces[t] >> (q + 1) << q)) >> start
+                        own_cells[t][q] = row + own * self.cell_stride[t]
+                        row += (1 << (places - 1)) * self.cell_stride[t]
+                other = tuple(axis for u, axis in enumerate(self.axes) if u != blocks[0])
+                own = (1 << (places - 1), ((0, places - 1),))
+                groups.append((first, row, ((len(blocks) * places, ()), own, *other)))
+        self.sink_row = row
+        for table, local in zip(own_cells, traces):
+            table[(local >> np.arange(len(table))[:, None]) & 1 == 1] = row
+        self.own_cells = tuple(own_cells)
+        self.cell_groups = tuple(groups)
 
     def local_traces(self, t: int) -> np.ndarray:
         """Block t's local traces as slot patterns, in digit order."""
@@ -360,6 +423,17 @@ class LatticeTemplate:
         first = np.arange(1 << h, dtype=np.int64)
         second = np.arange(1, 1 << (self.block_sizes[t] - h), dtype=np.int64)
         return np.concatenate([first, ((1 << h) - 1) | (second << h)])
+
+
+def lattice_template(n: int, k: int) -> LatticeTemplate:
+    """The (n, k) template; of shapes whose build takes at most 256 KiB, the
+    last 32 used are kept (8 MiB in all), and a larger one is built per call."""
+    small = lattice_build_bytes(n, k) <= 1 << 18
+    return (_kept_templates if small else LatticeTemplate)(n, k)
+
+
+_kept_templates = functools.lru_cache(maxsize=32)(LatticeTemplate)
+lattice_template.cache_clear = _kept_templates.cache_clear  # type: ignore[attr-defined]
 
 
 class DownsetIndex:
@@ -380,10 +454,11 @@ class DownsetIndex:
     def __init__(
         self, member: CoverMember, template: LatticeTemplate | None = None
     ) -> None:
+        shape = member.partition.n, member.partition.k
         if template is None:
-            template = LatticeTemplate(member.partition)
-        elif template.partition != member.partition:
-            raise ValueError("template was built for another partition")
+            template = lattice_template(*shape)
+        elif (template.n, template.k) != shape:
+            raise ValueError("template was built for another shape")
         self.member = member
         self.template = template
         self.size = template.size

@@ -3,30 +3,29 @@
 Fixing a cover member restricts attention to linear orders extending its
 precedence constraints; the best network score over those orders is
 computed by dynamic programming whose states are the member's downsets.
-Every member of a partition shares one slot-space lattice
+Every member of every (n, k) partition shares one slot-space lattice
 (:class:`~qbnsl.bucket_cover.LatticeTemplate`, the downset masks and the
-covering edges in cardinality layers), so the lattice is built once per
-call and members are solved by three numpy kernels over it, each working
-on a batch of members at once (members are the minor axis):
+covering edges in cardinality layers), kept per shape when small, and
+members are solved by three numpy kernels over it, each working on a
+batch of members at once:
 
 - bucketing, values only: every listed parent set is placed at its
-  downward closure's downset (O(F) per member for F table entries) and
-  ``np.maximum.at`` keeps each bucket's best score;
-- the fold of bucket maxima into superset downsets, one block axis at a
-  time, at most n^2 D / 2 elementwise max folds per member for D downsets;
+  downward closure's cell (O(F) per member for F table entries) and
+  ``np.maximum.at`` keeps each cell's best score;
+- the fold of cell maxima into superset cells, one block axis at a time;
 - the member DP, one cardinality layer at a time over the template's CSR
-  edges, O(D n) per member.
+  edges, O(E) per member for E edges.
 
 The classical cover scan is values first.  :func:`member_optima` runs
-the kernels over chunks of members in index order and returns every
-member's optimum as a float array; a chunk holds B members with
-B * D * n at most 2^16 float64 values (512 KiB).  Witnesses are then
-traced one member at a time (B = 1) by :func:`solve_member`, which
-re-derives each parent set with ``best_parents_in`` and rescores the DAG,
-and only for the candidates: the members within tol of the maximum,
-where tol = 1e-9 * (1 + |max optimum|) (see :func:`solve_cover`).  A
-rescored total differs from its DP value only by summation order; a
-traced member off by more than tol / 2 raises ``RuntimeError``.
+the kernels over chunks of B members, B * max(E, F) <= 2^16, on the E
+cells the DP reads, one per edge, and returns every member's optimum.
+Witnesses are traced one member at a time by :func:`solve_member` over
+the full (D, n) table of :func:`downset_best_parents`, which re-derives
+each parent set with ``best_parents_in`` and rescores the DAG, and only
+for the candidates: the members within tol of the maximum, where tol =
+1e-9 * (1 + |max optimum|) (see :func:`solve_cover`).  A rescored total
+differs from its DP value only by summation order; a traced member off
+by more than tol / 2 raises ``RuntimeError``.
 
 On top sit three search strategies over the whole cover: the classical
 scan, simulated quantum maximum finding, and an analytic cost model that
@@ -37,7 +36,6 @@ is built.  This is correct for arbitrary listed parent sets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +50,8 @@ from .bucket_cover import (
     downset_count_formula,
     lattice_build_bytes,
     lattice_edge_count_formula,
+    lattice_template,
     member_by_index,
-    member_radix,
-    split_slot_positions,
 )
 from .dp_exact import DP_CAP, solve_dp
 from .grover_sim import MAX_SIM_DOMAIN, MaxOracle, QueryLedger, max_find, quantum_charge
@@ -73,7 +70,7 @@ SCAN_WORK_CAP = 1 << 28
 # solve_dp's subset tables at its cap: n * 2^(n-1) float64, 80 MiB at n = 20.
 LATTICE_BYTES_CAP = DP_CAP * (1 << (DP_CAP - 1)) * 8
 _NEG_INF = float("-inf")
-_CHUNK_ELEMENTS = 1 << 16  # float64 values in one chunk's (D, n * members) table
+_CHUNK_ELEMENTS = 1 << 16  # values in one per-chunk array of member_optima
 
 
 class StrategyUnavailableError(ValueError):
@@ -106,47 +103,29 @@ def _block_patterns(masks: np.ndarray, elems: np.ndarray) -> np.ndarray:
     return ((masks[:, None] >> elems) & 1) @ (1 << np.arange(len(elems)))
 
 
-def _bucket_maxima(
-    flat: np.ndarray, scores: np.ndarray, size: int, n: int
-) -> np.ndarray:
-    """A (D, n * batch) table of each bucket's best score, -inf if empty.
-
-    ``flat[e, b]`` is d * n + node for entry e under member b, whose
-    bucket is downset d; member b owns column b of each node's block.
-    A 1-D ``flat`` is one member.
-    """
-    batch = math.prod(flat.shape[1:])
-    out = np.full(size * n * batch, _NEG_INF)
-    cells = flat * batch + np.arange(batch).reshape(flat.shape[1:])
-    # Scores are repeated explicitly: ufunc.at mishandles broadcast values.
-    np.maximum.at(out, cells.ravel(), np.repeat(scores, batch))
-    return out.reshape(size, n * batch)
+def _bucket_maxima(cells: np.ndarray, scores: np.ndarray, size: int) -> np.ndarray:
+    """Each of ``size`` buckets' best score, -inf if empty; ``scores[i]`` goes to ``cells[i]``."""
+    out = np.full(size, _NEG_INF)
+    np.maximum.at(out, cells, scores)
+    return out
 
 
-def _member_dp(
-    by_downset: np.ndarray, edge_node: np.ndarray, template: LatticeTemplate
-) -> tuple[np.ndarray, np.ndarray]:
-    """Downset DP values (D, batch) and per-edge best scores (E, batch).
+def _member_dp(edge_best: np.ndarray, template: LatticeTemplate) -> np.ndarray:
+    """Downset DP values (D, batch) from per-edge best scores (E, batch).
 
-    ``by_downset`` is the folded (D, n * batch) table and ``edge_node`` the
-    (E, batch) node removed along each CSR edge; a 1-D ``edge_node`` is one
-    member and gives 1-D results.  Per cardinality layer: a gather, an add
+    ``edge_best[e]`` is the best parent score of the node removed along
+    CSR edge e within the edge's child downset; a 1-D ``edge_best`` is one
+    member and gives 1-D values.  Per cardinality layer: a gather, an add
     and a ``maximum.reduceat`` along the edge axis.
     """
-    size, width = by_downset.shape
-    shape = edge_node.shape[1:]
-    batch = math.prod(shape)
-    n = width // batch
-    child = template.edge_child.reshape(template.edge_child.shape + (1,) * len(shape))
-    edge_best = by_downset.ravel()[
-        (child * n + edge_node) * batch + np.arange(batch).reshape(shape)
-    ]
-    value = np.empty((size,) + shape)
+    value = np.empty((template.size,) + edge_best.shape[1:])
     value[0] = 0.0
     for downsets, edges, children, segments in template.steps:
-        cand = value[children] + edge_best[edges]
+        # np.take gathers rows several times faster than fancy indexing.
+        cand = np.take(value, children, axis=0)
+        cand += edge_best[edges]
         value[downsets] = np.maximum.reduceat(cand, segments)
-    return value, edge_best
+    return value
 
 
 def downset_best_parents(
@@ -172,30 +151,30 @@ def downset_best_parents(
     ):
         local = _block_patterns(table.masks, nodes[offset : offset + size])
         flat += closure_digit(local, h) * (weight * n)
-    by_downset = _bucket_maxima(flat, table.scores, template.size, n)
-    visits = _fold_sub_downsets(by_downset, template)
+    by_downset = _bucket_maxima(flat, table.scores, template.size * n).reshape(-1, n)
+    visits = _fold_sub_downsets(by_downset, template.axes)
     return DownsetScoreTable(by_downset.T, visits)
 
 
-def _fold_sub_downsets(values: np.ndarray, template: LatticeTemplate) -> int:
-    """In place, replace each downset's row by the max over its sub-downsets.
+def _fold_sub_downsets(values: np.ndarray, axes) -> int:
+    """In place, replace each row by the max over the rows below it.
 
-    ``values`` is (D, row).  Per block axis, the local lattice is the
-    Boolean lattice of the first half (digits 0..2^h-1) with the Boolean
-    lattice of the second half stacked on its top (digits 2^h-1 onwards),
-    so one max pass per local bit finishes the axis.  Returns the number
-    of elementwise max folds.
+    ``values`` is (rows, width), rows a product of lattices, first axis
+    most significant; an axis is (radix, parts), each part (start, bits) a
+    Boolean lattice on digits start..start+2^bits-1.  A block axis is the
+    first half's (digits 0..2^h-1) with the second half's stacked on its
+    top (digits 2^h-1 onwards), so one max pass per local bit finishes the
+    axis.  Returns the number of elementwise max folds.
     """
-    outer = 1
+    outer, inner = 1, values.size
     folds = 0
-    for radix, size, h, weight in zip(
-        template.radices, template.block_sizes, template.halves, template.weights
-    ):
-        axis = values.reshape(outer, radix, weight * values.shape[1])
-        for start, bits in ((0, h), ((1 << h) - 1, size - h)):
+    for radix, parts in axes:
+        inner //= radix
+        axis = values.reshape(outer, radix, inner)
+        for start, bits in parts:
             part = axis[:, start : start + (1 << bits)]
             for j in range(bits):
-                pairs = part.reshape(outer, -1, 2, (1 << j) * axis.shape[2], copy=False)
+                pairs = part.reshape(outer, -1, 2, (1 << j) * inner, copy=False)
                 upper = pairs[:, :, 1]
                 np.maximum(upper, pairs[:, :, 0], out=upper)
                 folds += upper.size
@@ -203,9 +182,9 @@ def _fold_sub_downsets(values: np.ndarray, template: LatticeTemplate) -> int:
     return folds
 
 
-def _chunk_members(members: int, downsets: int, n: int) -> int:
-    """Members per chunk of ``member_optima``: B * D * n <= 2^16, B >= 1."""
-    return max(1, min(members, _CHUNK_ELEMENTS // (downsets * n)))
+def _chunk_members(members: int, edges: int, entries: int) -> int:
+    """Members per chunk of ``member_optima``: B * max(E, F) <= 2^16, B >= 1."""
+    return max(1, min(members, _CHUNK_ELEMENTS // max(edges, entries)))
 
 
 def member_optima(
@@ -216,50 +195,69 @@ def member_optima(
     """Every member's optimum, values only, in ``member_by_index`` order.
 
     Members are stepped through as an odometer over the per-block split
-    digits.  Per block, the slot order of every split and the entries'
-    distinct patterns within the block are found once per call.  A chunk
-    of B members, B * D * n <= 2^16, places each distinct pattern under
-    each of its members' splits, then takes one bucketing pass, one fold
-    and one layered DP, each over the whole chunk.  The optimum is the DP
-    value of the full set; no witness is traced (``solve_member`` gives the
-    witness of any one member).
+    digits, in chunks of B, over the template's E cells.  An entry's cell
+    is its own block's ``own_cells`` row, from its node's slot place and
+    its closure digit there, plus the other blocks' downset.  The optimum
+    is the DP value of the full set (``solve_member`` gives a witness).
     """
     n = table.n
     if n != partition.n:
         raise ValueError("table and partition sizes differ")
     if template is None:
-        template = LatticeTemplate(partition)
-    size = template.size
-    blocks = []  # (nodes, slot positions per split, patterns, entry -> pattern)
-    for block in partition.blocks:
-        elems = np.array(list(block))
-        splits = range(member_radix(len(elems)))
-        slots = np.array([split_slot_positions(len(elems), d) for d in splits])
+        template = lattice_template(n, partition.k)
+    # Max ignores entry order, so entries are grouped by block by their rank.
+    rank, k = np.empty(n, dtype=np.int64), partition.k
+    rank[[node for block in partition.blocks for node in block]] = np.arange(n)
+    order = np.argsort(rank[table.nodes], kind="stable")
+    rank = rank[table.nodes[order]]
+    bounds = np.searchsorted(rank, [*range(0, n, k), n]).tolist()
+    masks, scores, position = table.masks[order], table.scores[order], rank % k
+    blocks = []  # (pattern bits, entry -> pattern, own entry -> position * P + pattern)
+    for t, block in enumerate(partition.blocks):
         patterns, which = np.unique(
-            _block_patterns(table.masks, elems), return_inverse=True
+            _block_patterns(masks, np.array(list(block))), return_inverse=True
         )
-        blocks.append((elems, slots, patterns, which))
-    weights = [1 << np.arange(len(elems)) for elems, _, _, _ in blocks]
-    members = math.prod(len(slots) for _, slots, _, _ in blocks)
-    batch = _chunk_members(members, size, n)
-    optima = np.empty(members)
+        bits = [(patterns >> p) & 1 for p in range(len(block))]
+        lo, hi = bounds[t], bounds[t + 1]
+        blocks.append((bits, which, position[lo:hi] * len(patterns) + which[lo:hi]))
+    members = cover_size(n, k)
+    batch = _chunk_members(members, len(template.edge_cell), len(scores))
+    optima, laid = np.empty(members), np.empty(0)
+    # Per-chunk arrays are member-major, (B, patterns or entries): their
+    # inner loops run over the long axis even when B is small.
     for lo in range(0, members, batch):
         hi = min(lo + batch, members)
-        flat = np.repeat(table.nodes[:, None], hi - lo, axis=1)
-        rest = np.arange(lo, hi)
-        nodes = []
-        for t in reversed(range(len(blocks))):
-            elems, slots, patterns, which = blocks[t]
-            digit = rest % len(slots)
-            rest //= len(slots)
-            nodes.append(elems[slots[digit]].T)
-            local = ((patterns[:, None, None] >> slots[digit]) & 1) @ weights[t]
-            closure = closure_digit(local, template.halves[t])
-            flat += (closure * (template.weights[t] * n))[which]
-        by_downset = _bucket_maxima(flat, table.scores, size, n)
-        _fold_sub_downsets(by_downset, template)
-        edge_node = np.concatenate(nodes[::-1])[template.edge_slot]
-        optima[lo:hi] = _member_dp(by_downset, edge_node, template)[0][-1]
+        width = hi - lo
+        places, rest = [], np.arange(lo, hi)  # (B, s): each position's slot place
+        for slot_of in reversed(template.slot_of):
+            places.insert(0, slot_of[rest % len(slot_of)])
+            rest //= len(slot_of)
+        digits = []  # (B, P) per block: each pattern's closure digit
+        for (bits, _, _), place, h in zip(blocks, places, template.halves):
+            slots = bits[0] << place[:, :1]
+            for p in range(1, len(bits)):
+                slots |= bits[p] << place[:, p : p + 1]
+            digits.append(closure_digit(slots, h))
+        # Entry e of block t under member b goes to cell row * B + b; the
+        # block's entries take cells[bounds[t] * B : bounds[t + 1] * B].
+        cells = np.empty(len(scores) * width, dtype=np.int64)
+        for t, ((_, _, own), lo_t, hi_t) in enumerate(zip(blocks, bounds, bounds[1:])):
+            # (B, s, P): the cell of a node at each position with each pattern.
+            at = places[t][:, :, None] * template.radices[t] + digits[t][:, None]
+            rows = np.take(template.own_cells[t] * width, at)
+            rows += np.arange(width)[:, None, None]
+            segment = cells[lo_t * width : hi_t * width].reshape(width, -1)
+            np.take(rows.reshape(width, -1), own, axis=1, out=segment)
+            for digit, (_, which, _), weight in zip(digits, blocks, template.other_weights[t]):
+                if weight:
+                    segment += np.take(digit * (weight * width), which[lo_t:hi_t], axis=1)
+        if len(laid) != len(cells):
+            laid = np.concatenate([np.tile(scores[a:b], width) for a, b in zip(bounds, bounds[1:])])
+        size = template.sink_row + max(template.cell_stride)
+        reduced = _bucket_maxima(cells, laid, size * width).reshape(size, width)
+        for first, last, axes in template.cell_groups:
+            _fold_sub_downsets(reduced[first:last], axes)
+        optima[lo:hi] = _member_dp(np.take(reduced, template.edge_cell, axis=0), template)[-1]
     return optima
 
 
@@ -271,17 +269,19 @@ def solve_member(
     DP over downsets: the value of a downset is the best way to schedule
     its nodes, choosing a last node among the removable ones and giving it
     its best parents inside the remaining downset.  It is the layered DP
-    kernel with a batch of one over ``template``, built if not given.  The
-    traceback takes, at each downset, the smallest node whose candidate
-    equals the downset's value and gives it ``best_parents_in`` the
-    remaining downset.  Returns the witness DAG's rescored total and the DAG.
+    kernel with a batch of one over the full (D, n) table of
+    ``downset_best_parents``.  The traceback takes, at each downset, the
+    smallest node whose candidate equals the downset's value and gives it
+    ``best_parents_in`` the remaining downset.  Returns the witness DAG's
+    rescored total and the DAG.
     """
     index = DownsetIndex(member, template)
     best = downset_best_parents(table, index)
     n = table.n
     template = index.template
     edge_node = np.array(index.nodes)[template.edge_slot]
-    value, edge_best = _member_dp(np.ascontiguousarray(best.values.T), edge_node, template)
+    edge_best = best.values[edge_node, template.edge_child]
+    value = _member_dp(edge_best, template)
     parents = [NodeSet(0)] * n
     mask = (1 << n) - 1
     d = index.size - 1
@@ -330,13 +330,12 @@ def solve_cover(
     table, charging oracle applications to the ledger, and re-solves the
     winner (one more classical evaluation).
 
-    Every member solve of a call shares one lattice template and reads
-    the table's flat entry arrays.  Before any of it is allocated, the
-    caps raise ``InstanceTooLargeError``: for grover-sim, more members than
-    ``MAX_SIM_DOMAIN``; the byte cap, when the template build
-    (``lattice_build_bytes``) plus the member phase's arrays would exceed
-    ``LATTICE_BYTES_CAP``; and the work cap, when members times downsets
-    exceeds ``SCAN_WORK_CAP``.
+    Every member solve shares one ``lattice_template``.  Before it is
+    looked up or built, the caps raise ``InstanceTooLargeError``, in
+    order: for grover-sim, more members than ``MAX_SIM_DOMAIN``; the byte
+    cap, when ``lattice_build_bytes`` and the larger of the member phase
+    and one traced member would exceed ``LATTICE_BYTES_CAP``; and the work
+    cap, when members times downsets exceeds ``SCAN_WORK_CAP``.
     """
     if strategy not in COVER_STRATEGIES:
         raise StrategyUnavailableError(
@@ -353,14 +352,17 @@ def solve_cover(
     downsets = downset_count_formula(n, k)
     edges = lattice_edge_count_formula(n, k)
     entries = len(table.scores)
-    # Per member of a chunk: the (D, n) table, D DP values, five E-long
-    # gathers, three F-long cell arrays and the k-wide split temporaries of
-    # at most min(F, 2^k) block patterns; once, those of all F entries.
-    batch = _chunk_members(members, downsets, n)
-    needed = lattice_build_bytes(n, k) + 8 * (
-        batch
-        * (downsets * (n + 1) + 5 * edges + 3 * entries + 2 * k * min(entries, 1 << k))
-        + 2 * k * entries
+    # Per chunk member: the cell table (at most E + D rows), its gather and
+    # DP, F-long cells and scores, and per block of at most min(F, 2^k)
+    # patterns their digits and k-wide own-cell tables.  Once: the entries'
+    # copies and pattern temporaries.  Tracing one member instead: the
+    # (D, n) table, its gathers and DP, and the table's views (~160 B/entry).
+    blocks = len(partition.blocks)
+    patterns = min(entries, 1 << k) * (3 * k + blocks + 2)
+    needed = lattice_build_bytes(n, k) + 8 * max(
+        _chunk_members(members, edges, entries)
+        * (3 * edges + 3 * downsets + 3 * entries + patterns) + (2 * k + blocks + 6) * entries,
+        downsets * (n + 2) + 4 * edges + (2 * k + 24) * entries,
     )
     if needed > LATTICE_BYTES_CAP:
         raise InstanceTooLargeError(
@@ -372,7 +374,7 @@ def solve_cover(
             f"cover of {members} members x {downsets} downsets is over the "
             f"{SCAN_WORK_CAP} work cap"
         )
-    template = LatticeTemplate(partition)
+    template = lattice_template(n, k)
     ledger = QueryLedger()
 
     if strategy == "grover-sim":

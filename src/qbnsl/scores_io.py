@@ -34,6 +34,7 @@ last bit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -314,22 +315,24 @@ class DiscreteDataset:
         except StopIteration:
             raise DatasetError("empty CSV") from None
         names = tuple(h.strip() for h in header)
-        rows: list[list[int]] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(names):
-                raise DatasetError(f"row {row_no}: expected {len(names)} cells")
-            try:
-                rows.append([int(c) for c in row])
-            except ValueError:
-                raise DatasetError(f"row {row_no}: non-integer cell") from None
-        if not rows:
+        lines = [(row_no, row) for row_no, row in enumerate(reader, start=2)
+                 if row and any(c.strip() for c in row)]
+        if not lines:
             raise DatasetError("CSV has no data rows")
-        try:
-            data = np.asarray(rows, dtype=np.int64)
-        except OverflowError:
-            raise DatasetError("cells must be state indices below 2**63") from None
+        # One bulk parse (numpy reads cells by int()'s rules); on failure the
+        # first error in row order: row length, non-integer cell, overflow.
+        data = None
+        with contextlib.suppress(ValueError, OverflowError):
+            data = np.array([row for _, row in lines], dtype=np.int64)
+        if data is None or data.shape[1] != len(names):
+            for row_no, row in lines:
+                if len(row) != len(names):
+                    raise DatasetError(f"row {row_no}: expected {len(names)} cells")
+                try:
+                    [int(c) for c in row]
+                except ValueError:
+                    raise DatasetError(f"row {row_no}: non-integer cell") from None
+            raise DatasetError("cells must be state indices below 2**63")
         if data.min() < 0:
             raise DatasetError("cells must be non-negative state indices")
         return cls(names, data, tuple(int(v) + 1 for v in data.max(axis=0)))

@@ -7,8 +7,12 @@ cover property and the template against independent pure-Python answers.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from qbnsl.bucket_cover import (
     BlockPartition,
@@ -20,6 +24,7 @@ from qbnsl.bucket_cover import (
 )
 from qbnsl.grover_sim import QueryLedger
 from qbnsl.instance import CyclicGraphError, Dag, NodeSet, _sink_first_order
+from qbnsl.scores_io import DatasetError, DiscreteDataset
 
 
 class NotADownsetError(ValueError):
@@ -179,3 +184,36 @@ def ledger_counts(ledger: QueryLedger) -> dict[str, int]:
         "classical_evals": ledger.classical_evals,
         "charged_quantum_queries": ledger.charged_quantum_queries,
     }
+
+
+def from_csv_by_rows(text: str) -> DiscreteDataset:
+    """``DiscreteDataset.from_csv`` as a per-row loop with ``int()`` per cell.
+
+    The bulk parse replaced it; both must give the same dataset, or the
+    same ``DatasetError`` message, for every input.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetError("empty CSV") from None
+    names = tuple(h.strip() for h in header)
+    rows: list[list[int]] = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(names):
+            raise DatasetError(f"row {row_no}: expected {len(names)} cells")
+        try:
+            rows.append([int(c) for c in row])
+        except ValueError:
+            raise DatasetError(f"row {row_no}: non-integer cell") from None
+    if not rows:
+        raise DatasetError("CSV has no data rows")
+    try:
+        data = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        raise DatasetError("cells must be state indices below 2**63") from None
+    if data.min() < 0:
+        raise DatasetError("cells must be non-negative state indices")
+    return DiscreteDataset(names, data, tuple(int(v) + 1 for v in data.max(axis=0)))

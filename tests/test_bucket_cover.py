@@ -23,6 +23,7 @@ from qbnsl.bucket_cover import (
     downset_count_formula,
     lattice_build_bytes,
     lattice_edge_count_formula,
+    lattice_template,
     member_by_index,
     member_radix,
     split_slot_positions,
@@ -347,7 +348,7 @@ def test_template_slot_masks_match_brute_downsets(n, k, shuffled):
         partition = BlockPartition.shuffled(n, k, seed=n * 10 + k)
     else:
         partition = BlockPartition.contiguous(n, k)
-    template = LatticeTemplate(partition)
+    template = LatticeTemplate(n, k)
     assert template.size == downset_count_formula(n, k)
     for m in range(cover_size(n, k)):
         member = member_by_index(partition, m)
@@ -362,9 +363,65 @@ def test_template_slot_masks_match_brute_downsets(n, k, shuffled):
     "n,k", [(2, 2), (5, 2), (7, 2), (8, 4), (9, 4), (11, 6), (13, 4), (15, 8), (16, 16)]
 )
 def test_edge_count_formula_matches_template(n, k):
-    for partition in (BlockPartition.contiguous(n, k), BlockPartition.shuffled(n, k, seed=n)):
-        edges = LatticeTemplate(partition).edge_slot
-        assert len(edges) == lattice_edge_count_formula(n, k)
+    template = LatticeTemplate(n, k)
+    assert len(template.edge_slot) == lattice_edge_count_formula(n, k)
+    # Each edge has its own cell, and the cells fill rows 0..E-1.
+    assert sorted(template.edge_cell.tolist()) == list(range(len(template.edge_slot)))
+    assert template.sink_row == len(template.edge_slot)
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (5, 2), (9, 4), (11, 6), (13, 4)])
+def test_edge_cells_follow_the_slot_groups(n, k):
+    # The cell of an edge removing slot j from c + {j} is, within j's
+    # (block, half) group, at (place of j, c's own trace without j, c's
+    # other-block downset), other blocks in block order.  Groups are stacked
+    # by block size, then half, then block.
+    template = LatticeTemplate(n, k)
+    starts, row = {}, 0
+    for size in sorted(set(template.block_sizes)):
+        for half in (0, 1):
+            for t, (s, h) in enumerate(zip(template.block_sizes, template.halves)):
+                places = s - h if half else h
+                if s == size and places:
+                    starts[t, half] = row
+                    row += (places << (places - 1)) * template.cell_stride[t]
+    assert row == len(template.edge_slot)
+    edges = np.arange(len(template.edge_slot))
+    for e in edges[:: max(1, len(edges) // 200)]:
+        j, child = int(template.edge_slot[e]), int(template.edge_child[e])
+        t = max(u for u, offset in enumerate(template.offsets) if offset <= j)
+        q, h, s = j - template.offsets[t], template.halves[t], template.block_sizes[t]
+        digits = [(child // w) % r for w, r in zip(template.weights, template.radices)]
+        trace = int(template.local_traces(t)[digits[t]])
+        half = int(q >= h)
+        part, bits, place = (trace >> h, s - h, q - h) if half else (trace, h, q)
+        own = [b for b in range(bits) if b != place]
+        rank = sum(((part >> b) & 1) << i for i, b in enumerate(own))
+        other = 0
+        for u, r in enumerate(template.radices):
+            if u != t:
+                other = other * r + digits[u]
+        row = (place << len(own)) + rank
+        assert template.edge_cell[e] == starts[t, half] + row * template.cell_stride[t] + other
+
+
+def test_lattice_template_is_cached_per_shape_and_read_only():
+    lattice_template.cache_clear()
+    template = lattice_template(9, 4)
+    assert lattice_template(9, 4) is template
+    assert lattice_template(9, 2) is not template
+    arrays = [template.masks, template.order, template.position, template.edge_ptr,
+              template.edge_slot, template.edge_child, template.edge_cell,
+              *template.slot_of, *template.own_cells]
+    arrays += [array for step in template.steps for array in step[::2] + step[3:]]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # Members of every partition of the shape share it.
+    member = member_by_index(BlockPartition.shuffled(9, 4, seed=1), 5)
+    assert DownsetIndex(member).template is template
+    with pytest.raises(ValueError, match="another shape"):
+        DownsetIndex(member, lattice_template(9, 2))
 
 
 def reference_layers(template: LatticeTemplate):
@@ -372,7 +429,7 @@ def reference_layers(template: LatticeTemplate):
     template placed each edge directly: every (parent, slot, child) triple,
     then one lexsort by (parent position, slot)."""
     size = template.size
-    n = template.partition.n
+    n = template.n
     index = np.arange(size, dtype=np.int64)
     cardinality = np.bitwise_count(template.masks)
     order = np.argsort(cardinality, kind="stable")
@@ -426,7 +483,7 @@ def test_template_edges_match_sort_based_reference(n, k, seed):
         partition = BlockPartition.contiguous(n, k)
     else:
         partition = BlockPartition.shuffled(n, k, seed)
-    template = LatticeTemplate(partition)
+    template = LatticeTemplate(n, k)
     order, position, edge_ptr, edge_slot, edge_child, steps = reference_layers(template)
     for name, want in [("order", order), ("position", position), ("edge_ptr", edge_ptr),
                        ("edge_slot", edge_slot), ("edge_child", edge_child)]:
@@ -439,10 +496,9 @@ def test_template_edges_match_sort_based_reference(n, k, seed):
 
 @pytest.mark.parametrize("n,k", [(20, 2), (16, 4)])
 def test_template_build_peak_within_counted_bytes(n, k):
-    partition = BlockPartition.contiguous(n, k)
     tracemalloc.start()
     try:
-        LatticeTemplate(partition)
+        LatticeTemplate(n, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

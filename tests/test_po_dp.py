@@ -16,6 +16,8 @@ from qbnsl.bucket_cover import (
     BlockPartition,
     DownsetIndex,
     cover_size,
+    lattice_edge_count_formula,
+    lattice_template,
     member_by_index,
 )
 from qbnsl.dp_exact import solve_dp
@@ -327,7 +329,8 @@ def test_member_optima_match_python_reference(seed, tie_heavy, shuffled):
             for idx in range(members)
         ]
     )
-    row = DownsetIndex(member_by_index(partition, 0)).size * partition.n
+    # One member's share of the chunk budget: its E cells or its F entries.
+    row = max(lattice_edge_count_formula(partition.n, partition.k), len(table.scores))
     # The default chunk budget, one member per chunk, and three members per
     # chunk (a ragged last chunk unless members divide by 3).
     for chunk in (po_dp._CHUNK_ELEMENTS, 1, 3 * row):
@@ -569,15 +572,17 @@ def test_table_arrays_match_score_entries_reference(seed, n, shuffled):
 def test_lattice_beyond_the_byte_cap_is_refused_before_allocation():
     # n = 28 in pairs: 3^14 downsets and 44,641,044 edges, GiBs of arrays;
     # grover-sim's member cap (16,384 > 4,096) is checked first.  n = k = 26:
-    # 10,400,600 members of 16,383 downsets, a small lattice but hours of work.
+    # 10,400,600 members of 16,383 downsets, a small lattice, but the split
+    # tables take GiBs.  n = 22 in fours: 15,552 members of 50,421 downsets,
+    # 12 MB of lattice but over the work cap.
     rows = [
         (28, 2, strategy, "grover-sim cap" if strategy == "grover-sim" else "lattice")
         for strategy in po_dp.COVER_STRATEGIES
     ]
-    rows.append((26, 26, "grover-cost-model", "work cap"))
+    rows += [(26, 26, "grover-cost-model", "lattice"), (22, 4, "grover-cost-model", "work cap")]
     for n, k, strategy, message in rows:
         table = LocalScoreTable(n, [{0: 0.0}] * n)
-        with mock.patch.object(po_dp, "LatticeTemplate") as template:
+        with mock.patch.object(po_dp, "lattice_template") as template:
             with pytest.raises(InstanceTooLargeError) as err:
                 solve_cover(table, BlockPartition.contiguous(n, k), strategy)
         template.assert_not_called()
@@ -594,18 +599,35 @@ def test_work_cap_counts_members_times_downsets(n, k, admitted):
         pass
 
     table = LocalScoreTable(n, [{0: 0.0}] * n)
-    with mock.patch.object(po_dp, "LatticeTemplate", side_effect=Admitted):
+    with mock.patch.object(po_dp, "lattice_template", side_effect=Admitted):
         # grover-sim's member cap refuses all five covers first.
         for strategy in ("classical-scan", "grover-cost-model"):
             with pytest.raises(Admitted if admitted else InstanceTooLargeError):
                 solve_cover(table, BlockPartition.contiguous(n, k), strategy)
 
 
-@pytest.mark.parametrize("n", [14, 16])
-def test_scan_peak_within_counted_bytes(n):
+def dense_table(n):
+    """Every parent set of every node, with random scores."""
+    rng = rng_for(n, "dense-table")
+    return LocalScoreTable(n, [
+        {(m & ((1 << i) - 1)) | ((m >> i) << (i + 1)): float(rng.uniform(-10.0, 10.0))
+         for m in range(1 << (n - 1))}
+        for i in range(n)
+    ])
+
+
+@pytest.mark.parametrize(
+    "n,k,dense",
+    [pytest.param(14, 2, False, id="14"), pytest.param(16, 2, False, id="16"),
+     pytest.param(12, 12, True, id="12-12-dense")],
+)
+def test_scan_peak_within_counted_bytes(n, k, dense):
     # Empty-set tables: every member ties at 0, so every member is traced.
-    table = LocalScoreTable(n, [{0: 0.0}] * n)
-    partition = BlockPartition.contiguous(n, 2)
+    # The dense table has all 4,096 patterns in its one block.
+    table = dense_table(n) if dense else LocalScoreTable(n, [{0: 0.0}] * n)
+    partition = BlockPartition.contiguous(n, k)
+    # The template build is part of the measured peak.
+    lattice_template.cache_clear()
     tracemalloc.start()
     try:
         solve_cover(table, partition, "classical-scan")
@@ -616,6 +638,26 @@ def test_scan_peak_within_counted_bytes(n):
     with mock.patch.object(po_dp, "LATTICE_BYTES_CAP", peak - 1):
         with pytest.raises(InstanceTooLargeError, match="byte cap"):
             solve_cover(table, partition, "classical-scan")
+
+
+def test_large_templates_are_not_kept_between_solves():
+    # The (15, 2) and (14, 2) templates take 0.96 MB and 0.49 MB to build,
+    # over the 256 KiB up to which templates are kept.
+    def solve(n, k):
+        table = random_table(rng_for(n, "kept-templates"), n)
+        solve_cover(table, BlockPartition.contiguous(n, k), "classical-scan")
+
+    solve(6, 2)  # warm-up
+    lattice_template.cache_clear()
+    tracemalloc.start()
+    try:
+        solve(15, 2)
+        solve(14, 2)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # A kept (14, 2) template alone would hold 8 * (3E + 5D) = 332,424 bytes.
+    assert retained < 8 * (3 * 10_206 + 5 * 2_187) // 4
 
 
 @given(st.integers(0, 2**31), st.booleans(), st.booleans())

@@ -29,6 +29,7 @@ from qbnsl.scores_io import (
     write_scores,
 )
 from qbnsl.tables import random_table
+from reference import from_csv_by_rows
 
 FIXTURE = "2\nA 2\n-1.5 0\n-1.0 1 B\nB 1\n-2.0 0\n"
 
@@ -678,6 +679,38 @@ def test_from_csv_infers_arity_and_checks_cells():
     ):
         with pytest.raises(DatasetError, match=column):
             DiscreteDataset.from_csv(text)
+
+
+# Cells int() and numpy's int64 parse treat alike, except the overflow ones.
+CSV_CELLS = st.sampled_from(
+    ["0", "1", "2", " 3", "3 ", "+3", "-1", "1_0", "_1", "\u0663", "3.0", "1e3", "x", "",
+     " ", str(2**63 - 1), str(2**63), str(-(2**63) - 1), "9" * 25]
+)
+
+
+def _outcome(parse, text):
+    try:
+        data = parse(text)
+    except DatasetError as err:
+        return str(err)
+    return data.names, data.rows.tolist(), data.arities
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda width: st.lists(
+            st.lists(CSV_CELLS, min_size=width - 1, max_size=width + 1)
+            | st.lists(st.sampled_from(["0", "1", "2"]), min_size=width, max_size=width),
+            max_size=6,
+        ).map(lambda rows: (width, rows))
+    )
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_bulk_csv_parse_matches_per_row_parse(case):
+    width, rows = case
+    text = ",".join(f"X{j}" for j in range(width)) + "\n"
+    text += "".join(",".join(row) + "\n" for row in rows)
+    assert _outcome(DiscreteDataset.from_csv, text) == _outcome(from_csv_by_rows, text)
 
 
 def test_prune_drops_dominated_singleton():
