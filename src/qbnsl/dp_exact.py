@@ -85,7 +85,7 @@ def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:
         squeezed = by_layer[start:end]
         start = end
         without = (squeezed & low) | ((squeezed & ~low) << 1)
-        candidates = opt[without] + best_parent_values[:, squeezed]
+        candidates = opt[without] + np.take(best_parent_values, squeezed, axis=1)
         with_sink = without | (1 << nodes)
         # Sinks in ascending order with a strict test: ties keep the smallest.
         for i in range(n):

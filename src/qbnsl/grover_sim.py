@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from decimal import ROUND_CEILING, Decimal, localcontext
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from .bucket_cover import cover_size, downset_count_formula, lattice_radix, member_radix
@@ -208,10 +208,7 @@ def quantum_charge(m: int) -> int:
     """Analytic per-search charge ceil(sqrt(m)) * ceil(log2(max(m, 2)))."""
     if m < 1:
         raise ValueError("domain must be nonempty")
-    root = math.isqrt(m)
-    if root * root < m:
-        root += 1
-    return root * max(1, (max(m, 2) - 1).bit_length())
+    return (math.isqrt(m - 1) + 1) * max(1, (max(m, 2) - 1).bit_length())
 
 
 def _threshold_run(
@@ -265,13 +262,11 @@ def max_find(
     return best[0], best[1], oracle.ledger
 
 
-def _ceil_significant(x: mp.mpf, digits: int) -> mp.mpf:
+def _ceil_significant(x: Decimal, digits: int) -> Decimal:
     """Round up to the given number of significant decimal digits."""
     if x <= 0:
         raise ValueError("positive values only")
-    exponent = int(mp.floor(mp.log10(x)))
-    scale = mp.mpf(10) ** (digits - 1 - exponent)
-    return mp.ceil(x * scale) / scale
+    return x.quantize(Decimal(1).scaleb(x.adjusted() + 1 - digits), ROUND_CEILING)
 
 
 @dataclass(frozen=True)
@@ -282,7 +277,8 @@ class CostReport:
     The 26-wide block constants pin down the per-node base of the cover
     search: choices^(1/(2*26)) * downsets^(1/26) stays below 1.9820, and
     the report carries 30-digit decimal strings for the exact roots plus
-    their up-rounded 5-digit display values so the chain can be re-checked.
+    their up-rounded 5-digit display values so the chain can be re-checked;
+    real-valued fields are computed in decimal and rounded to float once.
     """
 
     n: int
@@ -321,18 +317,18 @@ def cost_report(n: int, total_entries: int | None = None, k: int = 2) -> CostRep
     """Build the analytic cost report for problem size n and block size k.
 
     ``total_entries`` defaults to full tables, n * 2^(n-1).  Exact integer
-    quantities stay exact; the 26-block root constants are evaluated at
-    40-digit working precision and reported to 30 significant digits.
+    quantities stay exact; everything else, the 26-block root constants
+    included, is evaluated in a 40-digit decimal context, and the roots are
+    reported to 30 significant digits.
     """
     if total_entries is None:
         total_entries = n * (1 << (n - 1))
     members = cover_size(n, k)
     downsets = downset_count_formula(n, k)
-    with mp.workdps(40):
-        choices26 = mp.mpf(member_radix(26))
-        downsets26 = mp.mpf(lattice_radix(26))
-        choices_root = choices26 ** (mp.mpf(1) / 52)
-        downsets_root = downsets26 ** (mp.mpf(1) / 26)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        choices_root = (Decimal(member_radix(26)).ln() / 52).exp()
+        downsets_root = (Decimal(lattice_radix(26)).ln() / 26).exp()
         product = choices_root * downsets_root
         choices_up = _ceil_significant(choices_root, 5)
         downsets_up = _ceil_significant(downsets_root, 5)
@@ -345,19 +341,19 @@ def cost_report(n: int, total_entries: int | None = None, k: int = 2) -> CostRep
             downsets_per_member=downsets,
             member_dp_bound=downsets * n * n + total_entries * n,
             cover_search_bound=float(
-                downsets * n * n * mp.sqrt(members) * mp.log(members)
+                Decimal(downsets * n * n) * Decimal(members).sqrt() * Decimal(members).ln()
             ),
             charged_queries=quantum_charge(members),
-            order_search_bound=float(mp.mpf("1.817") ** n * mp.sqrt(total_entries)),
+            order_search_bound=float(Decimal("1.817") ** n * Decimal(total_entries).sqrt()),
             classical_subset_bound=(1 << n) * n * n,
-            speedup_vs_subset=float((mp.mpf(2) / mp.mpf("1.817")) ** n),
-            subexp_entry_budget=float(mp.mpf("1.212") ** n),
-            cover_entry_budget=float(mp.mpf("1.453") ** n),
+            speedup_vs_subset=float((2 / Decimal("1.817")) ** n),
+            subexp_entry_budget=float(Decimal("1.212") ** n),
+            cover_entry_budget=float(Decimal("1.453") ** n),
             block26_first_half_choices=member_radix(26),
             block26_downsets=lattice_radix(26),
-            choices_root_30=mp.nstr(choices_root, 30),
-            downsets_root_30=mp.nstr(downsets_root, 30),
-            product_30=mp.nstr(product, 30),
+            choices_root_30=format(choices_root, ".30g"),
+            downsets_root_30=format(downsets_root, ".30g"),
+            product_30=format(product, ".30g"),
             choices_root_up5=float(choices_up),
             downsets_root_up5=float(downsets_up),
             rounded_chain_product=float(chain),

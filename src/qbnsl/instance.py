@@ -33,9 +33,7 @@ class MissingParentSetError(LookupError):
     """A node was assigned a parent set its score table does not list."""
 
     def __init__(self, node: int, parents: "NodeSet") -> None:
-        super().__init__(
-            f"node {node} has no score entry for parent set {parents}"
-        )
+        super().__init__(f"node {node} has no score entry for parent set {parents}")
         self.node = node
         self.parents = parents
 
@@ -207,9 +205,11 @@ class LocalScoreTable:
                 raise ValueError("names length must equal n")
             if len(set(names)) != n:
                 raise ValueError("variable names must be unique")
+        scores = np.asarray(scores, dtype=np.float64)
         # The first bad entry raises, as a scan in input order would; node
         # i's missing empty set comes after its entries, before node i+1's.
-        bad = (masks < 0) | (masks >= 1 << n) | (masks >> nodes & 1 == 1)
+        # Scores must be below +inf, so finite or -inf (a set that never wins).
+        bad = (masks < 0) | (masks >= 1 << n) | (masks >> nodes & 1 == 1) | ~(scores < np.inf)
         missing = np.flatnonzero(np.bincount(nodes[masks == 0], minlength=n) == 0)
         if bad.any():
             e = int(np.argmax(bad))
@@ -217,7 +217,9 @@ class LocalScoreTable:
                 mask = int(masks[e])
                 if not 0 <= mask < 1 << n:
                     raise ValueError(f"parent set {mask:#x} out of range for n={n}")
-                raise ValueError(f"node {nodes[e]} cannot be its own parent")
+                if mask >> int(nodes[e]) & 1:
+                    raise ValueError(f"node {nodes[e]} cannot be its own parent")
+                raise ValueError(f"node {nodes[e]} parent set {mask:#x} has score {scores[e]}")
         if len(missing):
             raise ValueError(f"node {missing[0]} is missing the empty parent set")
         masks = masks.astype(np.int64)
@@ -227,8 +229,7 @@ class LocalScoreTable:
         key = nodes << 35 | np.bitwise_count(masks).astype(np.int64) << 30 | masks
         order = np.argsort(key, kind="stable")
         keep = order[np.append(key[order][1:] != key[order][:-1], True)]
-        nodes, masks = nodes[keep], masks[keep]
-        scores = np.asarray(scores, dtype=np.float64)[keep]
+        nodes, masks, scores = nodes[keep], masks[keep], scores[keep]
         offsets = np.searchsorted(nodes, np.arange(n + 1))
         for array in (nodes, masks, scores, offsets):
             array.flags.writeable = False

@@ -338,9 +338,7 @@ def solve_cover(
     cap, when members times downsets exceeds ``SCAN_WORK_CAP``.
     """
     if strategy not in COVER_STRATEGIES:
-        raise StrategyUnavailableError(
-            f"strategy {strategy!r} not in {COVER_STRATEGIES}"
-        )
+        raise StrategyUnavailableError(f"strategy {strategy!r} not in {COVER_STRATEGIES}")
     n, k = partition.n, partition.k
     if table.n != n:
         raise ValueError("table and partition sizes differ")

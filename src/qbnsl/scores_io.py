@@ -294,9 +294,7 @@ class DiscreteDataset:
                 raise DatasetError(f"column {self.names[j]!r} has arity < 1")
             col = rows[:, j]
             if col.min() < 0 or col.max() >= r:
-                raise DatasetError(
-                    f"column {self.names[j]!r} has values outside 0..{r - 1}"
-                )
+                raise DatasetError(f"column {self.names[j]!r} has values outside 0..{r - 1}")
 
     @property
     def m(self) -> int:
@@ -462,9 +460,7 @@ def bic_scores(
         c = cand_masks[i].bit_count()
         planned += sum(math.comb(c, d) for d in range(min(max_indegree, c) + 1))
     if planned > max_entries:
-        raise TooManyEntriesError(
-            f"would generate {planned} entries, budget is {max_entries}"
-        )
+        raise TooManyEntriesError(f"would generate {planned} entries, budget is {max_entries}")
 
     # Families (child i, parents P) as flat arrays, one level per parent
     # count: each family grows by every candidate above its parents' top.

@@ -424,6 +424,23 @@ def test_lattice_template_is_cached_per_shape_and_read_only():
         DownsetIndex(member, lattice_template(9, 2))
 
 
+def test_kept_templates_are_bounded_by_their_build_bytes():
+    # lattice_template keeps every shape whose build takes at most 256 KiB,
+    # with no count; build bytes grow with n, so no shape past n = 16 is
+    # kept, and these 45 bound what the cache can ever hold.
+    kept = [
+        (n, k)
+        for n in range(1, 65)
+        for k in range(2, n + 1, 2)
+        if lattice_build_bytes(n, k) <= 1 << 18
+    ]
+    assert len(kept) == 45
+    assert max(n for n, _ in kept) == 16
+    assert sum(lattice_build_bytes(n, k) for n, k in kept) == 5_321_736  # 5.1 MiB
+    lattice_template.cache_clear()
+    assert lattice_template(16, 8) is lattice_template(16, 8)
+
+
 def reference_layers(template: LatticeTemplate):
     """The covering edges as the sort-based build made them before the
     template placed each edge directly: every (parent, slot, child) triple,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbnsl
-from qbnsl.cli import ALGORITHMS, MAX_REPORT_N, build_parser, main
+from qbnsl.cli import ALGORITHMS, MAX_REPORT_N, _binomial_tail, build_parser, main
 from qbnsl.scores_io import parse_scores
 
 FIXTURE = "2\nA 2\n-1.5 0\n-1.0 1 B\nB 1\n-2.0 0\n"
@@ -318,6 +318,21 @@ def test_bench_grover_small(capsys):
     assert "result = pass" in out
     assert "success_rate[16]" in out
     assert "single_search_closed_form[64]" in out
+
+
+def test_binomial_tail_matches_scipy():
+    # scipy is an independent reference here; its cdf is within ~5e-11
+    # relative of the exact sum the bench prints.
+    from scipy.stats import binom
+
+    cases = [(t, np.arange(t + 1)) for t in range(1, 41)]
+    cases += [(333, np.arange(0, 334, 37)), (2000, np.arange(1250, 1451, 25))]
+    for trials, successes in cases:
+        want = binom.cdf(successes, trials, 2.0 / 3.0)
+        got = [_binomial_tail(int(s), trials) for s in successes]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-300)
+    assert _binomial_tail(2, 2) == 1.0
+    assert _binomial_tail(0, 3) == 1 / 27
 
 
 def test_bench_scaling(tmp_path, capsys):

@@ -451,6 +451,43 @@ def test_constructor_errors_match_dict_reference(n, entries, names):
         assert str(flat.value) == str(want.value)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+# (entries, message): the first bad entry in input order names itself, and a
+# node's missing empty set counts after its own entries.
+NON_FINITE_TABLES = [
+    ([{0: 0.0}, {0: 0.0, 1: NAN}], "node 1 parent set 0x1 has score nan"),
+    ([{0: 0.0}, {0: 0.0, 1: INF}], "node 1 parent set 0x1 has score inf"),
+    ([{0: INF}, {0: NAN}], "node 0 parent set 0x0 has score inf"),
+    ([{0: 0.0, 2: NAN, 1: 0.0}, {0: 0.0}], "node 0 parent set 0x2 has score nan"),
+    ([{0: 0.0, 1: 0.0, 2: NAN}, {0: 0.0}], "node 0 cannot be its own parent"),
+    ([{2: 0.0}, {0: NAN}], "node 0 is missing the empty parent set"),
+    ([{0: NAN}, {1: 0.0}], "node 0 parent set 0x0 has score nan"),
+]
+
+
+@pytest.mark.parametrize("entries, message", NON_FINITE_TABLES)
+def test_tables_reject_nan_and_positive_infinity(entries, message):
+    n = len(entries)
+    with pytest.raises(ValueError) as got:
+        LocalScoreTable(n, entries)
+    assert str(got.value).startswith(message)
+    nodes = [i for i, node in enumerate(entries) for _ in node]
+    masks = [int(key) for node in entries for key in node]
+    scores = [score for node in entries for score in node.values()]
+    with pytest.raises(ValueError) as flat:
+        LocalScoreTable.from_arrays(n, nodes, masks, scores)
+    assert str(flat.value) == str(got.value)
+
+
+def test_tables_allow_negative_infinity():
+    entries = [{0: 0.0, 2: -INF}, {0: -1.0, 1: -INF}]
+    table = LocalScoreTable(2, entries)
+    assert table.scores.tolist() == [0.0, -INF, -1.0, -INF]
+    assert table == LocalScoreTable.from_arrays(2, [0, 0, 1, 1], [0, 2, 0, 1], [0.0, -INF, -1.0, -INF])
+
+
 def test_table_arrays_are_sorted_and_read_only():
     t = LocalScoreTable(
         3, [{0: 0.0, 0b110: 1.0, 0b010: 2.0}, {0b100: 3.0, 0: 0.5}, {0: 0.0}]
