@@ -48,5 +48,6 @@ def test_cli_matches_corpus_record(name):
         for field in ("stdout", "stderr"):
             assert got[field] == want[field], f"{want['id']}\n{diff(field, want[field], got[field])}"
         assert sorted(got["files"]) == sorted(want["files"]), want["id"]
-        for name_, lines in want["files"].items():
-            assert got["files"][name_] == lines, f"{want['id']}\n{diff(name_, lines, got['files'][name_])}"
+        for file_name, lines in want["files"].items():
+            now = got["files"][file_name]
+            assert now == lines, f"{want['id']}\n{diff(file_name, lines, now)}"
