@@ -163,6 +163,7 @@ class CoverMember:
         return self.partition.blocks[t] - self.splits[t]
 
 
+@functools.cache
 def cover_size(n: int, k: int) -> int:
     """Number of members in the balanced-split cover for (n, k), exactly."""
     return math.prod(member_radix(size) for size in _block_sizes(n, k))
@@ -204,6 +205,7 @@ def member_by_index(partition: BlockPartition, index: int) -> CoverMember:
     return CoverMember(partition, tuple(splits))
 
 
+@functools.cache
 def downset_count_formula(n: int, k: int) -> int:
     """Downsets of every (n, k) member: the product of the block lattice radices.
 
@@ -214,6 +216,7 @@ def downset_count_formula(n: int, k: int) -> int:
     return math.prod(lattice_radix(size) for size in _block_sizes(n, k))
 
 
+@functools.cache
 def lattice_edge_count_formula(n: int, k: int) -> int:
     """Covering edges of every (n, k) member's downset lattice.
 
@@ -229,6 +232,7 @@ def lattice_edge_count_formula(n: int, k: int) -> int:
     return total
 
 
+@functools.cache
 def lattice_build_bytes(n: int, k: int) -> int:
     """Bytes that building an (n, k) :class:`LatticeTemplate` peaks at, bounded.
 

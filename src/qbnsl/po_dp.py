@@ -16,16 +16,18 @@ batch of members at once:
 - the member DP, one cardinality layer at a time over the template's CSR
   edges, O(E) per member for E edges.
 
-The classical cover scan is values first.  :func:`member_optima` runs
-the kernels over chunks of B members, B * max(E, F) <= 2^16, on the E
-cells the DP reads, one per edge, and returns every member's optimum.
-Witnesses are traced one member at a time by :func:`solve_member` over
-the full (D, n) table of :func:`downset_best_parents`, which re-derives
-each parent set with ``best_parents_in`` and rescores the DAG, and only
-for the candidates: the members within tol of the maximum, where tol =
-1e-9 * (1 + |max optimum|) (see :func:`solve_cover`).  A rescored total
-differs from its DP value only by summation order; a traced member off
-by more than tol / 2 raises ``RuntimeError``.
+The cover scan runs the kernels over chunks of B members, B * max(E, F)
+<= 2^16, on the E cells the DP reads, one per edge, and traces witnesses
+from the same chunks.  A member below f(running max), f(x) = x - 1e-9 *
+(1 + |x|), never comes within tol = 1e-9 * (1 + |max optimum|) of the
+maximum, so only the others are buffered and traced, B or more at once.
+The traceback is vectorized over the batch: a segmented minimum over the
+tight edges picks each downset's smallest sink, and a (B, F) fit mask
+gives each node its first listed entry with the best score inside the
+downset left behind, ``best_parents_in``'s tie rule.  Totals add up in
+node order, as ``total_score`` does, so a total differs from its DP value
+only by summation order.  :func:`solve_member` is the same traceback with
+a batch of one, over the full (D, n) table of :func:`downset_best_parents`.
 
 On top sit three search strategies over the whole cover: the classical
 scan, simulated quantum maximum finding, and an analytic cost model that
@@ -51,18 +53,14 @@ from .bucket_cover import (
     lattice_build_bytes,
     lattice_edge_count_formula,
     lattice_template,
-    member_by_index,
 )
 from .dp_exact import DP_CAP, solve_dp
 from .grover_sim import MAX_SIM_DOMAIN, MaxOracle, QueryLedger, max_find, quantum_charge
-from .instance import (
-    Dag,
-    InstanceTooLargeError,
-    LocalScoreTable,
-    NodeSet,
-    best_parents_in,
-    total_score,
-)
+from .instance import Dag, InstanceTooLargeError, LocalScoreTable, NodeSet
+
+# Unused here, but perfbench/spans.py wraps these two names in this module.
+from .bucket_cover import member_by_index  # noqa: F401
+from .instance import total_score  # noqa: F401
 
 COVER_STRATEGIES = ("classical-scan", "grover-sim", "grover-cost-model")
 # Members times downsets: (21, 4), at 2.6e8, runs; (22, 4) at 7.8e8 does not.
@@ -103,27 +101,31 @@ def _block_patterns(masks: np.ndarray, elems: np.ndarray) -> np.ndarray:
     return ((masks[:, None] >> elems) & 1) @ (1 << np.arange(len(elems)))
 
 
-def _bucket_maxima(cells: np.ndarray, scores: np.ndarray, size: int) -> np.ndarray:
-    """Each of ``size`` buckets' best score, -inf if empty; ``scores[i]`` goes to ``cells[i]``."""
-    out = np.full(size, _NEG_INF)
+def _bucket_maxima(cells: np.ndarray, scores: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each bucket's best score in ``out``, -inf if empty; ``scores[i]`` goes to ``cells[i]``."""
+    out.fill(_NEG_INF)
     np.maximum.at(out, cells, scores)
     return out
 
 
-def _member_dp(edge_best: np.ndarray, template: LatticeTemplate) -> np.ndarray:
-    """Downset DP values (D, batch) from per-edge best scores (E, batch).
+def _member_dp(
+    cells: np.ndarray, rows: np.ndarray, template: LatticeTemplate, value: np.ndarray | None = None
+) -> np.ndarray:
+    """Downset DP values (D, batch), written to ``value`` if given.
 
-    ``edge_best[e]`` is the best parent score of the node removed along
-    CSR edge e within the edge's child downset; a 1-D ``edge_best`` is one
-    member and gives 1-D values.  Per cardinality layer: a gather, an add
-    and a ``maximum.reduceat`` along the edge axis.
+    ``cells[rows[e]]`` holds, per member of the batch, the best parent
+    score of the node removed along CSR edge e within the edge's child
+    downset; 1-D ``cells`` are one member and give 1-D values.  Per
+    cardinality layer: two gathers, an add and a ``maximum.reduceat``
+    along the edge axis.
     """
-    value = np.empty((template.size,) + edge_best.shape[1:])
+    if value is None:
+        value = np.empty((template.size,) + cells.shape[1:])
     value[0] = 0.0
     for downsets, edges, children, segments in template.steps:
         # np.take gathers rows several times faster than fancy indexing.
         cand = np.take(value, children, axis=0)
-        cand += edge_best[edges]
+        cand += np.take(cells, rows[edges], axis=0)
         value[downsets] = np.maximum.reduceat(cand, segments)
     return value
 
@@ -137,8 +139,8 @@ def downset_best_parents(
     sub-downset fold kernels with a batch of one.  The downset lattice is
     the product of the block lattices, so folding the bucket maxima block
     axis by block axis yields the max over all sub-downsets.  Values only:
-    witnesses come from ``best_parents_in`` on the traceback, with the
-    same (cardinality, bitmask) tie rule.
+    the traceback picks witnesses by ``best_parents_in``'s (cardinality,
+    bitmask) tie rule.
     """
     n = table.n
     if n != index.member.partition.n:
@@ -151,7 +153,7 @@ def downset_best_parents(
     ):
         local = _block_patterns(table.masks, nodes[offset : offset + size])
         flat += closure_digit(local, h) * (weight * n)
-    by_downset = _bucket_maxima(flat, table.scores, template.size * n).reshape(-1, n)
+    by_downset = _bucket_maxima(flat, table.scores, np.empty(template.size * n)).reshape(-1, n)
     visits = _fold_sub_downsets(by_downset, template.axes)
     return DownsetScoreTable(by_downset.T, visits)
 
@@ -183,30 +185,48 @@ def _fold_sub_downsets(values: np.ndarray, axes) -> int:
 
 
 def _chunk_members(members: int, edges: int, entries: int) -> int:
-    """Members per chunk of ``member_optima``: B * max(E, F) <= 2^16, B >= 1."""
+    """Members per chunk of the member pass: B * max(E, F) <= 2^16, B >= 1."""
     return max(1, min(members, _CHUNK_ELEMENTS // max(edges, entries)))
 
 
-def member_optima(
-    table: LocalScoreTable,
-    partition: BlockPartition,
-    template: LatticeTemplate | None = None,
-) -> np.ndarray:
-    """Every member's optimum, values only, in ``member_by_index`` order.
+def _slot_places(template: LatticeTemplate, members: np.ndarray) -> list[np.ndarray]:
+    """Per block, (B, s): each position's slot place under each member index."""
+    places, rest = [], members
+    for slot_of in reversed(template.slot_of):
+        places.insert(0, slot_of[rest % len(slot_of)])
+        rest = rest // len(slot_of)
+    return places
+
+
+def _member_slots(partition: BlockPartition, template: LatticeTemplate, members: np.ndarray):
+    """(B, n): each member's node in each slot, as ``DownsetIndex.nodes``."""
+    nodes = np.empty((len(members), partition.n), dtype=np.int64)
+    for block, place, offset in zip(
+        partition.blocks, _slot_places(template, members), template.offsets
+    ):
+        np.put_along_axis(nodes, place + offset, np.array(list(block)), axis=1)
+    return nodes
+
+
+def _scan(
+    table: LocalScoreTable, partition: BlockPartition, template: LatticeTemplate, trace: str = ""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every member's optimum, in ``member_by_index`` order, and witnesses.
 
     Members are stepped through as an odometer over the per-block split
     digits, in chunks of B, over the template's E cells.  An entry's cell
     is its own block's ``own_cells`` row, from its node's slot place and
     its closure digit there, plus the other blocks' downset.  The optimum
-    is the DP value of the full set (``solve_member`` gives a witness).
+    is the DP value of the full set.  ``trace`` "all" traces every member,
+    and "candidates" the members at or above f(running max) after each
+    chunk: they join a buffer, buffered members that have fallen below it
+    are dropped, and the buffer is traced once it holds B columns, and
+    after the last chunk.  Returns the optima, and per member the rescored
+    total and parent masks, set for every traced member.
     """
-    n = table.n
-    if n != partition.n:
-        raise ValueError("table and partition sizes differ")
-    if template is None:
-        template = lattice_template(n, partition.k)
+    n, k = table.n, partition.k
     # Max ignores entry order, so entries are grouped by block by their rank.
-    rank, k = np.empty(n, dtype=np.int64), partition.k
+    rank = np.empty(n, dtype=np.int64)
     rank[[node for block in partition.blocks for node in block]] = np.arange(n)
     order = np.argsort(rank[table.nodes], kind="stable")
     rank = rank[table.nodes[order]]
@@ -222,16 +242,24 @@ def member_optima(
         blocks.append((bits, which, position[lo:hi] * len(patterns) + which[lo:hi]))
     members = cover_size(n, k)
     batch = _chunk_members(members, len(template.edge_cell), len(scores))
-    optima, laid = np.empty(members), np.empty(0)
+    size = template.sink_row + max(template.cell_stride)
+    # The large chunk arrays are allocated once and viewed at each chunk's
+    # width, so they are not mapped and faulted in again chunk by chunk.
+    cells_at, reduced_at, value_at = (
+        np.empty(rows * batch, dtype)
+        for rows, dtype in ((len(scores), np.int64), (size, float), (template.size, float))
+    )
+    laid = np.empty(0)
+    optima, totals = np.empty(members), np.empty(members if trace else 0)
+    parents = np.empty((len(totals), n), dtype=np.int64)
+    top = floor = _NEG_INF
+    buffered: list = []  # (members, cells, DP values), a column per member
     # Per-chunk arrays are member-major, (B, patterns or entries): their
     # inner loops run over the long axis even when B is small.
     for lo in range(0, members, batch):
         hi = min(lo + batch, members)
         width = hi - lo
-        places, rest = [], np.arange(lo, hi)  # (B, s): each position's slot place
-        for slot_of in reversed(template.slot_of):
-            places.insert(0, slot_of[rest % len(slot_of)])
-            rest //= len(slot_of)
+        places = _slot_places(template, np.arange(lo, hi))
         digits = []  # (B, P) per block: each pattern's closure digit
         for (bits, _, _), place, h in zip(blocks, places, template.halves):
             slots = bits[0] << place[:, :1]
@@ -240,25 +268,110 @@ def member_optima(
             digits.append(closure_digit(slots, h))
         # Entry e of block t under member b goes to cell row * B + b; the
         # block's entries take cells[bounds[t] * B : bounds[t + 1] * B].
-        cells = np.empty(len(scores) * width, dtype=np.int64)
+        cells = cells_at[: len(scores) * width]
         for t, ((_, _, own), lo_t, hi_t) in enumerate(zip(blocks, bounds, bounds[1:])):
             # (B, s, P): the cell of a node at each position with each pattern.
             at = places[t][:, :, None] * template.radices[t] + digits[t][:, None]
             rows = np.take(template.own_cells[t] * width, at)
             rows += np.arange(width)[:, None, None]
             segment = cells[lo_t * width : hi_t * width].reshape(width, -1)
-            np.take(rows.reshape(width, -1), own, axis=1, out=segment)
+            np.take(rows.reshape(width, -1), own, axis=1, out=segment, mode="clip")
             for digit, (_, which, _), weight in zip(digits, blocks, template.other_weights[t]):
                 if weight:
                     segment += np.take(digit * (weight * width), which[lo_t:hi_t], axis=1)
         if len(laid) != len(cells):
             laid = np.concatenate([np.tile(scores[a:b], width) for a, b in zip(bounds, bounds[1:])])
-        size = template.sink_row + max(template.cell_stride)
-        reduced = _bucket_maxima(cells, laid, size * width).reshape(size, width)
+        reduced = _bucket_maxima(cells, laid, reduced_at[: size * width]).reshape(size, width)
         for first, last, axes in template.cell_groups:
             _fold_sub_downsets(reduced[first:last], axes)
-        optima[lo:hi] = _member_dp(np.take(reduced, template.edge_cell, axis=0), template)[-1]
-    return optima
+        value = value_at[: template.size * width].reshape(-1, width)
+        optima[lo:hi] = _member_dp(reduced, template.edge_cell, template, value)[-1]
+        if not trace:
+            continue
+        if trace == "candidates":
+            top = max(top, float(optima[lo:hi].max()))
+            floor = top - 1e-9 * (1.0 + abs(top))
+        # Masking copies: the chunk's arrays are reused.
+        buffered.append((np.arange(lo, hi), reduced, value))
+        buffered = [(m[keep], c[:, keep], v[:, keep]) for m, c, v in buffered
+                    if (keep := optima[m] >= floor).any()]
+        if sum(len(m) for m, _, _ in buffered) >= batch:
+            _trace_buffer(table, partition, template, buffered, totals, parents)
+    # Freed first, so that the last trace does not add to the chunk arrays.
+    del cells_at, reduced_at, value_at, laid, cells, reduced, value
+    if buffered:
+        _trace_buffer(table, partition, template, buffered, totals, parents)
+    return optima, totals, parents
+
+
+def _trace_buffer(table, partition, template, buffered: list, totals, parents) -> None:
+    """Trace the buffered members into ``totals`` and ``parents``; empty the buffer."""
+    index, cells, value = (np.concatenate(a, axis=-1) for a in zip(*buffered))
+    buffered.clear()
+    nodes = _member_slots(partition, template, index)
+    totals[index], parents[index] = _trace(table, template, nodes, cells, template.edge_cell, value)
+
+
+def member_optima(
+    table: LocalScoreTable, partition: BlockPartition, template: LatticeTemplate | None = None
+) -> np.ndarray:
+    """Every member's optimum, values only, in ``member_by_index`` order."""
+    if table.n != partition.n:
+        raise ValueError("table and partition sizes differ")
+    return _scan(table, partition, template or lattice_template(partition.n, partition.k))[0]
+
+
+def _trace(
+    table: LocalScoreTable, template: LatticeTemplate, nodes: np.ndarray, cells: np.ndarray,
+    rows: np.ndarray, value: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Witnesses of B members: rescored totals (B,) and parent masks (B, n).
+
+    ``nodes[b]`` is member b's node in each slot; ``cells``, ``rows`` and
+    ``value`` (D, B) are its DP's arrays, as ``_member_dp`` takes them.
+    From the full set down, each downset gives up its smallest node whose
+    edge is tight, value[child] + cells[rows[edge]] == value[downset]: one
+    segmented minimum over the CSR rows keyed by (node, edge), then n
+    gathers.  A node's parents are its first listed entry with the best
+    score inside the downset left behind, and totals add up in node order.
+    """
+    n, width = table.n, len(nodes)
+    edges, ptr = len(template.edge_slot), template.edge_ptr
+    cand = np.take(value, template.edge_child, axis=0)
+    cand += np.take(cells, rows, axis=0)
+    tight = cand == np.take(value, np.repeat(template.order, np.diff(ptr)), axis=0)
+    del cand
+    key = np.take(nodes.T * edges, template.edge_slot, axis=0)
+    key += np.arange(edges)[:, None]
+    key[~tight] = n * edges
+    # Row p - 1: the smallest tight key of the downset at order position p.
+    smallest = np.minimum.reduceat(key, ptr[1:-1], axis=0)
+    del key, tight
+    columns = np.arange(width)
+    downset = np.full(width, template.size - 1)
+    left = np.full(width, (1 << n) - 1)
+    allowed = np.empty((width, n), dtype=np.int64)
+    for _ in range(n):
+        sink, edge = np.divmod(smallest[template.position[downset] - 1, columns], edges)
+        left ^= 1 << sink
+        allowed[columns, sink] = left
+        downset = template.edge_child[edge]
+    del smallest
+    fits = (table.masks & ~allowed[:, table.nodes]) == 0
+    scores = np.where(fits, table.scores, _NEG_INF)
+    starts = table.offsets[:-1]
+    best = np.maximum.reduceat(scores, starts, axis=1)
+    first = np.where(fits & (scores == best[:, table.nodes]), np.arange(len(fits[0])), len(fits[0]))
+    entry = np.minimum.reduceat(first, starts, axis=1)
+    chosen = table.scores[entry]
+    totals = np.zeros(width)
+    for i in range(n):
+        totals += chosen[:, i]
+    return totals, table.masks[entry]
+
+
+def _dag(n: int, parents: np.ndarray) -> Dag:
+    return Dag(n, tuple(NodeSet(mask) for mask in parents.tolist()))
 
 
 def solve_member(
@@ -269,36 +382,19 @@ def solve_member(
     DP over downsets: the value of a downset is the best way to schedule
     its nodes, choosing a last node among the removable ones and giving it
     its best parents inside the remaining downset.  It is the layered DP
-    kernel with a batch of one over the full (D, n) table of
-    ``downset_best_parents``.  The traceback takes, at each downset, the
-    smallest node whose candidate equals the downset's value and gives it
-    ``best_parents_in`` the remaining downset.  Returns the witness DAG's
-    rescored total and the DAG.
+    kernel over the full (D, n) table of ``downset_best_parents`` and the
+    cover scan's traceback, each with a batch of one.  Returns the
+    witness DAG's rescored total and the DAG.
     """
     index = DownsetIndex(member, template)
     best = downset_best_parents(table, index)
-    n = table.n
     template = index.template
-    edge_node = np.array(index.nodes)[template.edge_slot]
-    edge_best = best.values[edge_node, template.edge_child]
-    value = _member_dp(edge_best, template)
-    parents = [NodeSet(0)] * n
-    mask = (1 << n) - 1
-    d = index.size - 1
-    while mask:
-        p = template.position[d]
-        target = value[d]
-        sink, sink_child = n, -1
-        for e in range(template.edge_ptr[p], template.edge_ptr[p + 1]):
-            i = int(edge_node[e])
-            child = template.edge_child[e]
-            if i < sink and value[child] + edge_best[e] == target:
-                sink, sink_child = i, child
-        mask ^= 1 << sink
-        parents[sink] = best_parents_in(table, sink, mask)[1]
-        d = sink_child
-    dag = Dag(n, tuple(parents))
-    return total_score(dag, table), dag
+    nodes = np.array([index.nodes])
+    cells = best.values.T.reshape(-1, 1)  # (D * n, 1), downset-major
+    rows = template.edge_child * table.n + nodes[0, template.edge_slot]
+    value = _member_dp(cells, rows, template)
+    totals, parents = _trace(table, template, nodes, cells, rows, value)
+    return float(totals[0]), _dag(table.n, parents[0])
 
 
 def solve_cover(
@@ -313,29 +409,26 @@ def solve_cover(
     Because every linear order extends some member, the cover maximum
     equals the unconstrained optimum; all strategies return that score
     (grover-sim with failure probability below 5e-4 per call), as the
-    rescored total of the returned witness.
+    rescored total of the returned witness, from one chunked pass that
+    traces witnesses as it goes.  classical-scan traces the candidates,
+    the members within tol of the maximum: the highest total wins, ties to
+    the lowest member index, and one off its DP value by more than tol / 2
+    raises ``RuntimeError``.  It books every member as one classical
+    evaluation.  grover-cost-model returns the scan's answer, checks it
+    against ``solve_dp`` to 1e-9 where n <= ``DP_CAP``, and books one
+    classical evaluation plus the charge ceil(sqrt(members)) *
+    ceil(log2(members)) instead of simulating.  grover-sim traces every
+    member, because its oracle table must order members exactly as totals
+    do, and members sharing a constrained optimum tie, so near ties are the
+    rule; it runs simulated quantum maximum finding over the totals,
+    charging oracle applications to the ledger, and books the winner's
+    witness as one more classical evaluation.
 
-    classical-scan is values first: ``member_optima`` gives every member's
-    DP optimum, and only the candidates, the members within tol = 1e-9 *
-    (1 + |max optimum|) of the maximum, are traced; the highest rescored
-    total wins (ties keep the lowest member index).  It books every member
-    as one classical evaluation.  grover-cost-model returns the scan's
-    answer, checks it against ``solve_dp`` to 1e-9 where n <= ``DP_CAP``,
-    and books one classical evaluation plus the analytic charge
-    ceil(sqrt(members)) * ceil(log2(members)) instead of simulating.
-    grover-sim traces and rescores every member, because its oracle table
-    must order members exactly as rescored totals do and members sharing
-    a constrained optimum tie, so near ties are the rule rather than the
-    exception; it then runs simulated quantum maximum finding over the
-    table, charging oracle applications to the ledger, and re-solves the
-    winner (one more classical evaluation).
-
-    Every member solve shares one ``lattice_template``.  Before it is
-    looked up or built, the caps raise ``InstanceTooLargeError``, in
-    order: for grover-sim, more members than ``MAX_SIM_DOMAIN``; the byte
-    cap, when ``lattice_build_bytes`` and the larger of the member phase
-    and one traced member would exceed ``LATTICE_BYTES_CAP``; and the work
-    cap, when members times downsets exceeds ``SCAN_WORK_CAP``.
+    Before the shared ``lattice_template`` is looked up or built, the caps
+    raise ``InstanceTooLargeError``, in order: for grover-sim, more members
+    than ``MAX_SIM_DOMAIN``; the byte cap, when ``lattice_build_bytes`` and
+    the scan would exceed ``LATTICE_BYTES_CAP``; and the work cap, when
+    members times downsets exceeds ``SCAN_WORK_CAP``.
     """
     if strategy not in COVER_STRATEGIES:
         raise StrategyUnavailableError(f"strategy {strategy!r} not in {COVER_STRATEGIES}")
@@ -350,17 +443,23 @@ def solve_cover(
     downsets = downset_count_formula(n, k)
     edges = lattice_edge_count_formula(n, k)
     entries = len(table.scores)
-    # Per chunk member: the cell table (at most E + D rows), its gather and
-    # DP, F-long cells and scores, and per block of at most min(F, 2^k)
+    # Per chunk member: the cell table (at most E + D rows), its DP and the
+    # DP's per-layer gathers, F-long cells and scores, and per block of at most min(F, 2^k)
     # patterns their digits and k-wide own-cell tables.  Once: the entries'
-    # copies and pattern temporaries.  Tracing one member instead: the
-    # (D, n) table, its gathers and DP, and the table's views (~160 B/entry).
+    # copies and pattern temporaries.  Per traced member, at most 2B - 1 at
+    # a time: its buffered cells and DP values, at most E + 2D, twice while
+    # pieces are joined, and the larger of three (E, B) and four (B, F)
+    # trace arrays.  Kept: each member's optimum, total, n parent masks and
+    # buffered index.
+    chunk = _chunk_members(members, edges, entries)
     blocks = len(partition.blocks)
     patterns = min(entries, 1 << k) * (3 * k + blocks + 2)
-    needed = lattice_build_bytes(n, k) + 8 * max(
-        _chunk_members(members, edges, entries)
-        * (3 * edges + 3 * downsets + 3 * entries + patterns) + (2 * k + blocks + 6) * entries,
-        downsets * (n + 2) + 4 * edges + (2 * k + 24) * entries,
+    needed = lattice_build_bytes(n, k) + 8 * (
+        chunk * (2 * edges + 3 * downsets + 3 * entries + patterns)
+        + (2 * k + blocks + 6) * entries
+        + (2 * chunk - 1) * ((1 + (chunk > 1)) * (edges + 2 * downsets)
+                             + max(3 * edges + downsets, 4 * entries))
+        + members * (n + 3)
     )
     if needed > LATTICE_BYTES_CAP:
         raise InstanceTooLargeError(
@@ -372,39 +471,32 @@ def solve_cover(
             f"cover of {members} members x {downsets} downsets is over the "
             f"{SCAN_WORK_CAP} work cap"
         )
-    template = lattice_template(n, k)
     ledger = QueryLedger()
-
+    trace = "all" if strategy == "grover-sim" else "candidates"
+    optima, totals, parents = _scan(table, partition, lattice_template(n, k), trace)
     if strategy == "grover-sim":
-        scores = [
-            solve_member(table, member_by_index(partition, idx), template)[0]
-            for idx in range(members)
-        ]
         ledger.count_classical(members)
-        oracle = MaxOracle(members, scores.__getitem__, ledger)
-        best_idx, _, _ = max_find(oracle, members, "sim", rng_seed=seed)
+        oracle = MaxOracle(members, totals.__getitem__, ledger)
+        best, _, _ = max_find(oracle, members, "sim", rng_seed=seed)
         ledger.count_classical()
-        score, dag = solve_member(table, member_by_index(partition, best_idx), template)
-        return score, dag, ledger
+        return float(totals[best]), _dag(n, parents[best]), ledger
 
-    # Values first, then trace only the candidates.
-    optima = member_optima(table, partition, template)
-    tol = 1e-9 * (1.0 + abs(float(optima.max())))
-    best: tuple[float, Dag] | None = None
-    for idx in np.flatnonzero(optima >= optima.max() - tol).tolist():
-        score, dag = solve_member(table, member_by_index(partition, idx), template)
-        if abs(score - optima[idx]) > tol / 2:
-            raise RuntimeError(
-                f"member {idx}: witness rescores to {score!r}, DP gave {optima[idx]!r}"
-            )
-        if best is None or score > best[0]:
-            best = score, dag
-    assert best is not None
+    top = float(optima.max())
+    tol = 1e-9 * (1.0 + abs(top))
+    near = np.flatnonzero(optima >= top - tol)
+    off = near[np.abs(totals[near] - optima[near]) > tol / 2]
+    if len(off):
+        raise RuntimeError(
+            f"member {off[0]}: witness rescores to {float(totals[off[0]])!r}, "
+            f"DP gave {float(optima[off[0]])!r}"
+        )
+    best = near[np.argmax(totals[near])]
+    score, dag = float(totals[best]), _dag(n, parents[best])
     if strategy == "classical-scan":
         ledger.count_classical(members)
-        return best[0], best[1], ledger
-    if n <= DP_CAP and abs(best[0] - solve_dp(table)[0]) > 1e-9:
+        return score, dag, ledger
+    if n <= DP_CAP and abs(score - solve_dp(table)[0]) > 1e-9:
         raise RuntimeError("cover identity violated: member optimum != DP optimum")
     ledger.count_classical()
     ledger.charge_quantum(quantum_charge(members))
-    return best[0], best[1], ledger
+    return score, dag, ledger

@@ -52,13 +52,16 @@ def test_traced_run_reports_every_per_layer_metric():
     expected = {m["name"] for m in spec["per_layer"] if not m["name"].startswith("trace.")}
     assert set(tracer.layer_metrics(1)) == expected
 
-    # The member spans must keep counting on the traced cover-scan op.
+    # The cover scan traces its witnesses in batches, without solve_member;
+    # the member spans must still count one solve_member call on a member
+    # of the cover-scan case.
     wl = workloads.WORKLOADS["cover-scan"]
     case = wl.prepare(qb, wl.make(workloads.op_rng(1, wl.key, 1), 1))
+    member = qb.bucket_cover.member_by_index(case["partition"], 0)
     tracer = spans.Tracer(qb)
     tracer.install(0)
     try:
-        wl.op(qb, case)
+        qb.po_dp.solve_member(case["table"], member)
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics(1)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -155,15 +157,17 @@ def reference_solve_cover(results, strategy, seed):
 
 
 def tie_heavy_table(rng, n):
-    """random_table's parent sets with small integer scores, so ties abound."""
+    """random_table's parent sets with small integer scores, so ties abound;
+    about a fifth of the nonempty sets score -inf, which never wins."""
     base = random_table(rng, n)
-    return LocalScoreTable(
-        n,
-        [
-            {mask: float(rng.integers(-2, 3)) for mask, _ in base.items(i)}
-            for i in range(n)
-        ],
-    )
+    entries = []
+    for i in range(n):
+        node = {}
+        for mask, _ in base.items(i):
+            score = float(rng.integers(-2, 3))
+            node[mask] = float("-inf") if mask and rng.random() < 0.2 else score
+        entries.append(node)
+    return LocalScoreTable(n, entries)
 
 
 def test_downward_closure_minimal_rule(demo_member):
@@ -296,11 +300,15 @@ def test_solve_cover_matches_python_reference(seed, tie_heavy, shuffled):
         reference_solve_member(table, member_by_index(partition, idx))
         for idx in range(cover_size(n, k))
     ]
-    for strategy in ("classical-scan", "grover-sim"):
-        score, dag, ledger = solve_cover(table, partition, strategy, seed=seed)
-        ref_score, ref_dag, ref_ledger = reference_solve_cover(results, strategy, seed)
-        assert (score, dag) == (ref_score, ref_dag)
-        assert ledger_counts(ledger) == ledger_counts(ref_ledger)
+    # Chunks of one member and of three flush the trace buffer mid-scan.
+    row = max(lattice_edge_count_formula(n, k), len(table.scores))
+    for chunk in (po_dp._CHUNK_ELEMENTS, 1, 3 * row):
+        for strategy in ("classical-scan", "grover-sim"):
+            with mock.patch.object(po_dp, "_CHUNK_ELEMENTS", chunk):
+                score, dag, ledger = solve_cover(table, partition, strategy, seed=seed)
+            ref_score, ref_dag, ref_ledger = reference_solve_cover(results, strategy, seed)
+            assert (score, dag) == (ref_score, ref_dag), (chunk, strategy)
+            assert ledger_counts(ledger) == ledger_counts(ref_ledger)
 
 
 def random_cover_case(seed, tie_heavy, shuffled, label):
@@ -340,31 +348,52 @@ def test_member_optima_match_python_reference(seed, tie_heavy, shuffled):
         assert np.abs(optima - reference).max() <= 1e-9
 
 
+@contextlib.contextmanager
+def counted_calls(*functions):
+    """Calls of each function's code while the block runs, however reached."""
+    codes = {getattr(fn, "__code__", None) or fn.__init__.__code__: fn.__name__
+             for fn in functions}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(previous)
+
+
 @given(st.integers(0, 2**31), st.booleans(), st.booleans())
 @settings(max_examples=15, deadline=None)
 def test_classical_scan_traces_only_candidates(seed, tie_heavy, shuffled):
     table, partition = random_cover_case(seed, tie_heavy, shuffled, "scan-candidates")
     optima = member_optima(table, partition)
-    candidates = int(np.count_nonzero(optima >= optima.max() - tie_tolerance(optima)))
-    calls = {"best_parents_in": 0, "member_by_index": 0}
+    candidates = set(np.flatnonzero(optima >= optima.max() - tie_tolerance(optima)).tolist())
+    row = max(lattice_edge_count_formula(partition.n, partition.k), len(table.scores))
+    member_slots = po_dp._member_slots  # called once per trace, with its members
+    # The default chunk budget, and one that holds the whole cover in one chunk.
+    for chunk in (po_dp._CHUNK_ELEMENTS, len(optima) * row):
+        traced = []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+        def recording(partition, template, members):
+            traced.extend(members.tolist())
+            return member_slots(partition, template, members)
 
-        return wrapper
-
-    with mock.patch.object(
-        po_dp, "best_parents_in", counted("best_parents_in", best_parents_in)
-    ), mock.patch.object(
-        po_dp, "member_by_index", counted("member_by_index", member_by_index)
-    ):
-        score, _, ledger = solve_cover(table, partition, "classical-scan")
-    assert calls["best_parents_in"] <= table.n * candidates
-    assert calls["member_by_index"] == candidates
-    assert score == pytest.approx(float(optima.max()), abs=1e-9)
-    assert ledger.classical_evals == len(optima)
+        with mock.patch.object(po_dp, "_member_slots", recording), mock.patch.object(
+            po_dp, "_CHUNK_ELEMENTS", chunk
+        ), counted_calls(best_parents_in, total_score, member_by_index, DownsetIndex) as calls:
+            score, _, ledger = solve_cover(table, partition, "classical-scan")
+        assert len(traced) == len(set(traced))
+        assert candidates <= set(traced)
+        if len(optima) * row <= chunk:
+            assert set(traced) == candidates
+        assert set(calls.values()) == {0}, calls
+        assert score == pytest.approx(float(optima.max()), abs=1e-9)
+        assert ledger.classical_evals == len(optima)
 
 
 def assert_grover_table_orders_like_rescored(table, partition, seed):
