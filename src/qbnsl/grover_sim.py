@@ -278,7 +278,8 @@ class CostReport:
     search: choices^(1/(2*26)) * downsets^(1/26) stays below 1.9820, and
     the report carries 30-digit decimal strings for the exact roots plus
     their up-rounded 5-digit display values so the chain can be re-checked;
-    real-valued fields are computed in decimal and rounded to float once.
+    real-valued fields are computed in decimal and rounded to float once,
+    except that a bound beyond float's range keeps its decimal value.
     """
 
     n: int
@@ -287,13 +288,13 @@ class CostReport:
     cover_members: int
     downsets_per_member: int
     member_dp_bound: int
-    cover_search_bound: float
+    cover_search_bound: float | Decimal
     charged_queries: int
-    order_search_bound: float
+    order_search_bound: float | Decimal
     classical_subset_bound: int
-    speedup_vs_subset: float
-    subexp_entry_budget: float
-    cover_entry_budget: float
+    speedup_vs_subset: float | Decimal
+    subexp_entry_budget: float | Decimal
+    cover_entry_budget: float | Decimal
     block26_first_half_choices: int
     block26_downsets: int
     choices_root_30: str
@@ -306,11 +307,21 @@ class CostReport:
     qram_note: str
 
     def lines(self) -> list[str]:
-        """One ``key = value`` line per field; ``qram_note`` prints as ``qram``."""
-        return [
-            f"{'qram' if f.name == 'qram_note' else f.name} = {getattr(self, f.name)}"
-            for f in fields(self)
-        ]
+        """One ``key = value`` line per field; ``qram_note`` prints as ``qram``,
+        and a decimal value as its 17 significant digits."""
+        out = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Decimal):
+                value = format(value, ".17g")
+            out.append(f"{'qram' if f.name == 'qram_note' else f.name} = {value}")
+        return out
+
+
+def _real(value: Decimal) -> float | Decimal:
+    """``value`` rounded to float, or kept as it is where a float would be inf."""
+    rounded = float(value)
+    return rounded if math.isfinite(rounded) else value
 
 
 def cost_report(n: int, total_entries: int | None = None, k: int = 2) -> CostReport:
@@ -340,15 +351,15 @@ def cost_report(n: int, total_entries: int | None = None, k: int = 2) -> CostRep
             cover_members=members,
             downsets_per_member=downsets,
             member_dp_bound=downsets * n * n + total_entries * n,
-            cover_search_bound=float(
+            cover_search_bound=_real(
                 Decimal(downsets * n * n) * Decimal(members).sqrt() * Decimal(members).ln()
             ),
             charged_queries=quantum_charge(members),
-            order_search_bound=float(Decimal("1.817") ** n * Decimal(total_entries).sqrt()),
+            order_search_bound=_real(Decimal("1.817") ** n * Decimal(total_entries).sqrt()),
             classical_subset_bound=(1 << n) * n * n,
-            speedup_vs_subset=float((2 / Decimal("1.817")) ** n),
-            subexp_entry_budget=float(Decimal("1.212") ** n),
-            cover_entry_budget=float(Decimal("1.453") ** n),
+            speedup_vs_subset=_real((2 / Decimal("1.817")) ** n),
+            subexp_entry_budget=_real(Decimal("1.212") ** n),
+            cover_entry_budget=_real(Decimal("1.453") ** n),
             block26_first_half_choices=member_radix(26),
             block26_downsets=lattice_radix(26),
             choices_root_30=format(choices_root, ".30g"),

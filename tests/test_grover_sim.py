@@ -384,6 +384,22 @@ def test_cost_report_fields_match_independent_formulas():
     assert report.cover_entry_budget == pytest.approx(1.453**n, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [999, 1000])
+def test_cost_report_prints_bounds_beyond_float_range(n):
+    # Both search bounds exceed float's range at these n: they print as
+    # 17 significant digits of their decimal value, not as inf.
+    members, downsets = cover_size(n, 2), downset_count_formula(n, 2)
+    printed = dict(line.split(" = ", 1) for line in cost_report(n, None, 2).lines())
+    with mp.workdps(40):
+        want = {
+            "cover_search_bound": downsets * n * n * mp.sqrt(members) * mp.log(members),
+            "order_search_bound": mp.mpf("1.817") ** n * mp.sqrt(n * 2 ** (n - 1)),
+        }
+        for key, value in want.items():
+            assert value > mp.mpf(np.finfo(float).max)
+            assert abs(mp.mpf(printed[key]) / value - 1) < mp.mpf("1e-15"), key
+
+
 def test_cost_report_block_constants_thirty_digits():
     report = cost_report(8, 1024, 4)
     assert report.block26_first_half_choices == 10400600
