@@ -306,7 +306,8 @@ def _scan(
 
 def _trace_buffer(table, partition, template, buffered: list, totals, parents) -> None:
     """Trace the buffered members into ``totals`` and ``parents``; empty the buffer."""
-    index, cells, value = (np.concatenate(a, axis=-1) for a in zip(*buffered))
+    index, cells, value = (a[0] if len(a) == 1 else np.concatenate(a, axis=-1)
+                           for a in zip(*buffered))
     buffered.clear()
     nodes = _member_slots(partition, template, index)
     totals[index], parents[index] = _trace(table, template, nodes, cells, template.edge_cell, value)
