@@ -304,7 +304,10 @@ def _scan(
     return optima, totals, parents
 
 
-def _trace_buffer(table, partition, template, buffered: list, totals, parents) -> None:
+def _trace_buffer(
+    table: LocalScoreTable, partition: BlockPartition, template: LatticeTemplate,
+    buffered: list, totals: np.ndarray, parents: np.ndarray,
+) -> None:
     """Trace the buffered members into ``totals`` and ``parents``; empty the buffer."""
     index, cells, value = (a[0] if len(a) == 1 else np.concatenate(a, axis=-1)
                            for a in zip(*buffered))
