@@ -383,6 +383,23 @@ class LatticeTemplate:
             array.flags.writeable = False
 
     @functools.cached_property
+    def padded_steps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per cardinality layer: its downsets and a (w, downsets) int32 edge table.
+
+        Row j holds each downset's j-th edge, the last one repeated once its
+        edges run out, so a max down the rows is the max over its edges.  w
+        is the layer's most edges of one downset, at most the block halves'
+        sum.
+        """
+        steps = []
+        for downsets, edges, children, segments in self.steps:
+            counts = np.diff(segments, append=len(children))
+            pad = segments + np.minimum(np.arange(counts.max())[:, None], counts - 1)
+            steps.append((downsets, (pad + edges.start).astype(np.int32)))
+            steps[-1][1].flags.writeable = False
+        return tuple(steps)
+
+    @functools.cached_property
     def slot_of(self) -> tuple[np.ndarray, ...]:
         """``slot_of[t][digit, p]``: block t position p's slot place under a split."""
         tables = {s: np.argsort([split_slot_positions(s, d) for d in range(member_radix(s))],

@@ -116,17 +116,18 @@ def _member_dp(
     ``cells[rows[e]]`` holds, per member of the batch, the best parent
     score of the node removed along CSR edge e within the edge's child
     downset; 1-D ``cells`` are one member and give 1-D values.  Per
-    cardinality layer: two gathers, an add and a ``maximum.reduceat``
-    along the edge axis.
+    cardinality layer, over the template's padded edge tables: two gathers,
+    an add and a max down the padded rows, an elementwise max of contiguous
+    blocks (a ``maximum.reduceat`` along the edges was 2x slower).
     """
     if value is None:
         value = np.empty((template.size,) + cells.shape[1:])
     value[0] = 0.0
-    for downsets, edges, children, segments in template.steps:
+    for downsets, edges in template.padded_steps:
         # np.take gathers rows several times faster than fancy indexing.
-        cand = np.take(value, children, axis=0)
-        cand += np.take(cells, rows[edges], axis=0)
-        value[downsets] = np.maximum.reduceat(cand, segments)
+        cand = np.take(value, np.take(template.edge_child, edges), axis=0)
+        cand += np.take(cells, np.take(rows, edges), axis=0)
+        value[downsets] = cand.max(axis=0)
     return value
 
 
@@ -447,18 +448,22 @@ def solve_cover(
     downsets = downset_count_formula(n, k)
     edges = lattice_edge_count_formula(n, k)
     entries = len(table.scores)
-    # Per chunk member: the cell table (at most E + D rows), its DP and the
-    # DP's per-layer gathers, F-long cells and scores, and per block of at most min(F, 2^k)
-    # patterns their digits and k-wide own-cell tables.  Once: the entries'
-    # copies and pattern temporaries.  Per traced member, at most 2B - 1 at
-    # a time: its buffered cells and DP values, at most E + 2D, twice while
-    # pieces are joined, and the larger of three (E, B) and four (B, F)
-    # trace arrays.  Kept: each member's optimum, total, n parent masks and
-    # buffered index.
+    # The template's padded int32 edge table: at most D rows per removable
+    # slot, which a downset has at most one of per block half, the sum of
+    # the halves.  Per chunk member: the cell table (at most E + D rows),
+    # its DP and the DP's per-layer gathers (a layer's padded table was at
+    # most 0.6 E on every shape with n <= 20), F-long cells and scores, and
+    # per block of at most min(F, 2^k) patterns their digits and k-wide
+    # own-cell tables.  Once: the entries' copies and pattern temporaries.
+    # Per traced member, at most 2B - 1 at a time: its buffered cells and
+    # DP values, at most E + 2D, twice while pieces are joined, and the
+    # larger of three (E, B) and four (B, F) trace arrays.  Kept: each
+    # member's optimum, total, n parent masks and buffered index.
     chunk = _chunk_members(members, edges, entries)
     blocks = len(partition.blocks)
+    halves = sum((len(block) + 1) // 2 for block in partition.blocks)
     patterns = min(entries, 1 << k) * (3 * k + blocks + 2)
-    needed = lattice_build_bytes(n, k) + 8 * (
+    needed = lattice_build_bytes(n, k) + 4 * downsets * halves + 8 * (
         chunk * (2 * edges + 3 * downsets + 3 * entries + patterns)
         + (2 * k + blocks + 6) * entries
         + (2 * chunk - 1) * ((1 + (chunk > 1)) * (edges + 2 * downsets)
