@@ -13,8 +13,8 @@ batch of members at once:
   downward closure's cell (O(F) per member for F table entries) and
   ``np.maximum.at`` keeps each cell's best score;
 - the fold of cell maxima into superset cells, one block axis at a time;
-- the member DP, one cardinality layer at a time over the template's CSR
-  edges, O(E) per member for E edges.
+- the member DP, one cardinality layer at a time over the template's
+  padded edge tables, O(E) per member for E edges.
 
 The cover scan runs the kernels over chunks of B members, B * max(E, F)
 <= 2^16, on the E cells the DP reads, one per edge, and traces witnesses
