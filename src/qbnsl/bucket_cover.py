@@ -287,7 +287,7 @@ class LatticeTemplate:
     behind.  The removable slots of a block trace are its second-half part
     if nonempty, else all of it.  ``steps[c - 1]`` holds cardinality c's
     downsets, its edge slice, those edges' children and the per-downset
-    segment offsets into that slice, ready for one ``reduceat`` per layer.
+    segment offsets into that slice; ``padded_steps`` pads them for the DP.
 
     The member DP reads node i's best parents in downset c only along the
     edge removing i's slot j from c + {j}; ``edge_cell`` maps each edge to

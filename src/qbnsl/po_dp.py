@@ -68,7 +68,7 @@ SCAN_WORK_CAP = 1 << 28
 # solve_dp's subset tables at its cap: n * 2^(n-1) float64, 80 MiB at n = 20.
 LATTICE_BYTES_CAP = DP_CAP * (1 << (DP_CAP - 1)) * 8
 _NEG_INF = float("-inf")
-_CHUNK_ELEMENTS = 1 << 16  # values in one per-chunk array of member_optima
+_CHUNK_ELEMENTS = 1 << 16  # values in one per-chunk array of the member pass
 
 
 class StrategyUnavailableError(ValueError):
@@ -118,7 +118,7 @@ def _member_dp(
     downset; 1-D ``cells`` are one member and give 1-D values.  Per
     cardinality layer, over the template's padded edge tables: two gathers,
     an add and a max down the padded rows, an elementwise max of contiguous
-    blocks (a ``maximum.reduceat`` along the edges was 2x slower).
+    blocks (a ``maximum.reduceat`` over the CSR segments is about 2x slower).
     """
     if value is None:
         value = np.empty((template.size,) + cells.shape[1:])
