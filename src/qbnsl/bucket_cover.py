@@ -236,12 +236,12 @@ def lattice_edge_count_formula(n: int, k: int) -> int:
 def lattice_build_bytes(n: int, k: int) -> int:
     """Bytes that building an (n, k) :class:`LatticeTemplate` peaks at, bounded.
 
-    With D downsets and E edges the template keeps three E-long and five
+    With D downsets and E edges the template keeps three E-long and four
     D-long int64 arrays: edge slots, children and cells; masks, order,
-    position, edge pointers and layer segments.  While it places the edges,
-    the build also holds the downset indices, each downset's next free edge
-    place and per-block trace tables, and the edge count pass takes up to
-    3D of temporaries: 8 * (3E + 10D) bytes, plus 64 KiB for a tiny
+    position and edge pointers.  While it places the edges, the build also
+    holds the downset indices and cardinalities, each downset's next free
+    edge place and per-block trace tables, and the edge count pass takes up
+    to 3D of temporaries: 8 * (3E + 10D) bytes, plus 64 KiB for a tiny
     lattice's small objects and 32 per entry of ``slot_of``'s split tables.
     """
     downsets = downset_count_formula(n, k)
@@ -285,9 +285,8 @@ class LatticeTemplate:
     ``edge_ptr[p]:edge_ptr[p + 1]``, in ascending slot order: ``edge_slot``
     is the removed slot and ``edge_child`` the index of the downset left
     behind.  The removable slots of a block trace are its second-half part
-    if nonempty, else all of it.  ``steps[c - 1]`` holds cardinality c's
-    downsets, its edge slice, those edges' children and the per-downset
-    segment offsets into that slice; ``padded_steps`` pads them for the DP.
+    if nonempty, else all of it.  ``padded_steps[c - 1]``, built on first
+    use, holds cardinality c's downsets and their edges padded for the DP.
 
     The member DP reads node i's best parents in downset c only along the
     edge removing i's slot j from c + {j}; ``edge_cell`` maps each edge to
@@ -365,37 +364,25 @@ class LatticeTemplate:
                     self.edge_cell[at] = self.own_cells[t][q, child] + others
                     cursor[parents] = at + 1
         del cursor, traces, movable
-        layer_ptr = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(np.bincount(cardinality, minlength=n + 1), out=layer_ptr[1:])
-        steps = []
-        for c in range(1, n + 1):
-            lo, hi = int(layer_ptr[c]), int(layer_ptr[c + 1])
-            first, last = int(edge_ptr[lo]), int(edge_ptr[hi])
-            steps.append(
-                (order[lo:hi], slice(first, last), self.edge_child[first:last],
-                 edge_ptr[lo:hi] - first)
-            )
-        self.steps = tuple(steps)
-        # Views made before their base was locked stay writeable: lock each.
         for array in (masks, order, position, edge_ptr, self.edge_slot, self.edge_child,
-                      self.edge_cell, *self.own_cells,
-                      *(a for step in steps for a in step[::2] + step[3:])):
+                      self.edge_cell, *self.own_cells):
             array.flags.writeable = False
 
     @functools.cached_property
     def padded_steps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per cardinality layer: its downsets and a (w, downsets) int32 edge table.
+        """Per cardinality layer 1..n: its downsets and a (w, downsets) int32 edge table.
 
         Row j holds each downset's j-th edge, the last one repeated once its
         edges run out, so a max down the rows is the max over its edges.  w
         is the layer's most edges of one downset, at most the block halves'
         sum.
         """
+        ptr, counts = self.edge_ptr, np.diff(self.edge_ptr)
+        layers = np.searchsorted(np.bitwise_count(self.masks[self.order]), range(1, self.n + 2))
         steps = []
-        for downsets, edges, children, segments in self.steps:
-            counts = np.diff(segments, append=len(children))
-            pad = segments + np.minimum(np.arange(counts.max())[:, None], counts - 1)
-            steps.append((downsets, (pad + edges.start).astype(np.int32)))
+        for lo, hi in zip(layers[:-1], layers[1:]):
+            pad = np.minimum(np.arange(counts[lo:hi].max())[:, None], counts[lo:hi] - 1)
+            steps.append((self.order[lo:hi], (pad + ptr[lo:hi]).astype(np.int32)))
             steps[-1][1].flags.writeable = False
         return tuple(steps)
 

@@ -413,7 +413,7 @@ def test_lattice_template_is_cached_per_shape_and_read_only():
     arrays = [template.masks, template.order, template.position, template.edge_ptr,
               template.edge_slot, template.edge_child, template.edge_cell,
               *template.slot_of, *template.own_cells]
-    arrays += [array for step in template.steps for array in step[::2] + step[3:]]
+    arrays += [array for step in template.padded_steps for array in step]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -444,7 +444,9 @@ def test_kept_templates_are_bounded_by_their_build_bytes():
 def reference_layers(template: LatticeTemplate):
     """The covering edges as the sort-based build made them before the
     template placed each edge directly: every (parent, slot, child) triple,
-    then one lexsort by (parent position, slot)."""
+    then one lexsort by (parent position, slot).  Per cardinality layer,
+    each downset's edge list is padded with its last edge to the layer's
+    longest list, one row per list place."""
     size = template.size
     n = template.n
     index = np.arange(size, dtype=np.int64)
@@ -479,10 +481,9 @@ def reference_layers(template: LatticeTemplate):
     steps = []
     for c in range(1, n + 1):
         lo, hi = int(layer_ptr[c]), int(layer_ptr[c + 1])
-        first, last = int(edge_ptr[lo]), int(edge_ptr[hi])
-        steps.append(
-            (order[lo:hi], slice(first, last), edge_child[first:last], edge_ptr[lo:hi] - first)
-        )
+        lists = [range(edge_ptr[p], edge_ptr[p + 1]) for p in range(lo, hi)]
+        rows = [[e[min(j, len(e) - 1)] for e in lists] for j in range(max(map(len, lists)))]
+        steps.append((order[lo:hi], np.array(rows, dtype=np.int32)))
     return order, position, edge_ptr, edge_slot, edge_child, steps
 
 
@@ -505,10 +506,9 @@ def test_template_edges_match_sort_based_reference(n, k, seed):
     for name, want in [("order", order), ("position", position), ("edge_ptr", edge_ptr),
                        ("edge_slot", edge_slot), ("edge_child", edge_child)]:
         assert same_array(getattr(template, name), want), name
-    assert len(template.steps) == len(steps)
-    for got, want in zip(template.steps, steps):
-        assert got[1] == want[1]
-        assert all(same_array(g, w) for g, w in zip(got[::2] + got[3:], want[::2] + want[3:]))
+    assert len(template.padded_steps) == len(steps)
+    for got, want in zip(template.padded_steps, steps):
+        assert all(same_array(g, w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("n,k", [(20, 2), (16, 4)])
