@@ -190,27 +190,9 @@ def _chunk_members(members: int, edges: int, entries: int) -> int:
     return max(1, min(members, _CHUNK_ELEMENTS // max(edges, entries)))
 
 
-def _slot_places(template: LatticeTemplate, members: np.ndarray) -> list[np.ndarray]:
-    """Per block, (B, s): each position's slot place under each member index."""
-    places, rest = [], members
-    for slot_of in reversed(template.slot_of):
-        places.insert(0, slot_of[rest % len(slot_of)])
-        rest = rest // len(slot_of)
-    return places
-
-
-def _member_slots(partition: BlockPartition, template: LatticeTemplate, members: np.ndarray):
-    """(B, n): each member's node in each slot, as ``DownsetIndex.nodes``."""
-    nodes = np.empty((len(members), partition.n), dtype=np.int64)
-    for block, place, offset in zip(
-        partition.blocks, _slot_places(template, members), template.offsets
-    ):
-        np.put_along_axis(nodes, place + offset, np.array(list(block)), axis=1)
-    return nodes
-
-
 def _scan(
-    table: LocalScoreTable, partition: BlockPartition, template: LatticeTemplate, trace: str = ""
+    table: LocalScoreTable, partition: BlockPartition, template: LatticeTemplate,
+    every: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every member's optimum, in ``member_by_index`` order, and witnesses.
 
@@ -218,17 +200,18 @@ def _scan(
     digits, in chunks of B, over the template's E cells.  An entry's cell
     is its own block's ``own_cells`` row, from its node's slot place and
     its closure digit there, plus the other blocks' downset.  The optimum
-    is the DP value of the full set.  ``trace`` "all" traces every member,
-    and "candidates" the members at or above f(running max) after each
-    chunk: they join a buffer, buffered members that have fallen below it
-    are dropped, and the buffer is traced once it holds B columns, and
-    after the last chunk.  Returns the optima, and per member the rescored
-    total and parent masks, set for every traced member.
+    is the DP value of the full set.  ``every`` traces every member;
+    otherwise the members at or above f(running max) after each chunk join
+    a buffer, buffered members that have fallen below it are dropped, and
+    the buffer is traced once it holds B columns, and at the last chunk.
+    Returns the optima, and per member the rescored total and parent
+    masks, set for every traced member.
     """
     n, k = table.n, partition.k
     # Max ignores entry order, so entries are grouped by block by their rank.
+    ranked = np.array([node for block in partition.blocks for node in block])
     rank = np.empty(n, dtype=np.int64)
-    rank[[node for block in partition.blocks for node in block]] = np.arange(n)
+    rank[ranked] = np.arange(n)
     order = np.argsort(rank[table.nodes], kind="stable")
     rank = rank[table.nodes[order]]
     bounds = np.searchsorted(rank, [*range(0, n, k), n]).tolist()
@@ -246,21 +229,23 @@ def _scan(
     size = template.sink_row + max(template.cell_stride)
     # The large chunk arrays are allocated once and viewed at each chunk's
     # width, so they are not mapped and faulted in again chunk by chunk.
-    cells_at, reduced_at, value_at = (
-        np.empty(rows * batch, dtype)
-        for rows, dtype in ((len(scores), np.int64), (size, float), (template.size, float))
-    )
+    cells_at = np.empty(len(scores) * batch, dtype=np.int64)
+    reduced_at, value_at = np.empty(size * batch), np.empty(template.size * batch)
     laid = np.empty(0)
-    optima, totals = np.empty(members), np.empty(members if trace else 0)
-    parents = np.empty((len(totals), n), dtype=np.int64)
+    optima, totals = np.empty(members), np.empty(members)
+    parents = np.empty((members, n), dtype=np.int64)
     top = floor = _NEG_INF
-    buffered: list = []  # (members, cells, DP values), a column per member
+    shift = np.repeat(template.offsets, template.block_sizes)[:, None]  # slot of place 0
+    buffered: list = []  # (members, slot nodes, cells, DP values), a column per member
     # Per-chunk arrays are member-major, (B, patterns or entries): their
     # inner loops run over the long axis even when B is small.
     for lo in range(0, members, batch):
         hi = min(lo + batch, members)
         width = hi - lo
-        places = _slot_places(template, np.arange(lo, hi))
+        places, rest = [], np.arange(lo, hi)  # (B, s): each position's slot place
+        for slot_of in reversed(template.slot_of):
+            places.insert(0, slot_of[rest % len(slot_of)])
+            rest //= len(slot_of)
         digits = []  # (B, P) per block: each pattern's closure digit
         for (bits, _, _), place, h in zip(blocks, places, template.halves):
             slots = bits[0] << place[:, :1]
@@ -287,40 +272,31 @@ def _scan(
             _fold_sub_downsets(reduced[first:last], axes)
         value = value_at[: template.size * width].reshape(-1, width)
         optima[lo:hi] = _member_dp(reduced, template.edge_cell, template, value)[-1]
-        if not trace:
-            continue
-        if trace == "candidates":
+        if not every:
             top = max(top, float(optima[lo:hi].max()))
             floor = top - 1e-9 * (1.0 + abs(top))
+        nodes = np.empty((n, width), dtype=np.int64)  # each member's node in each slot
+        nodes[np.hstack(places).T + shift, np.arange(width)] = ranked[:, None]
         # Masking copies: the chunk's arrays are reused.
-        buffered.append((np.arange(lo, hi), reduced, value))
-        buffered = [(m[keep], c[:, keep], v[:, keep]) for m, c, v in buffered
-                    if (keep := optima[m] >= floor).any()]
-        if sum(len(m) for m, _, _ in buffered) >= batch:
-            _trace_buffer(table, partition, template, buffered, totals, parents)
-    # Freed first, so that the last trace does not add to the chunk arrays.
-    del cells_at, reduced_at, value_at, laid, cells, reduced, value
-    if buffered:
-        _trace_buffer(table, partition, template, buffered, totals, parents)
+        buffered.append([np.arange(lo, hi), nodes, reduced, value])
+        buffered = [[a[..., keep] for a in piece] for piece in buffered
+                    if (keep := optima[piece[0]] >= floor).any()]
+        if buffered and (hi == members or sum(len(piece[0]) for piece in buffered) >= batch):
+            # A single piece is traced as it is, not joined into a copy.
+            index, nodes, cells, value = (
+                a[0] if len(a) == 1 else np.concatenate(a, axis=-1) for a in zip(*buffered)
+            )
+            buffered = []
+            totals[index], parents[index] = _trace(
+                table, template, nodes, cells, template.edge_cell, value
+            )
     return optima, totals, parents
-
-
-def _trace_buffer(
-    table: LocalScoreTable, partition: BlockPartition, template: LatticeTemplate,
-    buffered: list, totals: np.ndarray, parents: np.ndarray,
-) -> None:
-    """Trace the buffered members into ``totals`` and ``parents``; empty the buffer."""
-    index, cells, value = (a[0] if len(a) == 1 else np.concatenate(a, axis=-1)
-                           for a in zip(*buffered))
-    buffered.clear()
-    nodes = _member_slots(partition, template, index)
-    totals[index], parents[index] = _trace(table, template, nodes, cells, template.edge_cell, value)
 
 
 def member_optima(
     table: LocalScoreTable, partition: BlockPartition, template: LatticeTemplate | None = None
 ) -> np.ndarray:
-    """Every member's optimum, values only, in ``member_by_index`` order."""
+    """Every member's optimum, in ``member_by_index`` order, from the cover scan."""
     if table.n != partition.n:
         raise ValueError("table and partition sizes differ")
     return _scan(table, partition, template or lattice_template(partition.n, partition.k))[0]
@@ -332,7 +308,7 @@ def _trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Witnesses of B members: rescored totals (B,) and parent masks (B, n).
 
-    ``nodes[b]`` is member b's node in each slot; ``cells``, ``rows`` and
+    ``nodes[:, b]`` is member b's node in each slot; ``cells``, ``rows`` and
     ``value`` (D, B) are its DP's arrays, as ``_member_dp`` takes them.
     From the full set down, each downset gives up its smallest node whose
     edge is tight, value[child] + cells[rows[edge]] == value[downset]: one
@@ -340,13 +316,13 @@ def _trace(
     gathers.  A node's parents are its first listed entry with the best
     score inside the downset left behind, and totals add up in node order.
     """
-    n, width = table.n, len(nodes)
+    n, width = nodes.shape
     edges, ptr = len(template.edge_slot), template.edge_ptr
     cand = np.take(value, template.edge_child, axis=0)
     cand += np.take(cells, rows, axis=0)
     tight = cand == np.take(value, np.repeat(template.order, np.diff(ptr)), axis=0)
     del cand
-    key = np.take(nodes.T * edges, template.edge_slot, axis=0)
+    key = np.take(nodes * edges, template.edge_slot, axis=0)
     key += np.arange(edges)[:, None]
     key[~tight] = n * edges
     # Row p - 1: the smallest tight key of the downset at order position p.
@@ -394,9 +370,9 @@ def solve_member(
     index = DownsetIndex(member, template)
     best = downset_best_parents(table, index)
     template = index.template
-    nodes = np.array([index.nodes])
+    nodes = np.array(index.nodes)[:, None]
     cells = best.values.T.reshape(-1, 1)  # (D * n, 1), downset-major
-    rows = template.edge_child * table.n + nodes[0, template.edge_slot]
+    rows = template.edge_child * table.n + nodes[template.edge_slot, 0]
     value = _member_dp(cells, rows, template)
     totals, parents = _trace(table, template, nodes, cells, rows, value)
     return float(totals[0]), _dag(table.n, parents[0])
@@ -481,8 +457,9 @@ def solve_cover(
             f"{SCAN_WORK_CAP} work cap"
         )
     ledger = QueryLedger()
-    trace = "all" if strategy == "grover-sim" else "candidates"
-    optima, totals, parents = _scan(table, partition, lattice_template(n, k), trace)
+    optima, totals, parents = _scan(
+        table, partition, lattice_template(n, k), every=strategy == "grover-sim"
+    )
     if strategy == "grover-sim":
         ledger.count_classical(members)
         oracle = MaxOracle(members, totals.__getitem__, ledger)

@@ -157,17 +157,27 @@ def reference_solve_cover(results, strategy, seed):
 
 
 def tie_heavy_table(rng, n):
-    """random_table's parent sets with small integer scores, so ties abound;
-    about a fifth of the nonempty sets score -inf, which never wins."""
+    """random_table's parent sets with small integer scores, so ties abound."""
     base = random_table(rng, n)
-    entries = []
-    for i in range(n):
-        node = {}
-        for mask, _ in base.items(i):
-            score = float(rng.integers(-2, 3))
-            node[mask] = float("-inf") if mask and rng.random() < 0.2 else score
-        entries.append(node)
-    return LocalScoreTable(n, entries)
+    return LocalScoreTable(
+        n,
+        [
+            {mask: float(rng.integers(-2, 3)) for mask, _ in base.items(i)}
+            for i in range(n)
+        ],
+    )
+
+
+def with_minus_inf(rng, table):
+    """The table with about a fifth of its nonempty parent sets scored -inf."""
+    return LocalScoreTable(
+        table.n,
+        [
+            {mask: float("-inf") if mask and rng.random() < 0.2 else score
+             for mask, score in table.items(i)}
+            for i in range(table.n)
+        ],
+    )
 
 
 def test_downward_closure_minimal_rule(demo_member):
@@ -285,13 +295,15 @@ def test_template_path_matches_python_reference(seed, tie_heavy, shuffled):
     assert solve_member(table, member) == reference_solve_member(table, member)
 
 
-@given(st.integers(0, 2**31), st.booleans(), st.booleans())
+@given(st.integers(0, 2**31), st.booleans(), st.booleans(), st.booleans())
 @settings(max_examples=8, deadline=None)
-def test_solve_cover_matches_python_reference(seed, tie_heavy, shuffled):
+def test_solve_cover_matches_python_reference(seed, tie_heavy, shuffled, minus_inf):
     rng = rng_for(seed, "cover-reference")
     n = int(rng.integers(2, 13))
     k = int(rng.choice([e for e in (2, 4, 6) if e <= n]))
     table = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
+    if minus_inf:
+        table = with_minus_inf(rng, table)
     if shuffled:
         partition = BlockPartition.shuffled(n, k, seed)
     else:
@@ -374,16 +386,18 @@ def test_classical_scan_traces_only_candidates(seed, tie_heavy, shuffled):
     optima = member_optima(table, partition)
     candidates = set(np.flatnonzero(optima >= optima.max() - tie_tolerance(optima)).tolist())
     row = max(lattice_edge_count_formula(partition.n, partition.k), len(table.scores))
-    member_slots = po_dp._member_slots  # called once per trace, with its members
+    # A member's slot -> node map names it among the columns a trace receives.
+    member_of = {DownsetIndex(member_by_index(partition, i)).nodes: i for i in range(len(optima))}
+    trace = po_dp._trace
     # The default chunk budget, and one that holds the whole cover in one chunk.
     for chunk in (po_dp._CHUNK_ELEMENTS, len(optima) * row):
         traced = []
 
-        def recording(partition, template, members):
-            traced.extend(members.tolist())
-            return member_slots(partition, template, members)
+        def recording(table, template, nodes, *arrays):
+            traced.extend(member_of[tuple(column)] for column in nodes.T.tolist())
+            return trace(table, template, nodes, *arrays)
 
-        with mock.patch.object(po_dp, "_member_slots", recording), mock.patch.object(
+        with mock.patch.object(po_dp, "_trace", recording), mock.patch.object(
             po_dp, "_CHUNK_ELEMENTS", chunk
         ), counted_calls(best_parents_in, total_score, member_by_index, DownsetIndex) as calls:
             score, _, ledger = solve_cover(table, partition, "classical-scan")
