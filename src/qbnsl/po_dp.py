@@ -430,9 +430,10 @@ def solve_cover(
     # its DP and the DP's per-layer gathers (a layer's padded table was at
     # most 0.6 E on every shape with n <= 20), F-long cells and scores, and
     # per block of at most min(F, 2^k) patterns their digits and k-wide
-    # own-cell tables.  Once: the entries' copies and pattern temporaries.
-    # Per traced member, at most 2B - 1 at a time: its buffered cells and
-    # DP values, at most E + 2D, twice while pieces are joined, and the
+    # own-cell tables, and three n-long slot maps while its own is made.
+    # Once: the entries' copies and pattern temporaries.  Per traced
+    # member, at most 2B - 1 at a time: its buffered cells, DP values and
+    # slot map, at most E + 2D + n, twice while pieces are joined, and the
     # larger of three (E, B) and four (B, F) trace arrays.  Kept: each
     # member's optimum, total, n parent masks and buffered index.
     chunk = _chunk_members(members, edges, entries)
@@ -440,9 +441,9 @@ def solve_cover(
     halves = sum((len(block) + 1) // 2 for block in partition.blocks)
     patterns = min(entries, 1 << k) * (3 * k + blocks + 2)
     needed = lattice_build_bytes(n, k) + 4 * downsets * halves + 8 * (
-        chunk * (2 * edges + 3 * downsets + 3 * entries + patterns)
+        chunk * (2 * edges + 3 * downsets + 3 * entries + patterns + 3 * n)
         + (2 * k + blocks + 6) * entries
-        + (2 * chunk - 1) * ((1 + (chunk > 1)) * (edges + 2 * downsets)
+        + (2 * chunk - 1) * ((1 + (chunk > 1)) * (edges + 2 * downsets + n)
                              + max(3 * edges + downsets, 4 * entries))
         + members * (n + 3)
     )
