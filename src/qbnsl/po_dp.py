@@ -281,6 +281,9 @@ def _scan(
         buffered.append([np.arange(lo, hi), nodes, reduced, value])
         buffered = [[a[..., keep] for a in piece] for piece in buffered
                     if (keep := optima[piece[0]] >= floor).any()]
+        if hi == members:
+            # Freed first, so that the last trace does not add to the chunk arrays.
+            del cells_at, reduced_at, value_at, laid, cells, reduced, value
         if buffered and (hi == members or sum(len(piece[0]) for piece in buffered) >= batch):
             # A single piece is traced as it is, not joined into a copy.
             index, nodes, cells, value = (
