@@ -460,16 +460,9 @@ class DownsetIndex:
 
     __slots__ = ("member", "template", "size", "nodes", "_node_masks")
 
-    def __init__(
-        self, member: CoverMember, template: LatticeTemplate | None = None
-    ) -> None:
-        shape = member.partition.n, member.partition.k
-        if template is None:
-            template = lattice_template(*shape)
-        elif (template.n, template.k) != shape:
-            raise ValueError("template was built for another shape")
+    def __init__(self, member: CoverMember) -> None:
         self.member = member
-        self.template = template
+        self.template = template = lattice_template(member.partition.n, member.partition.k)
         self.size = template.size
         nodes: list[int] = []
         for t, split in enumerate(member.splits):

@@ -2,8 +2,9 @@
 
 The subset DP runs in O(2^n * n^2) after one (n, 2^(n-1)) subset-max
 array is built, and is the reference solver for n up to ``DP_CAP``.  Row
-i holds values only, over the other n-1 nodes (bit i squeezed out); the
-traceback recovers each witness parent set with ``best_parents_in``.
+i holds values only, over the other n-1 nodes (bit i squeezed out), as
+does the DP table: the traceback recovers sinks from the values, then
+each witness parent set with ``best_parents_in``.
 The brute forcers are test oracles, over all node orderings and over all
 parent assignments that form a DAG.  Each solver refuses an instance
 over its size cap, a module constant read at call time.
@@ -61,8 +62,9 @@ def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:
     opt[S] is the best score of a network on the nodes of S; each step
     chooses the last node of S in some topological order.  Returns the
     optimal total score together with a witness DAG whose rescoring equals
-    the returned value; sink ties take the smallest node index and parent
-    ties the smallest (cardinality, bitmask).
+    the returned value.  opt holds values only; the traceback takes each
+    set's smallest sink whose candidate, re-added from the same two floats,
+    equals opt[S].  Parent ties go to the smallest (cardinality, bitmask).
     """
     n = table.n
     if n > DP_CAP:
@@ -79,7 +81,6 @@ def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:
     low = (1 << nodes) - 1
     opt = np.full(size, -np.inf, dtype=np.float64)
     opt[0] = 0.0
-    chosen_sink = np.full(size, -1, dtype=np.int8)
     start = 0
     for end in layer_ends:
         squeezed = by_layer[start:end]
@@ -87,18 +88,17 @@ def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:
         without = (squeezed & low) | ((squeezed & ~low) << 1)
         candidates = opt[without] + np.take(best_parent_values, squeezed, axis=1)
         with_sink = without | (1 << nodes)
-        # Sinks in ascending order with a strict test: ties keep the smallest.
-        for i in range(n):
-            update = candidates[i] > opt[with_sink[i]]
-            targets = with_sink[i][update]
-            opt[targets] = candidates[i][update]
-            chosen_sink[targets] = i
+        for row, targets in zip(candidates, with_sink):
+            np.maximum(row, opt[targets], out=row)
+            opt[targets] = row
     parents: list[NodeSet] = [NodeSet(0)] * n
     mask = size - 1
     while mask:
-        i = int(chosen_sink[mask])
-        assert i >= 0
-        mask ^= 1 << i
+        for i in NodeSet(mask):
+            rest, below = mask ^ (1 << i), (1 << i) - 1
+            if opt[rest] + best_parent_values[i, rest & below | (rest >> 1) & ~below] == opt[mask]:
+                break
+        mask = rest
         parents[i] = best_parents_in(table, i, mask)[1]
     dag = Dag(n, tuple(parents))
     return total_score(dag, table), dag

@@ -26,8 +26,8 @@ tight edges picks each downset's smallest sink, and a (B, F) fit mask
 gives each node its first listed entry with the best score inside the
 downset left behind, ``best_parents_in``'s tie rule.  Totals add up in
 node order, as ``total_score`` does, so a total differs from its DP value
-only by summation order.  :func:`solve_member` is the same traceback with
-a batch of one, over the full (D, n) table of :func:`downset_best_parents`.
+only by summation order.  :func:`solve_member` is the same DP and trace
+for one member, on the E cells read from :func:`downset_best_parents`.
 
 On top sit three search strategies over the whole cover: the classical
 scan, simulated quantum maximum finding, and an analytic cost model that
@@ -109,11 +109,11 @@ def _bucket_maxima(cells: np.ndarray, scores: np.ndarray, out: np.ndarray) -> np
 
 
 def _member_dp(
-    cells: np.ndarray, rows: np.ndarray, template: LatticeTemplate, value: np.ndarray | None = None
+    cells: np.ndarray, template: LatticeTemplate, value: np.ndarray | None = None
 ) -> np.ndarray:
     """Downset DP values (D, batch), written to ``value`` if given.
 
-    ``cells[rows[e]]`` holds, per member of the batch, the best parent
+    ``cells[edge_cell[e]]`` holds, per member of the batch, the best parent
     score of the node removed along CSR edge e within the edge's child
     downset; 1-D ``cells`` are one member and give 1-D values.  Per
     cardinality layer, over the template's padded edge tables: two gathers,
@@ -126,7 +126,7 @@ def _member_dp(
     for downsets, edges in template.padded_steps:
         # np.take gathers rows several times faster than fancy indexing.
         cand = np.take(value, np.take(template.edge_child, edges), axis=0)
-        cand += np.take(cells, np.take(rows, edges), axis=0)
+        cand += np.take(cells, np.take(template.edge_cell, edges), axis=0)
         value[downsets] = cand.max(axis=0)
     return value
 
@@ -271,7 +271,7 @@ def _scan(
         for first, last, axes in template.cell_groups:
             _fold_sub_downsets(reduced[first:last], axes)
         value = value_at[: template.size * width].reshape(-1, width)
-        optima[lo:hi] = _member_dp(reduced, template.edge_cell, template, value)[-1]
+        optima[lo:hi] = _member_dp(reduced, template, value)[-1]
         if not every:
             top = max(top, float(optima[lo:hi].max()))
             floor = top - 1e-9 * (1.0 + abs(top))
@@ -290,31 +290,27 @@ def _scan(
                 a[0] if len(a) == 1 else np.concatenate(a, axis=-1) for a in zip(*buffered)
             )
             buffered = []
-            totals[index], parents[index] = _trace(
-                table, template, nodes, cells, template.edge_cell, value
-            )
+            totals[index], parents[index] = _trace(table, template, nodes, cells, value)
     return optima, totals, parents
 
 
-def member_optima(
-    table: LocalScoreTable, partition: BlockPartition, template: LatticeTemplate | None = None
-) -> np.ndarray:
+def member_optima(table: LocalScoreTable, partition: BlockPartition) -> np.ndarray:
     """Every member's optimum, in ``member_by_index`` order, from the cover scan."""
     if table.n != partition.n:
         raise ValueError("table and partition sizes differ")
-    return _scan(table, partition, template or lattice_template(partition.n, partition.k))[0]
+    return _scan(table, partition, lattice_template(partition.n, partition.k))[0]
 
 
 def _trace(
     table: LocalScoreTable, template: LatticeTemplate, nodes: np.ndarray, cells: np.ndarray,
-    rows: np.ndarray, value: np.ndarray,
+    value: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Witnesses of B members: rescored totals (B,) and parent masks (B, n).
 
-    ``nodes[:, b]`` is member b's node in each slot; ``cells``, ``rows`` and
+    ``nodes[:, b]`` is member b's node in each slot; ``cells`` (E, B) and
     ``value`` (D, B) are its DP's arrays, as ``_member_dp`` takes them.
     From the full set down, each downset gives up its smallest node whose
-    edge is tight, value[child] + cells[rows[edge]] == value[downset]: one
+    edge is tight, value[child] + cells[edge_cell[edge]] == value[downset]: one
     segmented minimum over the CSR rows keyed by (node, edge), then n
     gathers.  A node's parents are its first listed entry with the best
     score inside the downset left behind, and totals add up in node order.
@@ -322,7 +318,7 @@ def _trace(
     n, width = nodes.shape
     edges, ptr = len(template.edge_slot), template.edge_ptr
     cand = np.take(value, template.edge_child, axis=0)
-    cand += np.take(cells, rows, axis=0)
+    cand += np.take(cells, template.edge_cell, axis=0)
     tight = cand == np.take(value, np.repeat(template.order, np.diff(ptr)), axis=0)
     del cand
     key = np.take(nodes * edges, template.edge_slot, axis=0)
@@ -358,26 +354,24 @@ def _dag(n: int, parents: np.ndarray) -> Dag:
     return Dag(n, tuple(NodeSet(mask) for mask in parents.tolist()))
 
 
-def solve_member(
-    table: LocalScoreTable, member: CoverMember, template: LatticeTemplate | None = None
-) -> tuple[float, Dag]:
+def solve_member(table: LocalScoreTable, member: CoverMember) -> tuple[float, Dag]:
     """Best network score over linear orders extending the member.
 
     DP over downsets: the value of a downset is the best way to schedule
     its nodes, choosing a last node among the removable ones and giving it
-    its best parents inside the remaining downset.  It is the layered DP
-    kernel over the full (D, n) table of ``downset_best_parents`` and the
-    cover scan's traceback, each with a batch of one.  Returns the
-    witness DAG's rescored total and the DAG.
+    its best parents inside the remaining downset.  The values of
+    ``downset_best_parents`` are laid out as the cover scan's E edge cells,
+    and the scan's DP kernel and traceback run on them with a batch of
+    one.  Returns the witness DAG's rescored total and the DAG.
     """
-    index = DownsetIndex(member, template)
-    best = downset_best_parents(table, index)
+    index = DownsetIndex(member)
     template = index.template
     nodes = np.array(index.nodes)[:, None]
-    cells = best.values.T.reshape(-1, 1)  # (D * n, 1), downset-major
-    rows = template.edge_child * table.n + nodes[template.edge_slot, 0]
-    value = _member_dp(cells, rows, template)
-    totals, parents = _trace(table, template, nodes, cells, rows, value)
+    best = downset_best_parents(table, index).values
+    cells = np.empty((len(template.edge_cell), 1))  # the cover scan's edge cells
+    cells[template.edge_cell, 0] = best[nodes[template.edge_slot, 0], template.edge_child]
+    value = _member_dp(cells, template)
+    totals, parents = _trace(table, template, nodes, cells, value)
     return float(totals[0]), _dag(table.n, parents[0])
 
 
@@ -474,7 +468,8 @@ def solve_cover(
     top = float(optima.max())
     tol = 1e-9 * (1.0 + abs(top))
     near = np.flatnonzero(optima >= top - tol)
-    off = near[np.abs(totals[near] - optima[near]) > tol / 2]
+    unequal = near[totals[near] != optima[near]]  # -inf - -inf is nan
+    off = unequal[np.abs(totals[unequal] - optima[unequal]) > tol / 2]
     if len(off):
         raise RuntimeError(
             f"member {off[0]}: witness rescores to {float(totals[off[0]])!r}, "

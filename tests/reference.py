@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -22,8 +23,16 @@ from qbnsl.bucket_cover import (
     LatticeTemplate,
     closure_digit,
 )
+from qbnsl.dp_exact import best_parents_all_subsets
 from qbnsl.grover_sim import QueryLedger
-from qbnsl.instance import CyclicGraphError, Dag, NodeSet, _sink_first_order
+from qbnsl.instance import (
+    CyclicGraphError,
+    Dag,
+    NodeSet,
+    _sink_first_order,
+    best_parents_in,
+    total_score,
+)
 from qbnsl.scores_io import DatasetError, DiscreteDataset
 
 
@@ -217,3 +226,46 @@ def from_csv_by_rows(text: str) -> DiscreteDataset:
     if data.min() < 0:
         raise DatasetError("cells must be non-negative state indices")
     return DiscreteDataset(names, data, tuple(int(v) + 1 for v in data.max(axis=0)))
+
+
+def solve_dp_with_sink_table(table) -> tuple[float, Dag]:
+    """``solve_dp`` with a second 2^n table of chosen sinks, as it once was.
+
+    Each layer updates with a strict compare, sinks in ascending order, so
+    ties keep the smallest sink, and the traceback reads the table.  A set
+    whose optimum is -inf gets no sink, so on a table with a -inf optimum
+    this fails its assertion.  The values-only ``solve_dp`` must give the
+    same score and witness wherever this returns.
+    """
+    n = table.n
+    size = 1 << n
+    half = size >> 1
+    best_parent_values = best_parents_all_subsets(table)
+    by_layer = np.argsort(np.bitwise_count(np.arange(half)), kind="stable")
+    layer_ends = np.cumsum([math.comb(n - 1, c) for c in range(n)]).tolist()
+    nodes = np.arange(n)[:, None]
+    low = (1 << nodes) - 1
+    opt = np.full(size, -np.inf, dtype=np.float64)
+    opt[0] = 0.0
+    chosen_sink = np.full(size, -1, dtype=np.int8)
+    start = 0
+    for end in layer_ends:
+        squeezed = by_layer[start:end]
+        start = end
+        without = (squeezed & low) | ((squeezed & ~low) << 1)
+        candidates = opt[without] + np.take(best_parent_values, squeezed, axis=1)
+        with_sink = without | (1 << nodes)
+        for i in range(n):
+            update = candidates[i] > opt[with_sink[i]]
+            targets = with_sink[i][update]
+            opt[targets] = candidates[i][update]
+            chosen_sink[targets] = i
+    parents: list[NodeSet] = [NodeSet(0)] * n
+    mask = size - 1
+    while mask:
+        i = int(chosen_sink[mask])
+        assert i >= 0
+        mask ^= 1 << i
+        parents[i] = best_parents_in(table, i, mask)[1]
+    dag = Dag(n, tuple(parents))
+    return total_score(dag, table), dag

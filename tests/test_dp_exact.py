@@ -30,6 +30,7 @@ from qbnsl.instance import (
     total_score,
 )
 from qbnsl.tables import random_table
+from reference import solve_dp_with_sink_table
 
 
 # Reference: the subset-max transform with an argmax table, which the
@@ -189,6 +190,34 @@ def test_solve_dp_matches_full_mask_reference(seed, tie_heavy, n):
     want_score, want_dag = reference_solve_dp(t)
     assert repr(score) == repr(want_score)
     assert dag == want_dag
+
+
+def with_minus_inf_sets(rng, table):
+    """The table with about a fifth of its parent sets, the empty set too, scored -inf."""
+    return LocalScoreTable(
+        table.n,
+        [
+            {mask: -np.inf if rng.random() < 0.2 else score for mask, score in table.items(i)}
+            for i in range(table.n)
+        ],
+    )
+
+
+@given(st.integers(0, 2**31), st.booleans(), st.booleans(), st.integers(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_solve_dp_matches_sink_table_reference(seed, tie_heavy, minus_inf, n):
+    rng = np.random.default_rng(seed)
+    t = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
+    if minus_inf:
+        t = with_minus_inf_sets(rng, t)
+    score, dag = solve_dp(t)
+    assert is_acyclic(dag) and total_score(dag, t) == score
+    try:
+        want_score, want_dag = solve_dp_with_sink_table(t)
+    except AssertionError:  # no sink recorded for a -inf optimum
+        assert score == -np.inf
+        return
+    assert (repr(score), dag) == (repr(want_score), want_dag)
 
 
 def test_solve_dp_single_node():

@@ -6,6 +6,7 @@ import contextlib
 import itertools
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,7 @@ from qbnsl.instance import (
     total_score,
 )
 from qbnsl.po_dp import (
+    COVER_STRATEGIES,
     StrategyUnavailableError,
     downset_best_parents,
     member_optima,
@@ -727,3 +729,19 @@ def test_cost_model_checks_solve_dp_only_up_to_the_dp_cap():
     with mock.patch.object(po_dp, "solve_dp", return_value=(score + 1e-6, dag)):
         with pytest.raises(RuntimeError, match="cover identity"):
             solve_cover(table, partition, "grover-cost-model")
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_minus_inf_optimum_is_returned_without_warning(k):
+    # Node 0 lists only the empty set, scored -inf: every network scores -inf.
+    minus_inf = float("-inf")
+    table = LocalScoreTable(4, [{0: minus_inf}, {0: 0.0, 0b1: 2.0}, {0: 1.0}, {0: 0.0, 0b110: 3.0}])
+    partition = BlockPartition.contiguous(4, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [solve_dp(table)] + [
+            solve_cover(table, partition, strategy)[:2] for strategy in COVER_STRATEGIES
+        ]
+    for score, dag in results:
+        assert score == minus_inf
+        assert total_score(dag, table) == minus_inf
