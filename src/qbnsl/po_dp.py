@@ -32,12 +32,14 @@ for one member, on the E cells read from :func:`downset_best_parents`.
 On top sit three search strategies over the whole cover: the classical
 scan, simulated quantum maximum finding, and an analytic cost model that
 takes the scan's answer and books the quantum charge without simulating.
-A work cap (members x D) and a byte cap refuse a cover before its lattice
-is built.  This is correct for arbitrary listed parent sets.
+A work cap (members x D) and a byte cap, on the lattice build and the
+arrays that ``_scan_plan`` lists, refuse a cover before its lattice is
+built.  This is correct for arbitrary listed parent sets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,7 @@ from .bucket_cover import (
     downset_count_formula,
     lattice_build_bytes,
     lattice_edge_count_formula,
+    lattice_radix,
     lattice_template,
 )
 from .dp_exact import DP_CAP, solve_dp
@@ -185,22 +188,39 @@ def _fold_sub_downsets(values: np.ndarray, axes) -> int:
     return folds
 
 
-def _chunk_members(members: int, edges: int, entries: int) -> int:
-    """Members per chunk of the member pass: B * max(E, F) <= 2^16, B >= 1."""
-    return max(1, min(members, _CHUNK_ELEMENTS // max(edges, entries)))
+def _scan_plan(n: int, k: int, entries: int) -> tuple[int, tuple, tuple]:
+    """B, B * max(E, F) <= 2^16 for E edges and F entries; (shape, dtype) of
+    each array ``_scan`` allocates, in its order; and of each temporary, at
+    the bound beside it.  The byte cap adds ``lattice_build_bytes`` to them."""
+    members, downsets = cover_size(n, k), downset_count_formula(n, k)
+    edges, blocks = lattice_edge_count_formula(n, k), -(-n // k)
+    batch = max(1, min(members, _CHUNK_ELEMENTS // max(edges, entries)))
+    rows = edges + downsets // lattice_radix(n % k or k)  # E edge cells, then a sink trace
+    traced, i64, f64 = 2 * batch - 1, np.int64, np.float64  # under 2B buffered or traced
+    held = (((entries * batch,), i64), ((rows * batch,), f64),  # entry cells, cell table
+            ((downsets * batch,), f64), ((entries * batch,), f64),  # DP values, laid scores
+            ((members,), f64), ((members,), f64), ((members, n), i64))  # optima, totals, parents
+    return batch, held, (
+        (((n + 1) // 2, downsets), np.int32),  # padded edges, <= h per block of first half h
+        ((2 * k + blocks + 6, entries), i64),  # once: entry copies, patterns, 2 (F, k) bit tables
+        ((batch, 3 * k + blocks + 2, min(entries, 1 << k)), i64),  # digits, 2 (B, k, P) cell rows
+        ((batch, 3 * n + entries + edges + downsets), i64),  # slot maps, F offsets, DP gathers
+        ((traced, (1 + (batch > 1)) * (rows + downsets + n + 1)), f64),  # buffer, twice joined
+        ((traced, max(3 * edges + downsets, 4 * entries)), f64),  # 3 (E, B) + (D, B), or 4 (B, F)
+    )
 
 
 def _scan(
     table: LocalScoreTable, partition: BlockPartition, template: LatticeTemplate,
-    every: bool = False,
+    plan: tuple[int, tuple, tuple], every: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every member's optimum, in ``member_by_index`` order, and witnesses.
 
     Members are stepped through as an odometer over the per-block split
-    digits, in chunks of B, over the template's E cells.  An entry's cell
-    is its own block's ``own_cells`` row, from its node's slot place and
-    its closure digit there, plus the other blocks' downset.  The optimum
-    is the DP value of the full set.  ``every`` traces every member;
+    digits, in chunks of ``plan``'s B, in its arrays, over the template's E
+    cells.  An entry's cell is its own block's ``own_cells`` row, from its
+    node's slot place and closure digit there, plus the other blocks'
+    downset.  The optimum is the DP value of the full set.  ``every`` traces every member;
     otherwise the members at or above f(running max) after each chunk join
     a buffer, buffered members that have fallen below it are dropped, and
     the buffer is traced once it holds B columns, and at the last chunk.
@@ -224,16 +244,11 @@ def _scan(
         bits = [(patterns >> p) & 1 for p in range(len(block))]
         lo, hi = bounds[t], bounds[t + 1]
         blocks.append((bits, which, position[lo:hi] * len(patterns) + which[lo:hi]))
-    members = cover_size(n, k)
-    batch = _chunk_members(members, len(template.edge_cell), len(scores))
-    size = template.sink_row + max(template.cell_stride)
-    # The large chunk arrays are allocated once and viewed at each chunk's
-    # width, so they are not mapped and faulted in again chunk by chunk.
-    cells_at = np.empty(len(scores) * batch, dtype=np.int64)
-    reduced_at, value_at = np.empty(size * batch), np.empty(template.size * batch)
-    laid = np.empty(0)
-    optima, totals = np.empty(members), np.empty(members)
-    parents = np.empty((members, n), dtype=np.int64)
+    batch, held, _ = plan
+    # The chunk arrays are allocated once and viewed at each chunk's width,
+    # so they are not mapped and faulted in again chunk by chunk.
+    cells_at, reduced_at, value_at, laid_at, optima, totals, parents = map(np.empty, *zip(*held))
+    members, size = len(optima), template.sink_row + max(template.cell_stride)
     top = floor = _NEG_INF
     shift = np.repeat(template.offsets, template.block_sizes)[:, None]  # slot of place 0
     buffered: list = []  # (members, slot nodes, cells, DP values), a column per member
@@ -265,8 +280,10 @@ def _scan(
             for digit, (_, which, _), weight in zip(digits, blocks, template.other_weights[t]):
                 if weight:
                     segment += np.take(digit * (weight * width), which[lo_t:hi_t], axis=1)
-        if len(laid) != len(cells):
-            laid = np.concatenate([np.tile(scores[a:b], width) for a, b in zip(bounds, bounds[1:])])
+        laid = laid_at[: len(cells)]
+        if lo == 0 or width < batch:  # the first chunk and a ragged last one
+            for a, b in zip(bounds, bounds[1:]):
+                laid[a * width : b * width].reshape(width, -1)[:] = scores[a:b]
         reduced = _bucket_maxima(cells, laid, reduced_at[: size * width]).reshape(size, width)
         for first, last, axes in template.cell_groups:
             _fold_sub_downsets(reduced[first:last], axes)
@@ -283,7 +300,7 @@ def _scan(
                     if (keep := optima[piece[0]] >= floor).any()]
         if hi == members:
             # Freed first, so that the last trace does not add to the chunk arrays.
-            del cells_at, reduced_at, value_at, laid, cells, reduced, value
+            del cells_at, reduced_at, value_at, laid_at, laid, cells, reduced, value
         if buffered and (hi == members or sum(len(piece[0]) for piece in buffered) >= batch):
             # A single piece is traced as it is, not joined into a copy.
             index, nodes, cells, value = (
@@ -298,7 +315,8 @@ def member_optima(table: LocalScoreTable, partition: BlockPartition) -> np.ndarr
     """Every member's optimum, in ``member_by_index`` order, from the cover scan."""
     if table.n != partition.n:
         raise ValueError("table and partition sizes differ")
-    return _scan(table, partition, lattice_template(partition.n, partition.k))[0]
+    n, k = partition.n, partition.k
+    return _scan(table, partition, lattice_template(n, k), _scan_plan(n, k, len(table.scores)))[0]
 
 
 def _trace(
@@ -405,8 +423,10 @@ def solve_cover(
     Before the shared ``lattice_template`` is looked up or built, the caps
     raise ``InstanceTooLargeError``, in order: for grover-sim, more members
     than ``MAX_SIM_DOMAIN``; the byte cap, when ``lattice_build_bytes`` and
-    the scan would exceed ``LATTICE_BYTES_CAP``; and the work cap, when
-    members times downsets exceeds ``SCAN_WORK_CAP``.
+    the arrays of ``_scan_plan`` would exceed ``LATTICE_BYTES_CAP``; and
+    the work cap, when members times downsets exceeds ``SCAN_WORK_CAP``.
+    grover-cost-model's ``solve_dp`` check is bounded by ``DP_CAP``, not by
+    the byte cap.
     """
     if strategy not in COVER_STRATEGIES:
         raise StrategyUnavailableError(f"strategy {strategy!r} not in {COVER_STRATEGIES}")
@@ -419,35 +439,14 @@ def solve_cover(
             f"cover has {members} members; grover-sim cap is {MAX_SIM_DOMAIN}"
         )
     downsets = downset_count_formula(n, k)
-    edges = lattice_edge_count_formula(n, k)
-    entries = len(table.scores)
-    # The template's padded int32 edge table: at most D rows per removable
-    # slot, which a downset has at most one of per block half, the sum of
-    # the halves.  Per chunk member: the cell table (at most E + D rows),
-    # its DP and the DP's per-layer gathers (a layer's padded table was at
-    # most 0.6 E on every shape with n <= 20), F-long cells and scores, and
-    # per block of at most min(F, 2^k) patterns their digits and k-wide
-    # own-cell tables, and three n-long slot maps while its own is made.
-    # Once: the entries' copies and pattern temporaries.  Per traced
-    # member, at most 2B - 1 at a time: its buffered cells, DP values and
-    # slot map, at most E + 2D + n, twice while pieces are joined, and the
-    # larger of three (E, B) and four (B, F) trace arrays.  Kept: each
-    # member's optimum, total, n parent masks and buffered index.
-    chunk = _chunk_members(members, edges, entries)
-    blocks = len(partition.blocks)
-    halves = sum((len(block) + 1) // 2 for block in partition.blocks)
-    patterns = min(entries, 1 << k) * (3 * k + blocks + 2)
-    needed = lattice_build_bytes(n, k) + 4 * downsets * halves + 8 * (
-        chunk * (2 * edges + 3 * downsets + 3 * entries + patterns + 3 * n)
-        + (2 * k + blocks + 6) * entries
-        + (2 * chunk - 1) * ((1 + (chunk > 1)) * (edges + 2 * downsets + n)
-                             + max(3 * edges + downsets, 4 * entries))
-        + members * (n + 3)
+    plan = _scan_plan(n, k, len(table.scores))
+    needed = lattice_build_bytes(n, k) + sum(
+        math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in plan[1] + plan[2]
     )
     if needed > LATTICE_BYTES_CAP:
         raise InstanceTooLargeError(
-            f"lattice of {downsets} downsets and {edges} edges needs {needed} "
-            f"bytes, over the {LATTICE_BYTES_CAP} byte cap"
+            f"lattice of {downsets} downsets and {lattice_edge_count_formula(n, k)} edges "
+            f"needs {needed} bytes, over the {LATTICE_BYTES_CAP} byte cap"
         )
     if members * downsets > SCAN_WORK_CAP:
         raise InstanceTooLargeError(
@@ -456,7 +455,7 @@ def solve_cover(
         )
     ledger = QueryLedger()
     optima, totals, parents = _scan(
-        table, partition, lattice_template(n, k), every=strategy == "grover-sim"
+        table, partition, lattice_template(n, k), plan, every=strategy == "grover-sim"
     )
     if strategy == "grover-sim":
         ledger.count_classical(members)

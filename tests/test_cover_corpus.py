@@ -17,6 +17,7 @@ import pytest
 
 from cover_corpus import CORPUS, case_ids, case_inputs, optima_digest, record
 from qbnsl import po_dp
+from qbnsl.bucket_cover import lattice_edge_count_formula
 
 CORPUS_DATA = json.loads(CORPUS.read_text())
 RECORDS = {rec["id"]: rec for rec in CORPUS_DATA["records"]}
@@ -34,10 +35,9 @@ def test_cover_path_matches_corpus_record(case_id):
     for field in want:
         assert got[field] == want[field], field
     table, partition, _ = case_inputs(case_id)
+    # A budget of batch * max(E, F) elements is B = batch members per chunk.
+    row = max(lattice_edge_count_formula(partition.n, partition.k), len(table.scores))
     for batch in (1, 3):
-        chunked = mock.patch.object(
-            po_dp, "_chunk_members", lambda members, *rest: min(members, batch)
-        )
-        with chunked:
+        with mock.patch.object(po_dp, "_CHUNK_ELEMENTS", batch * row):
             optima = po_dp.member_optima(table, partition)
         assert optima_digest(optima) == want["member_optima_sha256"], batch

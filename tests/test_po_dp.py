@@ -651,6 +651,51 @@ def test_work_cap_counts_members_times_downsets(n, k, admitted):
                 solve_cover(table, BlockPartition.contiguous(n, k), strategy)
 
 
+# Per even k, one letter per n = k..30: the cover is admitted (a), refused
+# by the byte cap (b) or refused by the work cap (w).  k = 2 is first
+# refused at n = 22, for its bytes.
+CAP_VERDICTS = {
+    2: "aaaaaaaaaaaaaaaaaaaabbbbbbbbb",
+    4: "aaaaaaaaaaaaaaaaaawwbbbbbbb",
+    6: "aaaaaaaaaaaaaaawwwwbbbbbb",
+    8: "aaaaaaaaaaaaawwwbbbbbbb",
+    10: "aaaaaaaaaaawwwbbbbbbb",
+    12: "aaaaaaaaawwbbbbbbbb",
+    14: "aaaaaaawwbbbbbbbb",
+    16: "aaaawwwbbbbbbbb",
+    18: "aawwbbbbbbbbb",
+    20: "bbbbbbbbbbb",
+    22: "bbbbbbbbb",
+    24: "bbbbbbb",
+    26: "bbbbb",
+    28: "bbb",
+    30: "b",
+}
+
+
+@pytest.mark.parametrize("most_parents", [0, 2])
+def test_caps_refuse_covers_by_shape(most_parents):
+    # Every node lists the empty set, or every set of at most two others.
+    class Admitted(Exception):
+        pass
+
+    verdicts = dict.fromkeys(CAP_VERDICTS, "")
+    for n in range(2, 31):
+        masks = [sum(1 << j for j in nodes) for size in range(most_parents + 1)
+                 for nodes in itertools.combinations(range(n), size)]
+        table = LocalScoreTable(n, [{m: -float(m.bit_count()) for m in masks if not m >> i & 1}
+                                    for i in range(n)])
+        for k in range(2, n + 1, 2):
+            with mock.patch.object(po_dp, "lattice_template", side_effect=Admitted):
+                try:
+                    solve_cover(table, BlockPartition.contiguous(n, k), "classical-scan")
+                except Admitted:
+                    verdicts[k] += "a"
+                except InstanceTooLargeError as err:
+                    verdicts[k] += "b" if "byte cap" in str(err) else "w"
+    assert verdicts == CAP_VERDICTS
+
+
 def dense_table(n):
     """Every parent set of every node, with random scores."""
     rng = rng_for(n, "dense-table")
@@ -661,28 +706,72 @@ def dense_table(n):
     ])
 
 
-@pytest.mark.parametrize(
-    "n,k,dense",
-    [pytest.param(14, 2, False, id="14"), pytest.param(16, 2, False, id="16"),
-     pytest.param(12, 12, True, id="12-12-dense")],
-)
-def test_scan_peak_within_counted_bytes(n, k, dense):
-    # Empty-set tables: every member ties at 0, so every member is traced.
-    # The dense table has all 4,096 patterns in its one block.
-    table = dense_table(n) if dense else LocalScoreTable(n, [{0: 0.0}] * n)
-    partition = BlockPartition.contiguous(n, k)
-    # The template build is part of the measured peak.
+def test_scan_plan_holds_the_template_cell_table():
+    # The plan counts E + D // (smallest block's radix) rows before the
+    # template exists; the template's table ends one own trace past sink_row.
+    for n, k in [(n, k) for n in range(2, 15) for k in range(2, n + 1, 2)] + [(17, 6)]:
+        batch, held, _ = po_dp._scan_plan(n, k, 1)
+        template = lattice_template(n, k)
+        assert held[1][0] == ((template.sink_row + max(template.cell_stride)) * batch,), (n, k)
+
+
+def traced_peak(run):
+    """tracemalloc's peak while ``run()`` runs, the template build included."""
     lattice_template.cache_clear()
     tracemalloc.start()
     try:
-        solve_cover(table, partition, "classical-scan")
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+PEAK_CASES = [
+    # Empty-set tables: every member ties at 0, so every member is traced.
+    ("14", 14, 2, "empty"),
+    ("16", 16, 2, "empty"),
+    # All 4,096 patterns in its one block.
+    ("12-12-dense", 12, 12, "dense"),
+    # 2,400 members, and a block of 4 after two of 6.
+    ("16-6", 16, 6, "empty"),
+    # Few members are traced.
+    ("12-4-random", 12, 4, "random"),
+]
+
+
+@pytest.mark.parametrize(
+    "n,k,kind,strategy",
+    [pytest.param(n, k, kind, strategy,
+                  id=case if strategy == "classical-scan" else f"{case}-{strategy}")
+     for case, n, k, kind in PEAK_CASES for strategy in COVER_STRATEGIES],
+)
+def test_scan_peak_within_counted_bytes(n, k, kind, strategy):
+    table = {
+        "empty": lambda: LocalScoreTable(n, [{0: 0.0}] * n),
+        "dense": lambda: dense_table(n),
+        "random": lambda: random_table(rng_for(n, "scan-peak"), n),
+    }[kind]()
+    partition = BlockPartition.contiguous(n, k)
+    peak = traced_peak(lambda: solve_cover(table, partition, strategy))
+    # The cost model's solve_dp check is bounded by DP_CAP, not by the byte cap.
+    allowance = traced_peak(lambda: solve_dp(table)) if strategy == "grover-cost-model" else 0
     # The byte check counts at least the peak: a cap one byte below refuses.
-    with mock.patch.object(po_dp, "LATTICE_BYTES_CAP", peak - 1):
+    with mock.patch.object(po_dp, "LATTICE_BYTES_CAP", peak - allowance - 1):
         with pytest.raises(InstanceTooLargeError, match="byte cap"):
-            solve_cover(table, partition, "classical-scan")
+            solve_cover(table, partition, strategy)
+    if kind == "random" or peak <= 1 << 20:
+        return
+
+    # Where every member is traced, or every pattern is in play, the count
+    # stays within 3x the peak.
+    class Admitted(Exception):
+        pass
+
+    with mock.patch.object(po_dp, "LATTICE_BYTES_CAP", 3 * peak), mock.patch.object(
+        po_dp, "lattice_template", side_effect=Admitted
+    ):
+        with pytest.raises(Admitted):
+            solve_cover(table, partition, strategy)
 
 
 def test_large_templates_are_not_kept_between_solves():
