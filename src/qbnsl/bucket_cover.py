@@ -276,7 +276,7 @@ class LatticeTemplate:
     indices are mixed radix over the local digits with block 0 most
     significant, so the lattice is the product of the block lattices.
     ``masks[d]`` is downset d as a slot bitmask; ``axes`` describes each
-    block axis for :func:`~qbnsl.po_dp._fold_sub_downsets` as (radix,
+    block axis for :func:`~qbnsl.dp_exact._fold_sub_downsets` as (radix,
     Boolean parts), a part being (first digit, bits).
 
     The covering edges are CSR arrays in cardinality layers.  ``order``

@@ -70,6 +70,13 @@ def bounded_int(low: int, high: int | None = None):
     return integer
 
 
+def edge_list_path(text: str) -> str:
+    """argparse type: a path whose .dot sibling is another file, so not *.dot (else exit 2)."""
+    if Path(text).suffix == ".dot":
+        raise argparse.ArgumentTypeError(f"{text!r} ends in .dot, the DOT file's own suffix")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbnsl",
@@ -91,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=2, help="even block size for cover algorithms"
     )
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--out", help="edge-list path; a .dot sibling is written too")
+    p_solve.add_argument("--out", type=edge_list_path, help="edge-list path, plus a .dot sibling")
     p_solve.add_argument(
         "--shuffle-blocks",
         action="store_true",

@@ -1,10 +1,10 @@
 """Classical exact solvers: subset dynamic programming and brute forcers.
 
-The subset DP runs in O(2^n * n^2) after one (n, 2^(n-1)) subset-max
-array is built, and is the reference solver for n up to ``DP_CAP``.  Row
-i holds values only, over the other n-1 nodes (bit i squeezed out), as
-does the DP table: the traceback recovers sinks from the values, then
-each witness parent set with ``best_parents_in``.
+The subset DP runs in O(2^n * n^2) after one (2^(n-1), n) subset-max
+array is folded by :func:`_fold_sub_downsets`, as the cover scan's cells
+are; it is the reference solver for n up to ``DP_CAP``.  Column i holds
+values only, over the other n-1 nodes (bit i squeezed out), as does the DP
+table: the traceback recovers sinks, then witness parents by ``best_parents_in``.
 The brute forcers are test oracles, over all node orderings and over all
 parent assignments that form a DAG.  Each solver refuses an instance
 over its size cap, a module constant read at call time.
@@ -35,25 +35,47 @@ DAG_BRUTE_CAP = 4
 def best_parents_all_subsets(table: LocalScoreTable) -> np.ndarray:
     """Subset-max transform of every node's score entries over its n-1 others.
 
-    ``values[i, k]`` is max{ s_i(J) : J listed for i, J subset of S } for
+    ``values[k, i]`` is max{ s_i(J) : J listed for i, J subset of S } for
     the mask S of the nodes other than i whose bits, with bit i squeezed
     out, spell k: k = (S & low) | ((S >> 1) & ~low) with low = 2^i - 1.
-    The array is (n, 2^(n-1)), ascending S in each row.
+    The array is (2^(n-1), n), a row per squeezed set in ascending order,
+    seeded by one scatter and folded on one Boolean axis.
     """
     n = table.n
     if n > DP_CAP:
         raise InstanceTooLargeError(f"n={n} exceeds the subset-table cap {DP_CAP}")
     low = (1 << table.nodes) - 1
     squeezed = (table.masks & low) | ((table.masks >> 1) & ~low)
-    values = np.full((n, 1 << (n - 1)), -np.inf, dtype=np.float64)
-    values[table.nodes, squeezed] = table.scores
-    # One max-propagation pass per dimension over all rows: after pass j,
-    # each index holds the best over seeded subsets differing only in bits <= j.
-    for j in range(n - 1):
-        pairs = values.reshape(n, -1, 2, 1 << j)
-        hi = pairs[:, :, 1, :]
-        np.maximum(hi, pairs[:, :, 0, :], out=hi)
+    values = np.full((1 << (n - 1), n), -np.inf, dtype=np.float64)
+    values[squeezed, table.nodes] = table.scores
+    _fold_sub_downsets(values, ((1 << (n - 1), ((0, n - 1),)),))
     return values
+
+
+def _fold_sub_downsets(values: np.ndarray, axes) -> int:
+    """In place, replace each row by the max over the rows below it.
+
+    ``values`` is (rows, width), rows a product of lattices, first axis
+    most significant; an axis is (radix, parts), each part (start, bits) a
+    Boolean lattice on digits start..start+2^bits-1.  A block axis is the
+    first half's (digits 0..2^h-1) with the second half's stacked on its
+    top (digits 2^h-1 onwards), so one max pass per local bit finishes the
+    axis.  Returns the number of elementwise max folds.
+    """
+    outer, inner = 1, values.size
+    folds = 0
+    for radix, parts in axes:
+        inner //= radix
+        axis = values.reshape(outer, radix, inner)
+        for start, bits in parts:
+            part = axis[:, start : start + (1 << bits)]
+            for j in range(bits):
+                pairs = part.reshape(outer, -1, 2, (1 << j) * inner, copy=False)
+                upper = pairs[:, :, 1]
+                np.maximum(upper, pairs[:, :, 0], out=upper)
+                folds += upper.size
+        outer *= radix
+    return folds
 
 
 def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:
@@ -70,12 +92,11 @@ def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:
     if n > DP_CAP:
         raise InstanceTooLargeError(f"n={n} exceeds the DP cap {DP_CAP}")
     size = 1 << n
-    half = size >> 1
     best_parent_values = best_parents_all_subsets(table)
     # Squeezed masks by cardinality, ascending within each layer.  Layer l
     # of the DP reads, for every sink i, the same squeezed indices: the
     # masks of l-1 other nodes; unsqueezing them per i gives S minus i.
-    by_layer = np.argsort(np.bitwise_count(np.arange(half)), kind="stable")
+    by_layer = np.argsort(np.bitwise_count(np.arange(size >> 1)), kind="stable")
     layer_ends = np.cumsum([math.comb(n - 1, c) for c in range(n)]).tolist()
     nodes = np.arange(n)[:, None]
     low = (1 << nodes) - 1
@@ -86,7 +107,7 @@ def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:
         squeezed = by_layer[start:end]
         start = end
         without = (squeezed & low) | ((squeezed & ~low) << 1)
-        candidates = opt[without] + np.take(best_parent_values, squeezed, axis=1)
+        candidates = opt[without] + np.take(best_parent_values, squeezed, axis=0).T
         with_sink = without | (1 << nodes)
         for row, targets in zip(candidates, with_sink):
             np.maximum(row, opt[targets], out=row)
@@ -96,7 +117,7 @@ def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:
     while mask:
         for i in NodeSet(mask):
             rest, below = mask ^ (1 << i), (1 << i) - 1
-            if opt[rest] + best_parent_values[i, rest & below | (rest >> 1) & ~below] == opt[mask]:
+            if opt[rest] + best_parent_values[rest & below | (rest >> 1) & ~below, i] == opt[mask]:
                 break
         mask = rest
         parents[i] = best_parents_in(table, i, mask)[1]
@@ -114,28 +135,15 @@ def brute_force_orders(table: LocalScoreTable) -> float:
     """
     n = table.n
     if n > ORDER_BRUTE_CAP:
-        raise InstanceTooLargeError(
-            f"n={n} exceeds the order brute-force cap {ORDER_BRUTE_CAP}"
-        )
-    size = 1 << n
-    best_in: list[list[float]] = [[0.0] * size for _ in range(n)]
+        raise InstanceTooLargeError(f"n={n} exceeds the order brute-force cap {ORDER_BRUTE_CAP}")
+    best_in = [[0.0] * (1 << n) for _ in range(n)]
     for i in range(n):
-        row = best_in[i]
-        entries = table.items(i)
-        for mask in range(size):
-            if (mask >> i) & 1:
-                continue
-            best = None
-            for pset, score in entries:
-                if pset & ~mask:
-                    continue
-                if best is None or score > best:
-                    best = score
-            row[mask] = best  # empty set always qualifies
+        for mask in range(1 << n):
+            if not (mask >> i) & 1:  # the empty set always qualifies
+                best_in[i][mask] = max(score for pset, score in table.items(i) if not pset & ~mask)
     best_total = -float("inf")
     for perm in itertools.permutations(range(n)):
-        placed = 0
-        acc = 0.0
+        placed, acc = 0, 0.0
         for v in perm:
             acc += best_in[v][placed]
             placed |= 1 << v
@@ -159,10 +167,7 @@ def brute_force_dags(table: LocalScoreTable) -> float:
     n = table.n
     if n > DAG_BRUTE_CAP:
         raise InstanceTooLargeError(f"n={n} exceeds the DAG brute-force cap {DAG_BRUTE_CAP}")
-    best = None
-    for dag in enumerate_dags(table):
-        score = sum(table.score(i, dag.parents[i]) for i in range(n))
-        if best is None or score > best:
-            best = score
-    assert best is not None  # empty assignment is always acyclic
-    return best
+    # The empty assignment is always acyclic, so there is at least one DAG.
+    return max(
+        sum(table.score(i, dag.parents[i]) for i in range(n)) for dag in enumerate_dags(table)
+    )

@@ -12,7 +12,7 @@ batch of members at once:
 - bucketing, values only: every listed parent set is placed at its
   downward closure's cell (O(F) per member for F table entries) and
   ``np.maximum.at`` keeps each cell's best score;
-- the fold of cell maxima into superset cells, one block axis at a time;
+- ``dp_exact._fold_sub_downsets``, folding cell maxima into superset cells axis by axis;
 - the member DP, one cardinality layer at a time over the template's
   padded edge tables, O(E) per member for E edges.
 
@@ -57,7 +57,7 @@ from .bucket_cover import (
     lattice_radix,
     lattice_template,
 )
-from .dp_exact import DP_CAP, solve_dp
+from .dp_exact import DP_CAP, _fold_sub_downsets, solve_dp
 from .grover_sim import MAX_SIM_DOMAIN, MaxOracle, QueryLedger, max_find, quantum_charge
 from .instance import Dag, InstanceTooLargeError, LocalScoreTable, NodeSet
 
@@ -68,7 +68,7 @@ from .instance import total_score  # noqa: F401
 COVER_STRATEGIES = ("classical-scan", "grover-sim", "grover-cost-model")
 # Members times downsets: (21, 4), at 2.6e8, runs; (22, 4) at 7.8e8 does not.
 SCAN_WORK_CAP = 1 << 28
-# solve_dp's subset tables at its cap: n * 2^(n-1) float64, 80 MiB at n = 20.
+# 80 MiB: solve_dp's n * 2^(n-1) float64 subset tables at n = 20; it peaks at ~2.1x.
 LATTICE_BYTES_CAP = DP_CAP * (1 << (DP_CAP - 1)) * 8
 _NEG_INF = float("-inf")
 _CHUNK_ELEMENTS = 1 << 16  # values in one per-chunk array of the member pass
@@ -102,6 +102,11 @@ def _block_patterns(masks: np.ndarray, elems: np.ndarray) -> np.ndarray:
     inside a downset exactly when its closure does.
     """
     return ((masks[:, None] >> elems) & 1) @ (1 << np.arange(len(elems)))
+
+
+def _near_tol(top: float) -> float:
+    """How close to the maximum optimum ``top`` a member's optimum counts as near it."""
+    return 1e-9 * (1.0 + abs(top))
 
 
 def _bucket_maxima(cells: np.ndarray, scores: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -160,32 +165,6 @@ def downset_best_parents(
     by_downset = _bucket_maxima(flat, table.scores, np.empty(template.size * n)).reshape(-1, n)
     visits = _fold_sub_downsets(by_downset, template.axes)
     return DownsetScoreTable(by_downset.T, visits)
-
-
-def _fold_sub_downsets(values: np.ndarray, axes) -> int:
-    """In place, replace each row by the max over the rows below it.
-
-    ``values`` is (rows, width), rows a product of lattices, first axis
-    most significant; an axis is (radix, parts), each part (start, bits) a
-    Boolean lattice on digits start..start+2^bits-1.  A block axis is the
-    first half's (digits 0..2^h-1) with the second half's stacked on its
-    top (digits 2^h-1 onwards), so one max pass per local bit finishes the
-    axis.  Returns the number of elementwise max folds.
-    """
-    outer, inner = 1, values.size
-    folds = 0
-    for radix, parts in axes:
-        inner //= radix
-        axis = values.reshape(outer, radix, inner)
-        for start, bits in parts:
-            part = axis[:, start : start + (1 << bits)]
-            for j in range(bits):
-                pairs = part.reshape(outer, -1, 2, (1 << j) * inner, copy=False)
-                upper = pairs[:, :, 1]
-                np.maximum(upper, pairs[:, :, 0], out=upper)
-                folds += upper.size
-        outer *= radix
-    return folds
 
 
 def _scan_plan(n: int, k: int, entries: int) -> tuple[int, tuple, tuple]:
@@ -291,7 +270,7 @@ def _scan(
         optima[lo:hi] = _member_dp(reduced, template, value)[-1]
         if not every:
             top = max(top, float(optima[lo:hi].max()))
-            floor = top - 1e-9 * (1.0 + abs(top))
+            floor = top - _near_tol(top)
         nodes = np.empty((n, width), dtype=np.int64)  # each member's node in each slot
         nodes[np.hstack(places).T + shift, np.arange(width)] = ranked[:, None]
         # Masking copies: the chunk's arrays are reused.
@@ -465,7 +444,7 @@ def solve_cover(
         return float(totals[best]), _dag(n, parents[best]), ledger
 
     top = float(optima.max())
-    tol = 1e-9 * (1.0 + abs(top))
+    tol = _near_tol(top)
     near = np.flatnonzero(optima >= top - tol)
     unequal = near[totals[near] != optima[near]]  # -inf - -inf is nan
     off = unequal[np.abs(totals[unequal] - optima[unequal]) > tol / 2]

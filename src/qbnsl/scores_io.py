@@ -99,6 +99,11 @@ _CHUNK_CODES = 1 << 16
 _SPARSE_CELLS_PER_ROW = 8
 
 
+def _bad_name(name: str) -> bool:
+    """True unless the name is one score-file token: nonempty, no whitespace, no leading '#'."""
+    return name.split() != [name] or name.startswith("#")
+
+
 def _content_lines(data: str) -> list[tuple[int, str]]:
     return [
         (line_no, stripped)
@@ -243,10 +248,13 @@ def write_scores(table: LocalScoreTable) -> str:
     """Serialize a table to score-file text; inverse of :func:`parse_scores`.
 
     Variables are written under the table's names, or X0, X1, .. if it has
-    none.  Reads the table's flat arrays; each distinct parent set's
+    none; a name that is not one score-file token raises ``ValueError``.
+    Reads the table's flat arrays; each distinct parent set's
     ``COUNT NAME..`` text is formatted once.
     """
     names = table.names or tuple(f"X{i}" for i in range(table.n))
+    if bad := [name for name in names if _bad_name(name)]:
+        raise ValueError(f"variable name {bad[0]!r} is empty, has whitespace or starts with '#'")
     masks = table.masks.tolist()
     tails = {
         mask: " ".join([str(mask.bit_count()), *(names[j] for j in NodeSet(mask))])
@@ -282,8 +290,8 @@ class DiscreteDataset:
             raise DatasetError(f"column count must be in 1..{MAX_NODES}")
         if len(self.names) != n or len(set(self.names)) != n:
             raise DatasetError("column names must be unique and match the row width")
-        for j, name in enumerate(self.names):  # score-file names: one token, no '#'
-            if name.split() != [name] or name.startswith("#"):
+        for j, name in enumerate(self.names):
+            if _bad_name(name):
                 raise DatasetError(
                     f"column {j + 1} name {name!r} is empty, has whitespace or starts with '#'"
                 )

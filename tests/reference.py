@@ -253,7 +253,7 @@ def solve_dp_with_sink_table(table) -> tuple[float, Dag]:
         squeezed = by_layer[start:end]
         start = end
         without = (squeezed & low) | ((squeezed & ~low) << 1)
-        candidates = opt[without] + np.take(best_parent_values, squeezed, axis=1)
+        candidates = opt[without] + np.take(best_parent_values, squeezed, axis=0).T
         with_sink = without | (1 << nodes)
         for i in range(n):
             update = candidates[i] > opt[with_sink[i]]

@@ -87,6 +87,17 @@ def test_solve_writes_edge_list_and_dot(score_file, tmp_path, capsys):
     assert dot.startswith("digraph network {")
 
 
+def test_solve_out_ending_in_dot_exits_two(score_file, tmp_path, capsys):
+    # The DOT sibling of net.dot is net.dot itself: it would overwrite the edge list.
+    out_path = tmp_path / "net.dot"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(score_file), "--out", str(out_path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error:" in err and ".dot" in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_solve_shuffle_blocks_same_score(score_file, capsys):
     code, out, _ = run(
         capsys, "solve", score_file, "--algo", "cover", "--shuffle-blocks"

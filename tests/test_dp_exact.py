@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbnsl import dp_exact
+from qbnsl.bucket_cover import lattice_template
 from qbnsl.dp_exact import (
     DAG_BRUTE_CAP,
     DP_CAP,
     ORDER_BRUTE_CAP,
+    _fold_sub_downsets,
     best_parents_all_subsets,
     brute_force_dags,
     brute_force_orders,
@@ -126,7 +128,7 @@ def test_subset_max_four_subset_example():
     t = LocalScoreTable(
         4, [{0: 0.0}, {0: 0.0, 0b0100: 3.0, 0b1100: 5.0}, {0: 0.0}, {0: 0.0}]
     )
-    values = best_parents_all_subsets(t)[1]
+    values = best_parents_all_subsets(t)[:, 1]
     assert values[squeeze(0b1100, 1)] == 5.0
     assert values[squeeze(0b0100, 1)] == 3.0
     assert values[squeeze(0b1000, 1)] == 0.0
@@ -137,8 +139,9 @@ def test_subset_max_four_subset_example():
 
 def test_subset_max_empty_only_is_zero_everywhere():
     t = LocalScoreTable(3, [{0: 0.0}, {0: 0.0}, {0: 0.0}])
-    values = best_parents_all_subsets(t)[0]
-    assert values.dtype == np.float64 and values.shape == (4,)
+    table = best_parents_all_subsets(t)
+    assert table.dtype == np.float64 and table.shape == (4, 3)
+    values = table[:, 0]
     assert np.all(values == 0.0)
     _, argmax = reference_subset_max(t, 0)
     assert np.all(argmax == 0)
@@ -151,7 +154,7 @@ def test_subset_max_equals_scan_oracle(seed):
     n = int(rng.integers(2, 9))
     t = random_table(rng, n)
     i = int(rng.integers(n))
-    values = best_parents_all_subsets(t)[i]
+    values = best_parents_all_subsets(t)[:, i]
     _, argmax = reference_subset_max(t, i)
     # The table covers the other n-1 nodes only.
     assert values.shape == (1 << (n - 1),)
@@ -170,15 +173,48 @@ def test_values_only_tables_match_tie_key_reference(seed, tie_heavy):
     t = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
     reference = [reference_subset_max(t, i)[0][other_masks(n, i)] for i in range(n)]
     values = best_parents_all_subsets(t)
-    assert values.dtype == np.float64 and values.shape == (n, 1 << (n - 1))
+    assert values.dtype == np.float64 and values.shape == (1 << (n - 1), n)
     for i in range(n):
-        assert np.array_equal(values[i], reference[i])
+        assert np.array_equal(values[:, i], reference[i])
     # solve_dp fed the reference tables gives the same score and witness.
     got = solve_dp(t)
     with mock.patch.object(
-        dp_exact, "best_parents_all_subsets", lambda table: np.stack(reference)
+        dp_exact, "best_parents_all_subsets", lambda table: np.stack(reference, axis=1)
     ):
         assert solve_dp(t) == got
+
+
+def sub_row_max(values, masks):
+    """Each row's max over the rows whose mask lies inside its own, row by row."""
+    return np.array([values[(masks & ~mask) == 0].max(axis=0) for mask in masks.tolist()])
+
+
+def fold_input(rng, rows):
+    """(rows, width) small integers, with ties and some -inf cells."""
+    values = rng.integers(-3, 4, size=(rows, int(rng.integers(1, 4)))).astype(np.float64)
+    values[rng.random(values.shape) < 0.2] = -np.inf
+    return values
+
+
+@pytest.mark.parametrize("bits", range(11))
+def test_fold_one_boolean_axis_matches_sub_row_max(bits):
+    values = fold_input(np.random.default_rng(bits), 1 << bits)
+    want = sub_row_max(values, np.arange(1 << bits))
+    folds = _fold_sub_downsets(values, ((1 << bits, ((0, bits),)),))
+    assert np.array_equal(values, want)
+    # One elementwise max per covering pair of the bits-cube, in each column.
+    assert folds == values.shape[1] * bits * (1 << bits) // 2
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (5, 2), (6, 4), (7, 4), (8, 6), (9, 4)])
+def test_fold_template_block_axes_matches_sub_row_max(n, k):
+    template = lattice_template(n, k)
+    values = fold_input(np.random.default_rng(n * 10 + k), template.size)
+    want = sub_row_max(values, template.masks)
+    folds = _fold_sub_downsets(values, template.axes)
+    assert np.array_equal(values, want)
+    # One elementwise max per covering edge of the downset lattice, in each column.
+    assert folds == values.shape[1] * len(template.edge_child)
 
 
 @given(st.integers(0, 2**31), st.booleans(), st.integers(1, 12))

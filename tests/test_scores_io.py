@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from bisect import bisect_left
 from itertools import chain, combinations
@@ -214,6 +215,13 @@ def test_write_single_variable_table():
 
     t = LocalScoreTable(1, [{0: -0.25}], names=("ONLY",))
     assert write_scores(t) == "1\nONLY 1\n-0.25 0\n"
+
+
+@pytest.mark.parametrize("bad", ["a b", "", "x\ny", "#x"])
+def test_write_rejects_names_the_parser_cannot_read(bad):
+    t = LocalScoreTable(2, [{0: -1.0}, {0: -2.0}], names=("ok", bad))
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        write_scores(t)
 
 
 @given(st.data())
