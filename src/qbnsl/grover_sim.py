@@ -9,11 +9,17 @@ superposition is built once per search without being metered (that
 assumption is spelled out in the cost report).  Classical evaluations of
 the objective are counted separately, so classical-vs-quantum comparisons
 never mix units.
+
+A trial makes ``Generator.choice``'s draw and lookup: one uniform variate
+and the point whose cell of the law holds it.  The cell boundaries are
+closed forms in the sorted marked points, not a running float sum, so the
+lookups differ only for a draw within rounding error of a boundary.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from decimal import ROUND_CEILING, Decimal, localcontext
 from typing import Callable
@@ -79,10 +85,14 @@ class MaxOracle:
         return float(self.fn(x))
 
     def table(self) -> np.ndarray:
+        """All m values; a NaN would compare false with every threshold."""
         if self._table is None:
-            self._table = np.asarray(
-                [float(self.fn(x)) for x in range(self.m)], dtype=np.float64
-            )
+            table = np.fromiter(map(self.fn, range(self.m)), np.float64, self.m)
+            nan = np.flatnonzero(np.isnan(table))
+            if nan.size:
+                float(self.fn(int(nan[0])))  # fromiter reads None as NaN; float() does not
+                raise ValueError(f"the oracle value at point {nan[0]} is NaN")
+            self._table = table
         return self._table
 
 
@@ -106,29 +116,28 @@ def success_probability(domain: int, marked: int, iterations: int) -> float:
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
-def _trial_probabilities(marks: np.ndarray, iterations: int) -> np.ndarray:
-    """Per-point measurement law after r Grover iterations from uniform.
+def _hit_miss(size: int, marked: int, iterations: int) -> tuple[float, float]:
+    """Probability of each marked and of each unmarked point after r iterations.
 
     From the uniform start the state stays in the span of the uniform
     marked and unmarked superpositions.  With k of the N points marked and
     theta = asin(sqrt(k/N)), each marked point ends with probability
     sin^2((2r+1) theta) / k and each unmarked one cos^2((2r+1) theta) / (N-k).
+    The law is checked to sum to 1.
     """
-    size = marks.size
-    marked = int(np.count_nonzero(marks))
     angle = (2 * iterations + 1) * math.asin(math.sqrt(marked / size))
     hit = math.sin(angle) ** 2 / marked if marked else 0.0
     miss = math.cos(angle) ** 2 / (size - marked) if marked < size else 0.0
-    return np.where(marks, hit, miss)
-
-
-def _trial_cdf(marks: np.ndarray, iterations: int) -> np.ndarray:
-    """Normalized cumulative law of one trial, checked to sum to 1."""
-    cdf = np.cumsum(_trial_probabilities(marks, iterations))
-    total = cdf[-1]
+    total = hit * marked + miss * (size - marked)
     if abs(total - 1.0) > _PROB_TOL:
         raise RuntimeError(f"trial probabilities drifted from 1 by {total - 1.0:.3e}")
-    return cdf / total
+    return hit, miss
+
+
+def _trial_probabilities(marks: np.ndarray, iterations: int) -> np.ndarray:
+    """Per-point measurement law after r Grover iterations from uniform."""
+    hit, miss = _hit_miss(marks.size, int(np.count_nonzero(marks)), iterations)
+    return np.where(marks, hit, miss)
 
 
 def grover_trial(
@@ -137,14 +146,15 @@ def grover_trial(
     rng: np.random.Generator,
     ledger: QueryLedger | None = None,
     *,
-    cdf: np.ndarray | None = None,
+    law: tuple[int, list[int], float, float] | None = None,
 ) -> int:
     """One prepare/iterate/measure pass; charges one query per iteration.
 
-    The outcome is drawn by inverting the cumulative distribution of the
-    exact measurement law at one uniform variate: the same draw and lookup
-    that ``Generator.choice(size, p=probs)`` makes.  ``cdf`` is that law's
-    normalized cumulative distribution when the caller already has it.
+    The cell of the i-th marked point p_i starts at miss*(p_i - i) + hit*i.
+    Bisecting those starts finds the marked cell or the unmarked gap that
+    holds the draw, and a division finds the point within a gap.  ``law``
+    is (register size, sorted marked points, hit, miss) when the caller
+    already has it; the register may be padded beyond ``marks``.
     """
     marks = np.asarray(marks, dtype=bool)
     if marks.size < 1:
@@ -153,9 +163,23 @@ def grover_trial(
         raise ValueError("iterations must be nonnegative")
     if ledger is not None:
         ledger.charge_quantum(iterations)
-    if cdf is None:
-        cdf = _trial_cdf(marks, iterations)
-    return int(np.searchsorted(cdf, rng.random(), side="right"))
+    if law is None:
+        positions = np.flatnonzero(marks).tolist()
+        law = (marks.size, positions, *_hit_miss(marks.size, len(positions), iterations))
+    size, positions, hit, miss = law
+
+    def start(j: int) -> float:  # the mass before the j-th marked point
+        return miss * (positions[j] - j) + hit * j
+
+    u = rng.random()
+    i = bisect_right(range(len(positions)), u, key=start)
+    if i and u < start(i - 1) + hit:
+        return positions[i - 1]
+    # u lies in the unmarked gap after i marked points.
+    low = positions[i - 1] + 1 if i else 0
+    high = positions[i] - 1 if i < len(positions) else size - 1
+    x = i + math.floor((u - hit * i) / miss) if miss else low
+    return min(max(x, low), high)
 
 
 def grover_search_sim(
@@ -180,22 +204,17 @@ def grover_search_sim(
     if m > MAX_SIM_DOMAIN:
         raise DomainTooLargeError(f"m={m} exceeds the simulation cap {MAX_SIM_DOMAIN}")
     size = padded_size(m)
-    padded = np.zeros(size, dtype=bool)
-    padded[:m] = diagonal
+    positions = np.flatnonzero(diagonal).tolist()
     saturation = max(1, math.floor((math.pi / 4.0) * math.sqrt(size)))
     trials = (
         math.ceil(math.log(saturation) / math.log(_GROWTH)) if saturation > 1 else 0
     ) + _EXTRA_TRIALS
-    # Each distinct law is built once per search; with nothing marked the
-    # law is uniform for every iteration count.
-    laws: dict[int, np.ndarray] = {}
-    any_marked = bool(diagonal.any())
+    laws: dict[int, tuple[int, list[int], float, float]] = {}  # by iteration count
     for t in range(trials):
         iterations = min(math.ceil(_GROWTH**t), saturation)
-        key = iterations if any_marked else 0
-        if key not in laws:
-            laws[key] = _trial_cdf(padded, iterations)
-        outcome = grover_trial(padded, iterations, rng, ledger, cdf=laws[key])
+        if iterations not in laws:
+            laws[iterations] = (size, positions, *_hit_miss(size, len(positions), iterations))
+        outcome = grover_trial(diagonal, iterations, rng, ledger, law=laws[iterations])
         if outcome < m:
             if ledger is not None:
                 ledger.count_classical()
@@ -253,13 +272,9 @@ def max_find(
     streams = seed_sequence(0 if rng_seed is None else rng_seed, "max-find").spawn(
         repetitions
     )
-    best: tuple[int, float] | None = None
-    for stream in streams:
-        x, v = _threshold_run(oracle, values, m, np.random.default_rng(stream))
-        if best is None or v > best[1]:
-            best = (x, v)
-    assert best is not None
-    return best[0], best[1], oracle.ledger
+    runs = (_threshold_run(oracle, values, m, np.random.default_rng(s)) for s in streams)
+    x, v = max(runs, key=lambda run: run[1])  # the first of the best runs
+    return x, v, oracle.ledger
 
 
 def _ceil_significant(x: Decimal, digits: int) -> Decimal:

@@ -24,7 +24,7 @@ from qbnsl.bucket_cover import (
     closure_digit,
 )
 from qbnsl.dp_exact import best_parents_all_subsets
-from qbnsl.grover_sim import QueryLedger
+from qbnsl.grover_sim import _PROB_TOL, QueryLedger, _trial_probabilities
 from qbnsl.instance import (
     CyclicGraphError,
     Dag,
@@ -193,6 +193,24 @@ def ledger_counts(ledger: QueryLedger) -> dict[str, int]:
         "classical_evals": ledger.classical_evals,
         "charged_quantum_queries": ledger.charged_quantum_queries,
     }
+
+
+def trial_cdf(marks: np.ndarray, iterations: int) -> np.ndarray:
+    """Normalized running-sum law of one trial, checked to sum to 1.
+
+    This is the sampler's law as a cumulative array over the whole register,
+    before its cell boundaries took closed form.
+    """
+    cdf = np.cumsum(_trial_probabilities(np.asarray(marks, dtype=bool), iterations))
+    total = cdf[-1]
+    if abs(total - 1.0) > _PROB_TOL:
+        raise RuntimeError(f"trial probabilities drifted from 1 by {total - 1.0:.3e}")
+    return cdf / total
+
+
+def cdf_trial(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One trial by inverting ``cdf`` at one uniform variate, as ``Generator.choice`` does."""
+    return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
 def from_csv_by_rows(text: str) -> DiscreteDataset:

@@ -24,6 +24,7 @@ from qbnsl.grover_sim import (
     DomainTooLargeError,
     MaxOracle,
     QueryLedger,
+    _hit_miss,
     _trial_probabilities,
     cost_report,
     grover_search_sim,
@@ -35,7 +36,7 @@ from qbnsl.grover_sim import (
     success_probability,
 )
 from qbnsl.seeding import rng_for, seed_sequence
-from reference import ledger_counts
+from reference import cdf_trial, ledger_counts, trial_cdf
 
 NORM_TOL = 1e-9
 
@@ -255,6 +256,58 @@ def test_closed_form_matches_dense_statevector(size):
                 assert fast_rng.random() == dense_rng.random()
 
 
+@pytest.mark.parametrize("size", [2, 3, 5, 8, 37, 100, 1296, 2048, 4096])
+def test_sampler_matches_running_sum_reference(size):
+    # 57,600 seeded draws in all.  k covers 0, 1, N-1 and N, and N/4 and
+    # 3N/4, where at r = 1 the law leaves miss (N/4) or hit (3N/4) near
+    # 1e-33.  The closed-form cells and the running-sum CDF give the same
+    # index from the same generator, and each trial takes exactly one draw.
+    rng = rng_for(29, "sampler-reference-layout", size)
+    for k in sorted({0, 1, size // 4, 3 * size // 4, size - 1, size}):
+        marks = np.zeros(size, dtype=bool)
+        marks[rng.choice(size, size=k, replace=False)] = True
+        for r in (0, 1, 2, 4, 9, 25):
+            cdf = trial_cdf(marks, r)
+            fast_rng = rng_for(3, "sampler-reference-draw", size, k, r)
+            ref_rng = rng_for(3, "sampler-reference-draw", size, k, r)
+            got = [grover_trial(marks, r, fast_rng) for _ in range(200)]
+            assert got == [cdf_trial(cdf, ref_rng) for _ in range(200)], (size, k, r)
+            assert fast_rng.random() == ref_rng.random()
+
+
+class _Draws:
+    """A generator stand-in whose ``random()`` returns the given values in turn."""
+
+    def __init__(self, values) -> None:
+        self._values = iter(values)
+
+    def random(self) -> float:
+        return next(self._values)
+
+
+@pytest.mark.parametrize("size", [3, 5, 37, 100, 1296])
+def test_sampler_on_cell_boundaries_stays_in_the_reference_cell(size):
+    # Draws on and just below the boundaries of both lookups, the running-sum
+    # CDF's and the closed-form starts and ends of the marked cells, and the
+    # largest draw below 1: the outcome is a point of the register whose
+    # reference cell holds the draw, up to rounding.
+    rng = rng_for(31, "sampler-boundary-layout", size)
+    for k in sorted({0, 1, size // 4, 3 * size // 4, size - 1, size}):
+        marks = np.zeros(size, dtype=bool)
+        marks[rng.choice(size, size=k, replace=False)] = True
+        for r in (0, 1, 2, 9):
+            cdf = trial_cdf(marks, r)
+            hit, miss = _hit_miss(size, k, r)
+            starts = miss * (np.flatnonzero(marks) - np.arange(k)) + hit * np.arange(k)
+            starts = starts[:: max(1, k // 128)]
+            edges = np.concatenate([cdf[:: max(1, size // 128)], starts, starts + hit, [1.0]])
+            for u in np.minimum([*edges, *np.nextafter(edges, 0.0)], np.nextafter(1.0, 0.0)):
+                x = grover_trial(marks, r, _Draws([float(u)]))
+                assert 0 <= x < size, (size, k, r, u)
+                low = cdf[x - 1] if x else 0.0
+                assert low - 1e-12 <= u <= cdf[x] + 1e-12, (size, k, r, u, x)
+
+
 @pytest.mark.parametrize("m", [1, 2, 5, 16, 37, 100, 256, 1296])
 def test_max_find_matches_dense_reference(m):
     # Distinct values and tie-heavy values (few levels, several argmaxes).
@@ -344,6 +397,27 @@ def test_max_find_unamplified_success_rate_exceeds_two_thirds():
         x, _, _ = max_find(oracle, 32, "sim", rng_seed=1000 + t, repetitions=1)
         successes += int(x == int(np.argmax(values)))
     assert successes / trials >= 2 / 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_max_find_rejects_a_nan_oracle_value(seed):
+    # No threshold marks a NaN point and no NaN is ever beaten, so a NaN
+    # value would decide the result by the seed alone.
+    oracle = MaxOracle(4, [1.0, math.nan, 5.0, 2.0].__getitem__)
+    with pytest.raises(ValueError, match="point 1 is NaN"):
+        max_find(oracle, 4, "sim", rng_seed=seed, repetitions=3)
+
+
+def test_oracle_table_holds_float_of_each_value():
+    raw = [3, 2**53 + 1, -(2**70), np.float32(0.1), np.float64(-2.5), -math.inf, np.int64(-7)]
+    oracle = MaxOracle(len(raw), raw.__getitem__)
+    table = oracle.table()
+    assert table.dtype == np.float64
+    assert table.tolist() == [float(raw[x]) for x in range(len(raw))]
+    assert oracle.table() is table
+    assert oracle.ledger.classical_evals == 0
+    with pytest.raises(TypeError):
+        MaxOracle(3, [1.0, None, 2.0].__getitem__).table()
 
 
 def test_oracle_eval_is_metered_and_bounded():
