@@ -52,7 +52,7 @@ def best_parents_all_subsets(table: LocalScoreTable) -> np.ndarray:
     return values
 
 
-def _fold_sub_downsets(values: np.ndarray, axes) -> int:
+def _fold_sub_downsets(values: np.ndarray, axes) -> None:
     """In place, replace each row by the max over the rows below it.
 
     ``values`` is (rows, width), rows a product of lattices, first axis
@@ -60,10 +60,9 @@ def _fold_sub_downsets(values: np.ndarray, axes) -> int:
     Boolean lattice on digits start..start+2^bits-1.  A block axis is the
     first half's (digits 0..2^h-1) with the second half's stacked on its
     top (digits 2^h-1 onwards), so one max pass per local bit finishes the
-    axis.  Returns the number of elementwise max folds.
+    axis.
     """
     outer, inner = 1, values.size
-    folds = 0
     for radix, parts in axes:
         inner //= radix
         axis = values.reshape(outer, radix, inner)
@@ -73,9 +72,7 @@ def _fold_sub_downsets(values: np.ndarray, axes) -> int:
                 pairs = part.reshape(outer, -1, 2, (1 << j) * inner, copy=False)
                 upper = pairs[:, :, 1]
                 np.maximum(upper, pairs[:, :, 0], out=upper)
-                folds += upper.size
         outer *= radix
-    return folds
 
 
 def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:

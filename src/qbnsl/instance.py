@@ -42,12 +42,6 @@ class InstanceTooLargeError(ValueError):
     """The instance exceeds a solver's configured size cap."""
 
 
-def _bits(value: "NodeSet | int") -> int:
-    if isinstance(value, NodeSet):
-        return value.bits
-    return int(value)
-
-
 @dataclass(frozen=True, slots=True)
 class NodeSet:
     """An immutable set of node indices backed by a single bitmask."""
@@ -71,15 +65,6 @@ class NodeSet:
             bits |= 1 << v
         return cls(bits)
 
-    @classmethod
-    def full(cls, n: int) -> "NodeSet":
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        return cls((1 << n) - 1)
-
-    def __contains__(self, node: int) -> bool:
-        return node >= 0 and (self.bits >> node) & 1 == 1
-
     def __iter__(self) -> Iterator[int]:
         bits = self.bits
         while bits:
@@ -90,54 +75,16 @@ class NodeSet:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
     def __int__(self) -> int:
         return self.bits
 
     __index__ = __int__
 
-    def __or__(self, other: "NodeSet | int") -> "NodeSet":
-        return NodeSet(self.bits | _bits(other))
-
-    def __and__(self, other: "NodeSet | int") -> "NodeSet":
-        return NodeSet(self.bits & _bits(other))
-
     def __sub__(self, other: "NodeSet | int") -> "NodeSet":
-        return NodeSet(self.bits & ~_bits(other))
-
-    def __xor__(self, other: "NodeSet | int") -> "NodeSet":
-        return NodeSet(self.bits ^ _bits(other))
-
-    def add(self, node: int) -> "NodeSet":
-        if node < 0:
-            raise ValueError(f"negative node index {node}")
-        return NodeSet(self.bits | (1 << node))
-
-    def remove(self, node: int) -> "NodeSet":
-        return NodeSet(self.bits & ~(1 << node))
+        return NodeSet(self.bits & ~int(other))
 
     def issubset(self, other: "NodeSet | int") -> bool:
-        return self.bits & ~_bits(other) == 0
-
-    def issuperset(self, other: "NodeSet | int") -> bool:
-        return _bits(other) & ~self.bits == 0
-
-    def isdisjoint(self, other: "NodeSet | int") -> bool:
-        return self.bits & _bits(other) == 0
-
-    def __le__(self, other: "NodeSet | int") -> bool:
-        return self.issubset(other)
-
-    def __ge__(self, other: "NodeSet | int") -> bool:
-        return self.issuperset(other)
-
-    def __lt__(self, other: "NodeSet | int") -> bool:
-        return self.issubset(other) and self.bits != _bits(other)
-
-    def __gt__(self, other: "NodeSet | int") -> bool:
-        return self.issuperset(other) and self.bits != _bits(other)
+        return self.bits & ~int(other) == 0
 
     def __repr__(self) -> str:
         if not self.bits:
@@ -157,8 +104,9 @@ class LocalScoreTable:
     set: that guarantees every node ordering admits at least one feasible
     parent assignment, so solvers never hit dead ends.
 
-    Bulk readers slice the arrays.  Scalar reads (``items``, ``score``,
-    ``contains``) go through a per-node view, a tuple of (bitmask, score)
+    Bulk readers slice the arrays.  Per-node reads (``items``, ``score``,
+    ``contains``, ``set_count``) go through one view, which raises
+    ``ValueError`` for a node outside 0..n-1: a tuple of (bitmask, score)
     pairs and a dict over it, built in bulk from the node's slice on first
     use.  ``names`` is display metadata only and is excluded from equality.
     """
@@ -206,6 +154,11 @@ class LocalScoreTable:
             if len(set(names)) != n:
                 raise ValueError("variable names must be unique")
         scores = np.asarray(scores, dtype=np.float64)
+        lengths = {len(nodes), len(masks), len(scores)}
+        if len(lengths) > 1:
+            raise ValueError(f"entry {min(lengths)} lacks a node, mask or score")
+        if (off := np.flatnonzero((nodes < 0) | (nodes >= n))).size:
+            raise ValueError(f"entry {off[0]} has node {nodes[off[0]]}, outside 0..{n - 1}")
         # The first bad entry raises, as a scan in input order would; node
         # i's missing empty set comes after its entries, before node i+1's.
         # Scores must be below +inf, so finite or -inf (a set that never wins).
@@ -241,6 +194,8 @@ class LocalScoreTable:
         raise AttributeError("LocalScoreTable is immutable")
 
     def _view(self, i: int) -> tuple[tuple[tuple[int, float], ...], dict[int, float]]:
+        if not 0 <= i < self.n:
+            raise ValueError(f"node index {i} out of range")
         view = self._views[i]
         if view is None:
             lo, hi = self.offsets[i], self.offsets[i + 1]
@@ -254,17 +209,17 @@ class LocalScoreTable:
         return len(self.masks)
 
     def set_count(self, i: int) -> int:
-        return int(self.offsets[i + 1] - self.offsets[i])
+        return len(self.items(i))
 
     def items(self, i: int) -> tuple[tuple[int, float], ...]:
         """Raw (bitmask, score) pairs for node i in (cardinality, mask) order."""
         return self._view(i)[0]
 
     def contains(self, i: int, parents: "NodeSet | int") -> bool:
-        return _bits(parents) in self._view(i)[1]
+        return int(parents) in self._view(i)[1]
 
     def score(self, i: int, parents: "NodeSet | int") -> float:
-        mask = _bits(parents)
+        mask = int(parents)
         try:
             return self._view(i)[1][mask]
         except KeyError:
@@ -310,7 +265,7 @@ class Dag:
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable["NodeSet | int"]) -> "Dag":
-        return cls(n, tuple(NodeSet(_bits(m)) for m in masks))
+        return cls(n, tuple(NodeSet(int(m)) for m in masks))
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Yield (parent, child) pairs in (child, parent) index order."""
@@ -360,14 +315,13 @@ def best_parents_in(
     smaller cardinality, then smaller bitmask; the empty set is always
     listed, so the scan always succeeds.
     """
-    if not 0 <= i < table.n:
-        raise ValueError(f"node index {i} out of range")
-    allowed_bits = _bits(allowed)
+    items = table.items(i)
+    allowed_bits = int(allowed)
     if (allowed_bits >> i) & 1:
         raise ValueError("allowed set must exclude the child node")
     best_score = None
     best_mask = 0
-    for mask, score in table.items(i):
+    for mask, score in items:
         if mask & ~allowed_bits:
             continue
         if best_score is None or score > best_score:

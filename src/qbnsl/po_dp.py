@@ -85,8 +85,8 @@ class DownsetScoreTable:
     ``values[i, d]`` is max{ s_i(J) : J listed for i, J inside downset d },
     an (n, D) float array.  It holds values only: the witness parent set
     of node i inside a downset is ``best_parents_in(table, i, downset)``.
-    ``edge_visits`` counts the sweep's elementwise max folds (n per local
-    lattice edge per slice of the other blocks), for work-bound checks.
+    ``edge_visits`` is the sweep's count of elementwise max folds, n per
+    covering edge of the downset lattice, for work-bound checks.
     """
 
     values: np.ndarray
@@ -163,8 +163,8 @@ def downset_best_parents(
         local = _block_patterns(table.masks, nodes[offset : offset + size])
         flat += closure_digit(local, h) * (weight * n)
     by_downset = _bucket_maxima(flat, table.scores, np.empty(template.size * n)).reshape(-1, n)
-    visits = _fold_sub_downsets(by_downset, template.axes)
-    return DownsetScoreTable(by_downset.T, visits)
+    _fold_sub_downsets(by_downset, template.axes)
+    return DownsetScoreTable(by_downset.T, n * len(template.edge_child))
 
 
 def _scan_plan(n: int, k: int, entries: int) -> tuple[int, tuple, tuple]:

@@ -7,6 +7,9 @@ blank lines are ignored)::
     NAME K            per variable: its name and its record count
     SCORE P P1 .. PP  K records: score, parent count, parent names
 
+A score is finite or ``-inf`` (a parent set that never wins), the rule a
+:class:`LocalScoreTable` holds; ``inf`` and ``nan`` are syntax errors.
+
 Parent references may point at variables declared later in the file, so
 parsing resolves names in a second pass.  Serialization writes variables
 in index order and records in (cardinality, bitmask) order with ``repr``
@@ -196,8 +199,8 @@ def parse_scores(data: str | bytes) -> LocalScoreTable:
                 score = float(score_tok)
             except ValueError:
                 raise ScoreSyntaxError(line_no, f"invalid score {score_tok!r}") from None
-            if not math.isfinite(score):
-                raise ScoreSyntaxError(line_no, "score must be finite")
+            if not score < math.inf:
+                raise ScoreSyntaxError(line_no, "score must be finite or -inf")
             if tail not in listed:
                 p_count_tok, *parents = tail.split()
                 try:
@@ -450,6 +453,8 @@ def bic_scores(
     if max_indegree < 0:
         raise ValueError("max_indegree must be non-negative")
     n = data.n
+    if candidate_parents is not None and len(candidate_parents) != n:
+        raise ValueError(f"candidate_parents must list {n} sets, got {len(candidate_parents)}")
     full = (1 << n) - 1
     cand_masks: list[int] = []
     for i in range(n):

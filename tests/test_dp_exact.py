@@ -200,10 +200,8 @@ def fold_input(rng, rows):
 def test_fold_one_boolean_axis_matches_sub_row_max(bits):
     values = fold_input(np.random.default_rng(bits), 1 << bits)
     want = sub_row_max(values, np.arange(1 << bits))
-    folds = _fold_sub_downsets(values, ((1 << bits, ((0, bits),)),))
+    _fold_sub_downsets(values, ((1 << bits, ((0, bits),)),))
     assert np.array_equal(values, want)
-    # One elementwise max per covering pair of the bits-cube, in each column.
-    assert folds == values.shape[1] * bits * (1 << bits) // 2
 
 
 @pytest.mark.parametrize("n, k", [(2, 2), (5, 2), (6, 4), (7, 4), (8, 6), (9, 4)])
@@ -211,10 +209,8 @@ def test_fold_template_block_axes_matches_sub_row_max(n, k):
     template = lattice_template(n, k)
     values = fold_input(np.random.default_rng(n * 10 + k), template.size)
     want = sub_row_max(values, template.masks)
-    folds = _fold_sub_downsets(values, template.axes)
+    _fold_sub_downsets(values, template.axes)
     assert np.array_equal(values, want)
-    # One elementwise max per covering edge of the downset lattice, in each column.
-    assert folds == values.shape[1] * len(template.edge_child)
 
 
 @given(st.integers(0, 2**31), st.booleans(), st.integers(1, 12))

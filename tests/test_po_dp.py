@@ -275,7 +275,7 @@ def test_downset_best_parents_edge_budget(seed):
     member = random_member(rng, n, k)
     idx = DownsetIndex(member)
     best = downset_best_parents(table, idx)
-    assert best.edge_visits <= n * n * idx.size
+    assert best.edge_visits == n * len(idx.template.edge_child) <= n * n * idx.size
 
 
 @given(st.integers(0, 2**31), st.booleans(), st.booleans())

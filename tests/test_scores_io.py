@@ -113,8 +113,8 @@ def reference_parse_scores(data):
                 score = float(tokens[0])
             except ValueError:
                 raise ScoreSyntaxError(line_no, f"invalid score {tokens[0]!r}") from None
-            if not math.isfinite(score):
-                raise ScoreSyntaxError(line_no, "score must be finite")
+            if math.isnan(score) or score == math.inf:
+                raise ScoreSyntaxError(line_no, "score must be finite or -inf")
             try:
                 p_count = int(tokens[1])
             except ValueError:
@@ -217,6 +217,13 @@ def test_write_single_variable_table():
     assert write_scores(t) == "1\nONLY 1\n-0.25 0\n"
 
 
+def test_minus_inf_scores_round_trip():
+    t = LocalScoreTable(2, [{0: 0.0, 2: -math.inf}, {0: -1.0, 1: -math.inf}])
+    text = write_scores(t)
+    assert "-inf 1 X1" in text
+    assert parse_scores(text) == reference_parse_scores(text) == t
+
+
 @pytest.mark.parametrize("bad", ["a b", "", "x\ny", "#x"])
 def test_write_rejects_names_the_parser_cannot_read(bad):
     t = LocalScoreTable(2, [{0: -1.0}, {0: -2.0}], names=("ok", bad))
@@ -280,6 +287,7 @@ PARSE_ERROR_CASES = {
     "short-record": "1\nA 1\n0.0\n",
     "bad-score": "1\nA 1\nzero 0\n",
     "infinite-score": "1\nA 1\ninf 0\n",
+    "nan-score": "1\nA 1\nnan 0\n",
     "bad-parent-count": "2\nA 1\n0.0 one B\nB 1\n0.0 0\n",
     "count-mismatch": "2\nA 2\n0.0 0\n1.0 2 B\nB 1\n0.0 0\n",
     "count-mismatch-after-hit": "2\nA 2\n0.0 0\n1.0 1 B\nB 2\n0.0 0\n1.0 1  B A\n",
@@ -350,6 +358,13 @@ def test_bic_respects_candidate_parents_and_entry_cap():
     assert t.set_count(0) == 2 and t.set_count(1) == 1 and t.set_count(2) == 1
     with pytest.raises(TooManyEntriesError):
         bic_scores(data, 2, max_entries=3)
+
+
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_bic_rejects_candidate_parents_of_the_wrong_length(count):
+    data = DiscreteDataset(("A", "B", "C"), np.array([[0, 1, 1], [1, 0, 0]]), (2, 2, 2))
+    with pytest.raises(ValueError, match=f"must list 3 sets, got {count}"):
+        bic_scores(data, 1, candidate_parents=[0] * count)
 
 
 @given(st.data())
