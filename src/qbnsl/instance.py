@@ -143,7 +143,12 @@ class LocalScoreTable:
             raise ValueError(f"n must be in 1..{MAX_NODES}, got {n}")
         table = cls.__new__(cls)
         nodes = np.asarray(nodes, dtype=np.int64)
-        table._store(n, names, nodes, np.asarray(masks), scores)
+        # Python ints beyond int64 stay objects until checked; an empty list
+        # would read as float64.
+        masks = np.asarray(masks)
+        if not masks.size:
+            masks = masks.astype(np.int64)
+        table._store(n, names, nodes, masks, scores)
         return table
 
     def _store(self, n, names, nodes, masks, scores) -> None:

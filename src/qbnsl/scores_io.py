@@ -24,15 +24,21 @@ variable set S = P | {i} once and reads every family filed under S from
 that table, in one gather over (set, position of i) at the end.  Sets
 with the same arity signature share one ``bincount`` per chunk of at
 most ``_CHUNK_CODES`` codes (sets times rows), and one likelihood pass
-per group of at most ``_CHUNK_CODES`` count cells.  A set with more than
-``_SPARSE_CELLS_PER_ROW`` dense cells per row is counted over its
-occurring cells with ``np.unique``, so memory stays O(m); its columns'
-states are ranked first, so large state indices cannot overflow int64.
-Both paths visit the nonzero cells in a family's own cell order and
-repeat its float operations, including ``ndarray.sum``'s pairwise order,
-so the scores are bit-identical to counting each family alone:
-score-equivalent DAGs tie exactly, and the DP's witness depends on the
-last bit.
+per group of at most ``_CHUNK_CODES`` count cells.  A set's codes are
+the sum of its two halves' codes: each distinct half (a set's first
+ceil(s/2) variables, or the rest) is coded once over the rows, in the
+narrowest unsigned dtype that holds chunk * cells, and sets are taken
+in slices whose half tables hold at most ``_HALF_CODES`` codes.  A set
+with more than ``_SPARSE_CELLS_PER_ROW`` dense cells per row is counted
+over its occurring cells with ``np.unique``, so memory stays O(m); its
+columns' states are ranked first, so large state indices cannot
+overflow int64.  Counts are integers below 2**53, so a configuration's
+total is exact in any summation order; the terms and their sum are
+rounded, so both paths visit the nonzero cells in a family's own cell
+order and repeat its float operations, including ``ndarray.sum``'s
+pairwise order.  The scores are thus bit-identical to counting each
+family alone: score-equivalent DAGs tie exactly, and the DP's witness
+depends on the last bit.
 """
 
 from __future__ import annotations
@@ -96,8 +102,13 @@ class DatasetError(ValueError):
 
 # BIC counting budget: one bincount per chunk of same-shaped variable sets
 # covers at most this many codes (g sets * m rows), po_dp's chunk budget;
-# one likelihood pass covers at most this many count cells.
+# one likelihood pass covers at most this many count cells.  Codes are held
+# in the narrowest unsigned dtype that holds chunk * cells, uint16 for
+# 3-ary sets of up to four variables over a few thousand rows.
 _CHUNK_CODES = 1 << 16
+# The half-code tables of one slice of sets over one block of rows hold at
+# most this many codes (distinct halves * rows), whatever m and n are.
+_HALF_CODES = 1 << 21
 # A set with more dense cells than this many per row is counted sparsely.
 _SPARSE_CELLS_PER_ROW = 8
 
@@ -347,29 +358,88 @@ class DiscreteDataset:
         return cls(names, data, tuple(int(v) + 1 for v in data.max(axis=0)))
 
 
+def _half_codes(
+    block: np.ndarray, halves: np.ndarray, arities: tuple[int, ...], weight: int
+) -> np.ndarray:
+    """Codes of each row of ``halves`` over the rows of ``block``, shape (h, rows).
+
+    Each half's first variable is its least significant digit, of value
+    ``weight``; ``block`` holds the columns in the codes' dtype.
+    """
+    codes = np.zeros((len(halves), block.shape[1]), dtype=block.dtype)
+    for t, r in enumerate(arities):
+        digit = block[halves[:, t]]
+        digit *= weight
+        codes += digit
+        weight *= r
+    return codes
+
+
+def _distinct_halves(halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``halves`` and each row's index among them.
+
+    A row lists distinct variables in ascending order, so its bitmask
+    identifies it.
+    """
+    keys = (1 << halves).sum(axis=1)
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return halves[first], index
+
+
 def _count_tables(
     cols: np.ndarray, arities: tuple[int, ...], var_sets: np.ndarray, chunk: int
 ) -> np.ndarray:
     """Count tables of g same-shaped sets, shape (g, *reversed(arities)).
 
-    ``var_sets`` is (g, s), each row a set's variables in ascending order.
-    One ``bincount`` per ``chunk`` sets; each set's first variable is its
-    least significant digit.
+    ``var_sets`` is (g, s), each row a set's variables in ascending order;
+    each set's first variable is its least significant digit.  Codes are
+    held in the narrowest unsigned dtype that holds chunk * cells, and the
+    sets are counted by :func:`_count_slice` in slices whose half-code
+    tables over one block of rows hold at most ``_HALF_CODES`` codes.
     """
+    var_sets = np.asarray(var_sets)
     cells = math.prod(arities)
-    counts = np.empty(len(var_sets) * cells, dtype=np.int64)
-    for lo in range(0, len(var_sets), chunk):
-        sets = np.array(var_sets[lo : lo + chunk])
-        g = len(sets)
-        codes = cols[sets[:, 0]] + np.arange(0, g * cells, cells)[:, None]
-        weight = 1
-        for t in range(1, len(arities)):
-            weight *= arities[t - 1]
-            codes += cols[sets[:, t]] * weight
-        counts[lo * cells : (lo + g) * cells] = np.bincount(
-            codes.ravel(), minlength=g * cells
-        )
+    narrow = cols.astype(np.min_scalar_type(chunk * cells))
+    # A slice has at most two distinct halves per set.
+    rows = min(narrow.shape[1], _HALF_CODES // 2)
+    per_slice = _HALF_CODES // (2 * rows)
+    counts = np.zeros((len(var_sets), cells), dtype=np.int64)
+    for lo in range(0, len(var_sets), per_slice):
+        for start in range(0, narrow.shape[1], rows):
+            _count_slice(
+                counts[lo : lo + per_slice],
+                narrow[:, start : start + rows],
+                arities,
+                var_sets[lo : lo + per_slice],
+                chunk,
+            )
     return counts.reshape(-1, *arities[::-1])
+
+
+def _count_slice(
+    out: np.ndarray, block: np.ndarray, arities: tuple[int, ...], var_sets: np.ndarray, chunk: int
+) -> None:
+    """Add the sets' counts over the rows of ``block`` to ``out``, shape (g, cells).
+
+    A set's codes are its low half's codes (its first ceil(s/2) variables)
+    plus its high half's, pre-weighted, plus its offset in its chunk: each
+    distinct half is coded once, and each chunk of sets takes one
+    ``bincount``.
+    """
+    cells = out.shape[1]
+    split = (len(arities) + 1) // 2
+    lows, low_of = _distinct_halves(var_sets[:, :split])
+    highs, high_of = _distinct_halves(var_sets[:, split:])
+    low = _half_codes(block, lows, arities[:split], 1)
+    high = _half_codes(block, highs, arities[split:], math.prod(arities[:split]))
+    offsets = np.arange(0, chunk * cells, cells, dtype=block.dtype)[:, None]
+    for c in range(0, len(var_sets), chunk):
+        codes = low.take(low_of[c : c + chunk], axis=0)
+        codes += high.take(high_of[c : c + chunk], axis=0)
+        codes += offsets[: len(codes)]
+        out[c : c + len(codes)] += np.bincount(
+            codes.ravel(), minlength=len(codes) * cells
+        ).reshape(-1, cells)
 
 
 def _log_likelihoods(table: np.ndarray, arities: tuple[int, ...]) -> np.ndarray:
@@ -388,11 +458,18 @@ def _log_likelihoods(table: np.ndarray, arities: tuple[int, ...]) -> np.ndarray:
     for u in range(s):
         # Parents first-least-significant, then the child: the cell order of
         # one family's own (configs, r_child) table.
-        counts = np.moveaxis(table, s - u, -1).reshape(g, -1, arities[u])
-        totals = counts.sum(axis=2, keepdims=True)
-        nz = counts > 0
-        hits = counts[nz]
-        terms[u] = hits * np.log(hits / np.broadcast_to(totals, counts.shape)[nz])
+        counts = np.ascontiguousarray(np.moveaxis(table, s - u, -1)).reshape(g, -1, arities[u])
+        # Counts are integers below 2**53, so the totals are exact in any
+        # order; the terms and their sum are not, so they keep the family's.
+        totals = counts[..., 0]
+        for c in range(1, arities[u]):
+            totals = totals + counts[..., c]
+        # Each term is hits * log(hits / totals), taken on the dense table: a
+        # zero cell gives 0 * log(0) or, where its configuration never
+        # occurs, 0 * log(0 / 0), and is dropped with the other zeros.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dense = counts * np.log(counts / totals[..., None])
+        terms[u] = dense.ravel().compress(counts.ravel() > 0)
     # Contiguous rows of length L keep ndarray.sum's pairwise order.
     lls = np.empty((g, s))
     lengths, sizes = np.unique(nonzero, return_counts=True)
@@ -444,11 +521,14 @@ def bic_scores(
     under it reads its log-likelihood from that table.  Sets of one arity
     signature are counted in chunks of at most ``_CHUNK_CODES`` codes, and
     their likelihoods are taken in passes of at most ``_CHUNK_CODES``
-    cells; a set with more than ``_SPARSE_CELLS_PER_ROW * m`` cells is
-    counted over its occurring cells only, from ranked states, so memory
-    stays O(m) per set.  Both paths take the
-    nonzero cells in the same order with the same float operations as a
-    per-family count, so the scores are bit-identical to it.
+    cells.  A set's codes add up the codes of its low and high halves,
+    each distinct half coded once in narrow unsigned ints, with the half
+    tables kept within ``_HALF_CODES`` codes.  A set with more than
+    ``_SPARSE_CELLS_PER_ROW * m`` cells is counted over its occurring cells
+    only, from ranked states, so memory stays O(m) per set.  Configuration
+    totals are exact integers, summed in any order; both paths take each
+    term and the terms' sum in the same order with the same float
+    operations as a per-family count, so the scores are bit-identical to it.
     """
     if max_indegree < 0:
         raise ValueError("max_indegree must be non-negative")

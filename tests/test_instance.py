@@ -500,6 +500,14 @@ def test_tables_reject_nan_and_positive_infinity(entries, message):
     assert str(flat.value) == str(got.value)
 
 
+def test_from_arrays_without_entries_misses_the_empty_set():
+    with pytest.raises(ValueError) as flat:
+        LocalScoreTable.from_arrays(1, [], [], [])
+    with pytest.raises(ValueError) as nested:
+        LocalScoreTable(1, [{}])
+    assert str(flat.value) == str(nested.value) == "node 0 is missing the empty parent set"
+
+
 def test_tables_allow_negative_infinity():
     entries = [{0: 0.0, 2: -INF}, {0: -1.0, 1: -INF}]
     table = LocalScoreTable(2, entries)

@@ -6,7 +6,8 @@ import math
 import re
 import tracemalloc
 from bisect import bisect_left
-from itertools import chain, combinations
+from itertools import chain, combinations, combinations_with_replacement
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -452,12 +453,14 @@ def _random_dataset(rng, n, m, copies):
 
 
 # The default path; one set per count chunk and per likelihood pass; passes
-# that span several small count chunks; every set counted sparsely.
+# that span several small count chunks; every set counted sparsely; half
+# tables of one set at a time over blocks of 512 rows.
 BIC_PATHS = [
     {},
     {"_CHUNK_CODES": 1},
     {"_CHUNK_CODES": 256},
     {"_SPARSE_CELLS_PER_ROW": 0},
+    {"_HALF_CODES": 1024},
 ]
 
 
@@ -635,6 +638,45 @@ def test_grouped_likelihood_pass_matches_per_chunk_reference(data):
     assert got.tobytes() == want.tobytes() == alone.tobytes()
 
 
+# (arities, chunk): chunk * cells one below and at 2**16, where the codes
+# widen from uint16 to uint32; s = 1, 3 and 5, so the halves are uneven.
+NARROW_CODE_CASES = [
+    ((15,), 4369),
+    ((16,), 4096),
+    ((17, 3, 5), 257),
+    ((4, 4, 4), 1024),
+    ((3, 1, 5, 17, 1), 257),
+    ((2, 4, 2, 4, 2), 512),
+]
+
+
+@pytest.mark.parametrize("arities, chunk", NARROW_CODE_CASES)
+def test_narrow_codes_match_per_chunk_reference(arities, chunk):
+    # Three columns per position; a set takes position t from block b_t,
+    # with b nondecreasing, so its variables ascend and its halves recur.
+    s, cells = len(arities), math.prod(arities)
+    rng = np.random.default_rng(cells)
+    cols = np.array([rng.integers(arities[j % s], size=60) for j in range(3 * s)])
+    var_sets = np.array(
+        [
+            [t + s * b for t, b in enumerate(blocks)]
+            for blocks in combinations_with_replacement(range(3), s)
+        ]
+    )
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+        table = scores_io._count_tables(cols, arities, var_sets, chunk)
+    wide = chunk * cells == 2**16
+    assert {c.args[0].dtype for c in bincount.call_args_list} == {
+        np.dtype(np.uint32 if wide else np.uint16)
+    }
+    if s > 1:
+        # Some parent configuration never occurs: its ratio is 0 / 0.
+        assert (table.sum(axis=1) == 0).any()
+    got = scores_io._log_likelihoods(table, arities)
+    want = reference_chunk_log_likelihoods(cols, arities, var_sets)
+    assert got.tobytes() == want.tobytes()
+
+
 def _independent_bic(rows, child, parents):
     """(log-likelihood, penalty) of one family from np.unique over the raw
     rows, arities max+1."""
@@ -681,6 +723,39 @@ def test_bic_wide_columns_count_only_occurring_cells():
         tracemalloc.stop()
     assert table.total_entries == 4 * 8
     assert peak < 64 * 2**20
+
+
+def test_bic_half_code_tables_stay_within_their_budget():
+    # 200,000 rows: the half tables of all 495 four-variable sets at once
+    # would hold 132 halves * m codes, far over the budget.
+    rng = np.random.default_rng(0)
+    m, n = 200_000, 12
+    rows = rng.integers(3, size=(m, n))
+    dataset = DiscreteDataset(tuple(f"V{j}" for j in range(n)), rows, (3,) * n)
+    chunk = max(1, scores_io._CHUNK_CODES // m)
+    itemsize = np.min_scalar_type(chunk * 3**4).itemsize
+    tracemalloc.start()
+    try:
+        table = bic_scores(dataset, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.total_entries == n * sum(math.comb(n - 1, d) for d in range(4))
+    # What counting holds at once: the int64 column copy (the dataset's own
+    # bytes) and its copy in the codes' dtype; the half tables, at most
+    # _HALF_CODES codes, plus either the digit being added or one chunk's
+    # codes and their take, at most as many again; bincount's intp copy of
+    # one chunk's codes; one pass's count table; and 1 MiB for the O(F)
+    # family arrays.
+    bound = (
+        rows.nbytes
+        + rows.size * itemsize
+        + 2 * scores_io._HALF_CODES * itemsize
+        + 8 * chunk * m
+        + 8 * scores_io._CHUNK_CODES
+        + 2**20
+    )
+    assert peak <= bound
 
 
 def test_from_csv_infers_arity_and_checks_cells():
