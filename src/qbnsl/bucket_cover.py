@@ -442,7 +442,6 @@ def lattice_template(n: int, k: int) -> LatticeTemplate:
 
 
 _kept_templates = functools.cache(LatticeTemplate)
-lattice_template.cache_clear = _kept_templates.cache_clear  # type: ignore[attr-defined]
 
 
 class DownsetIndex:

@@ -134,12 +134,6 @@ def _hit_miss(size: int, marked: int, iterations: int) -> tuple[float, float]:
     return hit, miss
 
 
-def _trial_probabilities(marks: np.ndarray, iterations: int) -> np.ndarray:
-    """Per-point measurement law after r Grover iterations from uniform."""
-    hit, miss = _hit_miss(marks.size, int(np.count_nonzero(marks)), iterations)
-    return np.where(marks, hit, miss)
-
-
 def grover_trial(
     marks: np.ndarray,
     iterations: int,

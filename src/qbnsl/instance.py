@@ -17,6 +17,7 @@ package maximizes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -105,7 +106,7 @@ class LocalScoreTable:
     parent assignment, so solvers never hit dead ends.
 
     Bulk readers slice the arrays.  Per-node reads (``items``, ``score``,
-    ``contains``, ``set_count``) go through one view, which raises
+    ``set_count``) go through one view, which raises
     ``ValueError`` for a node outside 0..n-1: a tuple of (bitmask, score)
     pairs and a dict over it, built in bulk from the node's slice on first
     use.  ``names`` is display metadata only and is excluded from equality.
@@ -123,8 +124,8 @@ class LocalScoreTable:
             raise ValueError(f"n must be in 1..{MAX_NODES}, got {n}")
         if len(entries) != n:
             raise ValueError(f"expected {n} per-node entries, got {len(entries)}")
-        # Python ints until checked: a key beyond int64 is out of range.
-        masks = np.array([int(key) for node in entries for key in node], dtype=object)
+        keys = [key for node in entries for key in node]
+        masks = _integer_array(keys, "entry {}'s parent set", ValueError)
         nodes = np.repeat(np.arange(n), [len(node) for node in entries])
         scores = [float(score) for node in entries for score in node.values()]
         self._store(n, names, nodes, masks, scores)
@@ -142,12 +143,8 @@ class LocalScoreTable:
         if not 1 <= n <= MAX_NODES:
             raise ValueError(f"n must be in 1..{MAX_NODES}, got {n}")
         table = cls.__new__(cls)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        # Python ints beyond int64 stay objects until checked; an empty list
-        # would read as float64.
-        masks = np.asarray(masks)
-        if not masks.size:
-            masks = masks.astype(np.int64)
+        nodes = _integer_array(nodes, "entry {}'s node", ValueError)
+        masks = _integer_array(masks, "entry {}'s parent set", ValueError)
         table._store(n, names, nodes, masks, scores)
         return table
 
@@ -164,6 +161,7 @@ class LocalScoreTable:
             raise ValueError(f"entry {min(lengths)} lacks a node, mask or score")
         if (off := np.flatnonzero((nodes < 0) | (nodes >= n))).size:
             raise ValueError(f"entry {off[0]} has node {nodes[off[0]]}, outside 0..{n - 1}")
+        nodes = nodes.astype(np.int64, copy=False)
         # The first bad entry raises, as a scan in input order would; node
         # i's missing empty set comes after its entries, before node i+1's.
         # Scores must be below +inf, so finite or -inf (a set that never wins).
@@ -220,9 +218,6 @@ class LocalScoreTable:
         """Raw (bitmask, score) pairs for node i in (cardinality, mask) order."""
         return self._view(i)[0]
 
-    def contains(self, i: int, parents: "NodeSet | int") -> bool:
-        return int(parents) in self._view(i)[1]
-
     def score(self, i: int, parents: "NodeSet | int") -> float:
         mask = int(parents)
         try:
@@ -242,6 +237,27 @@ class LocalScoreTable:
 
     def __repr__(self) -> str:
         return f"LocalScoreTable(n={self.n}, total_entries={self.total_entries})"
+
+
+def _integer_array(values, where: str, error: type[ValueError]) -> np.ndarray:
+    """``values`` as int64, or as Python ints where one is beyond int64, to
+    be range-checked by the caller.
+
+    Integer and bool arrays convert at once.  Other input goes value by
+    value through ``operator.index``, so a float, even a whole one, raises
+    ``error`` rather than being truncated, naming its place by ``where``.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind in "bi" or array.dtype.kind == "u" and array.itemsize < 8:
+        return array.astype(np.int64, copy=False)
+    array = np.array(values, dtype=object)
+    for place, value in np.ndenumerate(array):
+        try:
+            array[place] = operator.index(value)
+        except TypeError:
+            at = where.format(", ".join(map(str, place)))
+            raise error(f"{at} is {value!r}, not an integer") from None
+    return array
 
 
 @dataclass(frozen=True, slots=True)

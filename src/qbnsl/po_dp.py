@@ -290,14 +290,6 @@ def _scan(
     return optima, totals, parents
 
 
-def member_optima(table: LocalScoreTable, partition: BlockPartition) -> np.ndarray:
-    """Every member's optimum, in ``member_by_index`` order, from the cover scan."""
-    if table.n != partition.n:
-        raise ValueError("table and partition sizes differ")
-    n, k = partition.n, partition.k
-    return _scan(table, partition, lattice_template(n, k), _scan_plan(n, k, len(table.scores)))[0]
-
-
 def _trace(
     table: LocalScoreTable, template: LatticeTemplate, nodes: np.ndarray, cells: np.ndarray,
     value: np.ndarray,

@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instance import MAX_NODES, LocalScoreTable, NodeSet
+from .instance import MAX_NODES, LocalScoreTable, NodeSet, _integer_array
 
 
 class ScoreFileError(ValueError):
@@ -293,8 +293,7 @@ class DiscreteDataset:
     arities: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.int64)
-        object.__setattr__(self, "rows", rows)
+        rows = _integer_array(self.rows, "cell rows[{}]", DatasetError)
         if rows.ndim != 2:
             raise DatasetError("rows must be a 2-D array")
         m, n = rows.shape
@@ -311,12 +310,15 @@ class DiscreteDataset:
                 )
         if len(self.arities) != n:
             raise DatasetError("arities must list one value per column")
-        for j, r in enumerate(self.arities):
+        arities = _integer_array(self.arities, "arities[{}]", DatasetError).tolist()
+        for j, r in enumerate(arities):
             if r < 1:
                 raise DatasetError(f"column {self.names[j]!r} has arity < 1")
             col = rows[:, j]
             if col.min() < 0 or col.max() >= r:
                 raise DatasetError(f"column {self.names[j]!r} has values outside 0..{r - 1}")
+        object.__setattr__(self, "arities", tuple(arities))
+        object.__setattr__(self, "rows", rows.astype(np.int64, copy=False))
 
     @property
     def m(self) -> int:
@@ -399,7 +401,7 @@ def _count_tables(
     """
     var_sets = np.asarray(var_sets)
     cells = math.prod(arities)
-    narrow = cols.astype(np.min_scalar_type(chunk * cells))
+    narrow = np.ascontiguousarray(cols, dtype=np.min_scalar_type(chunk * cells))
     # A slice has at most two distinct halves per set.
     rows = min(narrow.shape[1], _HALF_CODES // 2)
     per_slice = _HALF_CODES // (2 * rows)
@@ -582,7 +584,7 @@ def bic_scores(
     cuts = np.flatnonzero((shapes[order][1:] != shapes[order][:-1]).any(axis=1)) + 1
 
     m = data.m
-    cols = np.ascontiguousarray(data.rows.T)
+    cols = data.rows.T
     half_log_m = 0.5 * math.log(m)
     chunk = max(1, _CHUNK_CODES // m)
     ranked: list[tuple[np.ndarray, np.ndarray]] = []

@@ -27,9 +27,10 @@ import numpy as np
 from qbnsl.bucket_cover import BlockPartition
 from qbnsl.dp_exact import solve_dp
 from qbnsl.instance import LocalScoreTable
-from qbnsl.po_dp import COVER_STRATEGIES, member_optima, solve_cover
+from qbnsl.po_dp import COVER_STRATEGIES, solve_cover
 from qbnsl.seeding import rng_for
 from qbnsl.tables import random_table
+from reference import member_optima
 
 CORPUS = Path(__file__).with_name("cover_corpus.json")
 KINDS = ("random", "tie-heavy")

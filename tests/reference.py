@@ -3,6 +3,9 @@
 The solvers work on the lattice template's arrays and never ask these
 questions one subset at a time.  The tests do, to check the solvers, the
 cover property and the template against independent pure-Python answers.
+The module also holds the readers that only tests need: every member's
+optimum from the cover scan, one Grover trial's per-point law, and a
+table's membership test.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
+from qbnsl import po_dp
 from qbnsl.bucket_cover import (
     BlockPartition,
     CoverMember,
@@ -22,12 +26,14 @@ from qbnsl.bucket_cover import (
     IndexOutOfRangeError,
     LatticeTemplate,
     closure_digit,
+    lattice_template,
 )
 from qbnsl.dp_exact import best_parents_all_subsets
-from qbnsl.grover_sim import _PROB_TOL, QueryLedger, _trial_probabilities
+from qbnsl.grover_sim import _PROB_TOL, QueryLedger, _hit_miss
 from qbnsl.instance import (
     CyclicGraphError,
     Dag,
+    LocalScoreTable,
     NodeSet,
     _sink_first_order,
     best_parents_in,
@@ -195,13 +201,34 @@ def ledger_counts(ledger: QueryLedger) -> dict[str, int]:
     }
 
 
+def contains(table: LocalScoreTable, i: int, parents: "NodeSet | int") -> bool:
+    """Whether node i lists the parent set, read from ``table.items(i)``."""
+    mask = int(parents)
+    return any(listed == mask for listed, _ in table.items(i))
+
+
+def member_optima(table: LocalScoreTable, partition: BlockPartition) -> np.ndarray:
+    """Every member's optimum, in ``member_by_index`` order, from the cover scan."""
+    if table.n != partition.n:
+        raise ValueError("table and partition sizes differ")
+    n, k = partition.n, partition.k
+    plan = po_dp._scan_plan(n, k, len(table.scores))
+    return po_dp._scan(table, partition, lattice_template(n, k), plan)[0]
+
+
+def trial_probabilities(marks: np.ndarray, iterations: int) -> np.ndarray:
+    """Per-point measurement law after r Grover iterations from uniform."""
+    hit, miss = _hit_miss(marks.size, int(np.count_nonzero(marks)), iterations)
+    return np.where(marks, hit, miss)
+
+
 def trial_cdf(marks: np.ndarray, iterations: int) -> np.ndarray:
     """Normalized running-sum law of one trial, checked to sum to 1.
 
     This is the sampler's law as a cumulative array over the whole register,
     before its cell boundaries took closed form.
     """
-    cdf = np.cumsum(_trial_probabilities(np.asarray(marks, dtype=bool), iterations))
+    cdf = np.cumsum(trial_probabilities(np.asarray(marks, dtype=bool), iterations))
     total = cdf[-1]
     if abs(total - 1.0) > _PROB_TOL:
         raise RuntimeError(f"trial probabilities drifted from 1 by {total - 1.0:.3e}")

@@ -26,6 +26,7 @@ from qbnsl.bucket_cover import (
     lattice_template,
     member_by_index,
     member_radix,
+    _kept_templates,
     split_slot_positions,
 )
 from qbnsl.instance import NodeSet
@@ -406,7 +407,7 @@ def test_edge_cells_follow_the_slot_groups(n, k):
 
 
 def test_lattice_template_is_cached_per_shape_and_read_only():
-    lattice_template.cache_clear()
+    _kept_templates.cache_clear()
     template = lattice_template(9, 4)
     assert lattice_template(9, 4) is template
     assert lattice_template(9, 2) is not template
@@ -435,7 +436,7 @@ def test_kept_templates_are_bounded_by_their_build_bytes():
     assert len(kept) == 45
     assert max(n for n, _ in kept) == 16
     assert sum(lattice_build_bytes(n, k) for n, k in kept) == 5_321_736  # 5.1 MiB
-    lattice_template.cache_clear()
+    _kept_templates.cache_clear()
     assert lattice_template(16, 8) is lattice_template(16, 8)
 
 

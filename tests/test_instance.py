@@ -23,7 +23,7 @@ from qbnsl.instance import (
     total_score,
 )
 from qbnsl.tables import random_table
-from reference import LinearOrder, prefixes, sorted_remaining_order, topological_order
+from reference import LinearOrder, contains, prefixes, sorted_remaining_order, topological_order
 
 EMPTY_SET = NodeSet(0)
 
@@ -117,14 +117,13 @@ def test_table_score_and_missing_entry():
 @pytest.mark.parametrize("bad", [-1, -2, 2, 3])
 def test_table_reads_reject_nodes_outside_the_table(bad):
     t = LocalScoreTable(2, [{0: -1.5, 0b10: -1.0}, {0: -2.0, 0b01: -0.5}])
-    reads = [t.items, t.set_count, lambda i: t.contains(i, 0), lambda i: t.score(i, 0),
-             lambda i: best_parents_in(t, i, 0)]
+    reads = [t.items, t.set_count, lambda i: t.score(i, 0), lambda i: best_parents_in(t, i, 0)]
     for read in reads:
         with pytest.raises(ValueError, match=f"node index {bad} out of range"):
             read(bad)
     # A rejected read caches nothing: both nodes still read their own entries.
     assert t.items(1) == ((0, -2.0), (1, -0.5)) and t.set_count(1) == 2
-    assert t.score(1, 0b01) == -0.5 and t.contains(0, 0b10)
+    assert t.score(1, 0b01) == -0.5 and contains(t, 0, 0b10)
     assert total_score(Dag.from_masks(2, [0, 0b01]), t) == -2.0
 
 
@@ -397,7 +396,7 @@ def test_array_table_matches_dict_reference(data):
         assert got.items(i) == want.items(i)
         assert got.set_count(i) == want.set_count(i)
         for mask in range(1 << n):
-            assert got.contains(i, mask) == want.contains(i, mask)
+            assert contains(got, i, mask) == want.contains(i, mask)
             if want.contains(i, mask):
                 assert got.score(i, NodeSet(mask)) == want.score(i, mask)
             else:
@@ -461,6 +460,9 @@ BAD_FLAT_TABLES = [
     ([-1, 0, 1], [0, 0, 0], [0.0, 0.0, 0.0], "entry 0 has node -1, outside 0..1"),
     ([0, 1], [0, 0, 0], [0.0, 0.0], "entry 2 lacks a node, mask or score"),
     ([0, 1], [0, 0], [0.0], "entry 1 lacks a node, mask or score"),
+    # Not truncated, and not numpy's "ufunc 'right_shift' not supported".
+    ([0, 1], [0.0, 0.0], [1.0, 2.0], "entry 0's parent set is 0.0, not an integer"),
+    ([0, 1.5], [0, 0], [1.0, 2.0], "entry 1's node is 1.5, not an integer"),
 ]
 
 
@@ -498,6 +500,21 @@ def test_tables_reject_nan_and_positive_infinity(entries, message):
     with pytest.raises(ValueError) as flat:
         LocalScoreTable.from_arrays(n, nodes, masks, scores)
     assert str(flat.value) == str(got.value)
+
+
+def test_table_rejects_a_fractional_parent_set_key():
+    # int() would truncate 2.7 to the mask 2.
+    with pytest.raises(ValueError, match=re.escape("entry 1's parent set is 2.7, not an integer")):
+        LocalScoreTable(2, [{0: 1.0, 2.7: 3.0}, {0: 0.0}])
+
+
+def test_from_arrays_takes_integer_and_bool_arrays():
+    want = LocalScoreTable(2, [{0: 1.0}, {0: 2.0, 1: 0.5}])
+    for kind in (np.uint8, np.uint64, np.int32, object):
+        nodes, masks = np.array([0, 1, 1], dtype=kind), np.array([0, 0, 1], dtype=kind)
+        assert LocalScoreTable.from_arrays(2, nodes, masks, [1.0, 2.0, 0.5]) == want
+    masks = np.array([False, False, True])
+    assert LocalScoreTable.from_arrays(2, [0, 1, 1], masks, [1.0, 2.0, 0.5]) == want
 
 
 def test_from_arrays_without_entries_misses_the_empty_set():

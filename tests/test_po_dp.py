@@ -18,6 +18,7 @@ from qbnsl import po_dp
 from qbnsl.bucket_cover import (
     BlockPartition,
     DownsetIndex,
+    _kept_templates,
     cover_size,
     lattice_edge_count_formula,
     lattice_template,
@@ -38,7 +39,6 @@ from qbnsl.po_dp import (
     COVER_STRATEGIES,
     StrategyUnavailableError,
     downset_best_parents,
-    member_optima,
     solve_cover,
     solve_member,
 )
@@ -51,6 +51,7 @@ from reference import (
     index_of_downset,
     is_downset,
     ledger_counts,
+    member_optima,
     prefixes,
 )
 
@@ -717,7 +718,7 @@ def test_scan_plan_holds_the_template_cell_table():
 
 def traced_peak(run):
     """tracemalloc's peak while ``run()`` runs, the template build included."""
-    lattice_template.cache_clear()
+    _kept_templates.cache_clear()
     tracemalloc.start()
     try:
         run()
@@ -782,7 +783,7 @@ def test_large_templates_are_not_kept_between_solves():
         solve_cover(table, BlockPartition.contiguous(n, k), "classical-scan")
 
     solve(6, 2)  # warm-up
-    lattice_template.cache_clear()
+    _kept_templates.cache_clear()
     tracemalloc.start()
     try:
         solve(15, 2)

@@ -31,7 +31,7 @@ from qbnsl.scores_io import (
     write_scores,
 )
 from qbnsl.tables import random_table
-from reference import from_csv_by_rows
+from reference import contains, from_csv_by_rows
 
 FIXTURE = "2\nA 2\n-1.5 0\n-1.0 1 B\nB 1\n-2.0 0\n"
 
@@ -176,7 +176,7 @@ def test_parse_accepts_bytes_comments_and_blanks():
 def test_parse_accepts_forward_references():
     text = "2\nA 2\n0.0 0\n-1.0 1 B\nB 1\n0.0 0\n"
     t = parse_scores(text)
-    assert t.contains(0, NodeSet.of(1))
+    assert contains(t, 0, NodeSet.of(1))
 
 
 def test_parse_self_parent_rejected():
@@ -341,7 +341,7 @@ def test_bic_max_indegree_zero_only_empty_sets():
     rows = np.array([[0, 1, 0], [1, 0, 1], [0, 0, 1], [1, 1, 0]])
     data = DiscreteDataset(("A", "B", "C"), rows, (2, 2, 2))
     t = bic_scores(data, 0)
-    assert all(t.set_count(i) == 1 and t.contains(i, 0) for i in range(3))
+    assert all(t.set_count(i) == 1 and contains(t, i, 0) for i in range(3))
 
 
 def test_bic_zero_count_cells_contribute_nothing():
@@ -741,21 +741,51 @@ def test_bic_half_code_tables_stay_within_their_budget():
     finally:
         tracemalloc.stop()
     assert table.total_entries == n * sum(math.comb(n - 1, d) for d in range(4))
-    # What counting holds at once: the int64 column copy (the dataset's own
-    # bytes) and its copy in the codes' dtype; the half tables, at most
-    # _HALF_CODES codes, plus either the digit being added or one chunk's
-    # codes and their take, at most as many again; bincount's intp copy of
-    # one chunk's codes; one pass's count table; and 1 MiB for the O(F)
-    # family arrays.
+    # What counting holds at once: the columns' copy in the codes' dtype;
+    # the half tables, at most _HALF_CODES codes, plus either the digit
+    # being added or one chunk's codes and their take, at most as many
+    # again; bincount's intp copy of one chunk's codes; one pass's count
+    # table; and 1 MiB for the O(F) family arrays.
     bound = (
-        rows.nbytes
-        + rows.size * itemsize
+        rows.size * itemsize
         + 2 * scores_io._HALF_CODES * itemsize
         + 8 * chunk * m
         + 8 * scores_io._CHUNK_CODES
         + 2**20
     )
     assert peak <= bound
+
+
+# (rows, message): a cell that is not an integer is named, not truncated or
+# cast with a RuntimeWarning; one beyond int64 fails the range check rather
+# than overflowing in numpy.
+BAD_CELLS = [
+    ([[0.5, 1.9], [1.2, 0.0]], "cell rows[0, 0] is 0.5, not an integer"),
+    ([[0, 1], [float("nan"), 0]], "cell rows[1, 0] is nan, not an integer"),
+    ([[0, 2**70]], "column 'B' has values outside 0..1"),
+]
+
+
+@pytest.mark.parametrize("rows, message", BAD_CELLS, ids=["fraction", "nan", "beyond-int64"])
+def test_dataset_rejects_cells_that_are_not_integers(rows, message):
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        DiscreteDataset(("A", "B"), rows, (2, 2))
+
+
+def test_dataset_rejects_an_arity_that_is_not_an_integer():
+    # Accepted before, and bic_scores then failed on it with a TypeError.
+    with pytest.raises(DatasetError, match=re.escape("arities[0] is 2.5, not an integer")):
+        DiscreteDataset(("A", "B"), [[0, 1], [1, 0]], (2.5, 2))
+
+
+def test_dataset_takes_integer_and_bool_cells_as_int64():
+    want = [[0, 1], [1, 0]]
+    for rows in (want, np.array(want, dtype=np.uint8), np.array(want, dtype=bool),
+                 np.array(want, dtype=np.uint64), np.array(want, dtype=object),
+                 [[np.int16(0), 1], [True, 0]]):
+        data = DiscreteDataset(("A", "B"), rows, (np.uint8(2), 2))
+        assert data.rows.dtype == np.int64 and data.rows.tolist() == want
+        assert data.arities == (2, 2) and all(type(r) is int for r in data.arities)
 
 
 def test_from_csv_infers_arity_and_checks_cells():
@@ -816,7 +846,7 @@ def test_prune_drops_dominated_singleton():
 
     t = LocalScoreTable(3, [{0: 0.0, 0b100: -1.0}, {0: 0.0}, {0: 0.0}])
     p = prune_dominated(t)
-    assert p.set_count(0) == 1 and p.contains(0, 0)
+    assert p.set_count(0) == 1 and contains(p, 0, 0)
 
 
 def test_prune_keeps_strictly_increasing_chain():
@@ -842,7 +872,7 @@ def test_prune_can_break_closure():
     )
     p = prune_dominated(t)
     assert p.set_count(0) == 2
-    assert p.contains(0, 0b1100) and not p.contains(0, 0b0100)
+    assert contains(p, 0, 0b1100) and not contains(p, 0, 0b0100)
     assert is_closed_under_inclusion(t)
     assert not is_closed_under_inclusion(p)
 
@@ -852,7 +882,7 @@ def test_prune_ties_keep_the_subset():
 
     t = LocalScoreTable(2, [{0: 1.0, 0b10: 1.0}, {0: 0.0}], names=("A", "B"))
     p = prune_dominated(t)
-    assert p.set_count(0) == 1 and p.contains(0, 0)
+    assert p.set_count(0) == 1 and contains(p, 0, 0)
     assert p.names == ("A", "B")
 
 
