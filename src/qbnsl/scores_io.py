@@ -11,13 +11,13 @@ A score is finite or ``-inf`` (a parent set that never wins), the rule a
 :class:`LocalScoreTable` holds; ``inf`` and ``nan`` are syntax errors.
 
 Parent references may point at variables declared later in the file, so
-parsing resolves names in a second pass.  Serialization writes variables
+parsing resolves names once all are read.  Serialization writes variables
 in index order and records in (cardinality, bitmask) order with ``repr``
-floats, which makes parse/write a lossless round trip.  Both sides work
-on the table's flat arrays: the writer formats from them, with each
-distinct parent set's text formatted once, and the parser resolves each
-distinct parent-list text once and collects the records' masks and
-scores into them.
+floats, which makes parse/write a lossless round trip.  The writer formats
+each distinct parent set's text once.  The parser reads a well-formed file
+in one bulk pass onto the table's flat arrays, resolving each distinct
+parent-list text once; on a fault it reads the file record by record, so
+errors name their line.  ``from_csv`` reads with ``np.loadtxt`` first.
 
 BIC fitting builds its families (i, P) as flat arrays, counts each
 variable set S = P | {i} once and reads every family filed under S from
@@ -47,7 +47,10 @@ import contextlib
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -118,56 +121,66 @@ def _bad_name(name: str) -> bool:
     return name.split() != [name] or name.startswith("#")
 
 
-def _content_lines(data: str) -> list[tuple[int, str]]:
-    return [
-        (line_no, stripped)
-        for line_no, raw in enumerate(data.splitlines(), start=1)
-        if (stripped := raw.strip()) and not stripped.startswith("#")
-    ]
+def _parse_well_formed(data: str) -> LocalScoreTable:
+    """The table of a well-formed score file; a fault raises ValueError or LookupError.
 
-
-def _resolve_parents(
-    line_no: int, parents: list[str], i: int, names: list[str], index: dict[str, int]
-) -> int:
-    """Bitmask of variable i's listed parent names, checked in listed order."""
-    mask = 0
-    for p_name in parents:
-        if p_name == names[i]:
-            raise SelfParentError(line_no, p_name)
-        j = index.get(p_name)
-        if j is None:
-            raise UnknownVariableError(line_no, p_name)
-        bit = 1 << j
-        if mask & bit:
-            raise ScoreSyntaxError(line_no, f"parent {p_name!r} repeated")
-        mask |= bit
-    return mask
+    The records of all blocks are cut at their first space in one ``map``,
+    scores go through ``float``, and each distinct parent-list text is
+    resolved once.  ``from_arrays`` checks self-parents, scores and empty
+    sets on the mask arrays (a record count below 1 leaves its variable
+    without the empty set); a duplicate set is an entry it folded away.
+    """
+    lines = list(filter(None, map(str.strip, data.splitlines())))
+    if "#" in data:
+        lines = [line for line in lines if line[0] != "#"]
+    n, pos, names, blocks = int(lines[0]), 1, [], []
+    for _ in range(n):
+        name, count = lines[pos].split()
+        names.append(name)
+        blocks.append(lines[pos + 1 : pos + 1 + int(count)])
+        pos += 1 + int(count)
+    if pos != len(lines):
+        raise ValueError("truncated file or trailing content")
+    records = list(chain.from_iterable(blocks))
+    tails = list(map(itemgetter(2), map(str.partition, records, repeat(" "))))
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    resolved: dict[str, int] = {}
+    for tail in set(tails):
+        count, *parents = tail.split()
+        mask = sum(map(bit.__getitem__, parents))
+        # A repeated name carries into a higher bit, so fewer bits are set.
+        if not mask.bit_count() == len(parents) == int(count):
+            raise ValueError("parent list")
+        resolved[tail] = mask
+    nodes = np.repeat(np.arange(n), list(map(len, blocks)))
+    masks = list(map(resolved.__getitem__, tails))
+    # A record less its tail is its score and a space, which float() strips.
+    scores = list(map(float, map(str.removesuffix, records, tails)))
+    table = LocalScoreTable.from_arrays(n, nodes, masks, scores, names)
+    if table.total_entries != len(masks):
+        raise ValueError("duplicate parent set")
+    return table
 
 
 def parse_scores(data: str | bytes) -> LocalScoreTable:
     """Parse a score file into a :class:`LocalScoreTable` (names attached).
 
-    A record line is its score token and the parent-list text after it.
-    Each distinct parent-list text is checked and resolved to a bitmask
-    once; a repeat only needs the self-parent check for its own variable.
+    A well-formed file is read by the bulk pass, with no per-record Python
+    loop.  When that pass finds a fault, the file is read again record by
+    record, and the first check that fails raises, naming its line.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    lines = _content_lines(data)
+    with contextlib.suppress(ValueError, LookupError):
+        return _parse_well_formed(data)
+    lines = [
+        (line_no, stripped)
+        for line_no, raw in enumerate(data.splitlines(), start=1)
+        if (stripped := raw.strip()) and not stripped.startswith("#")
+    ]
     if not lines:
         raise ScoreSyntaxError(1, "empty score file")
-
-    pos = 0
-
-    def take() -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ScoreSyntaxError(lines[-1][0], "unexpected end of file")
-        item = lines[pos]
-        pos += 1
-        return item
-
-    line_no, text = take()
+    line_no, text = lines[0]
     tokens = text.split()
     if len(tokens) != 1:
         raise ScoreSyntaxError(line_no, "expected the variable count alone")
@@ -178,13 +191,15 @@ def parse_scores(data: str | bytes) -> LocalScoreTable:
     if not 1 <= n <= MAX_NODES:
         raise ScoreSyntaxError(line_no, f"variable count must be in 1..{MAX_NODES}")
 
-    # First pass keeps parent lists as text: forward references are legal.
-    # ``listed`` maps each parent-list text whose count checked out to its names.
+    # First pass keeps parent lists as names: forward references are legal.
     names: list[str] = []
-    records: list[list[tuple[int, float, str]]] = []
-    listed: dict[str, list[str]] = {}
+    records: list[list[tuple[int, list[str]]]] = []
+    scores: list[float] = []
+    pos = 1
     for _ in range(n):
-        line_no, text = take()
+        if pos == len(lines):
+            raise ScoreSyntaxError(lines[-1][0], "unexpected end of file")
+        line_no, text = lines[pos]
         tokens = text.split()
         if len(tokens) != 2:
             raise ScoreSyntaxError(line_no, "expected 'NAME COUNT'")
@@ -198,55 +213,51 @@ def parse_scores(data: str | bytes) -> LocalScoreTable:
         if name in names:
             raise ScoreSyntaxError(line_no, f"duplicate variable {name!r}")
         names.append(name)
-        var_records: list[tuple[int, float, str]] = []
-        block = lines[pos : pos + count]
-        pos += len(block)
+        block = lines[pos + 1 : pos + 1 + count]
+        pos += 1 + len(block)
+        records.append([])
         for line_no, text in block:
-            fields = text.split(None, 1)
+            fields = text.split()
             if len(fields) < 2:
                 raise ScoreSyntaxError(line_no, "expected 'SCORE COUNT [PARENTS...]'")
-            score_tok, tail = fields
+            score_tok, p_count_tok, *parents = fields
             try:
                 score = float(score_tok)
             except ValueError:
                 raise ScoreSyntaxError(line_no, f"invalid score {score_tok!r}") from None
             if not score < math.inf:
                 raise ScoreSyntaxError(line_no, "score must be finite or -inf")
-            if tail not in listed:
-                p_count_tok, *parents = tail.split()
-                try:
-                    p_count = int(p_count_tok)
-                except ValueError:
-                    raise ScoreSyntaxError(
-                        line_no, f"invalid parent count {p_count_tok!r}"
-                    ) from None
-                if p_count != len(parents):
-                    raise ScoreSyntaxError(
-                        line_no,
-                        f"parent count {p_count} does not match {len(parents)} listed parents",
-                    )
-                listed[tail] = parents
-            var_records.append((line_no, score, tail))
+            try:
+                p_count = int(p_count_tok)
+            except ValueError:
+                raise ScoreSyntaxError(line_no, f"invalid parent count {p_count_tok!r}") from None
+            if p_count != len(parents):
+                raise ScoreSyntaxError(
+                    line_no,
+                    f"parent count {p_count} does not match {len(parents)} listed parents",
+                )
+            records[-1].append((line_no, parents))
+            scores.append(score)
         if len(block) < count:
             raise ScoreSyntaxError(lines[-1][0], "unexpected end of file")
-        records.append(var_records)
     if pos != len(lines):
         raise ScoreSyntaxError(lines[pos][0], "trailing content after the last record")
 
-    # Only successful resolutions are kept, so every error is raised exactly
-    # where a name-by-name resolution of that record would raise it.
+    # Names resolve in listed order, so the first bad name raises.
     index = {name: i for i, name in enumerate(names)}
-    resolved: dict[str, int] = {}
     masks: list[int] = []
     for i, var_records in enumerate(records):
         seen: set[int] = set()
-        for line_no, _, tail in var_records:
-            mask = resolved.get(tail)
-            if mask is None:
-                mask = _resolve_parents(line_no, listed[tail], i, names, index)
-                resolved[tail] = mask
-            elif mask >> i & 1:
-                raise SelfParentError(line_no, names[i])
+        for line_no, parents in var_records:
+            mask = 0
+            for p_name in parents:
+                if p_name == names[i]:
+                    raise SelfParentError(line_no, p_name)
+                if p_name not in index:
+                    raise UnknownVariableError(line_no, p_name)
+                if mask >> index[p_name] & 1:
+                    raise ScoreSyntaxError(line_no, f"parent {p_name!r} repeated")
+                mask |= 1 << index[p_name]
             if mask in seen:
                 raise DuplicateParentSetError(line_no, names[i])
             seen.add(mask)
@@ -254,7 +265,6 @@ def parse_scores(data: str | bytes) -> LocalScoreTable:
         if 0 not in seen:
             raise MissingEmptySetError(names[i])
     nodes = np.repeat(np.arange(n), [len(var_records) for var_records in records])
-    scores = [score for var_records in records for _, score, _ in var_records]
     return LocalScoreTable.from_arrays(n, nodes, masks, scores, names)
 
 
@@ -264,7 +274,8 @@ def write_scores(table: LocalScoreTable) -> str:
     Variables are written under the table's names, or X0, X1, .. if it has
     none; a name that is not one score-file token raises ``ValueError``.
     Reads the table's flat arrays; each distinct parent set's
-    ``COUNT NAME..`` text is formatted once.
+    ``COUNT NAME..`` text is formatted once, and a record is one f-string
+    around its score's ``repr``, which takes most of the time.
     """
     names = table.names or tuple(f"X{i}" for i in range(table.n))
     if bad := [name for name in names if _bad_name(name)]:
@@ -314,6 +325,8 @@ class DiscreteDataset:
         for j, r in enumerate(arities):
             if r < 1:
                 raise DatasetError(f"column {self.names[j]!r} has arity < 1")
+            if r > 2**63:  # so every state index fits int64
+                raise DatasetError(f"column {self.names[j]!r} has arity above 2**63")
             col = rows[:, j]
             if col.min() < 0 or col.max() >= r:
                 raise DatasetError(f"column {self.names[j]!r} has values outside 0..{r - 1}")
@@ -330,22 +343,38 @@ class DiscreteDataset:
 
     @classmethod
     def from_csv(cls, text: str) -> "DiscreteDataset":
-        """Read a header + integer-cell CSV; each column's arity is its max + 1."""
+        """Read a header + integer-cell CSV; each column's arity is its max + 1.
+
+        The body is read by ``np.loadtxt`` first; a body it refuses is read
+        row by row by ``csv.reader``, and the first bad row raises.
+        """
         reader = csv.reader(io.StringIO(text))
         try:
             header = next(reader)
         except StopIteration:
             raise DatasetError("empty CSV") from None
         names = tuple(h.strip() for h in header)
-        lines = [(row_no, row) for row_no, row in enumerate(reader, start=2)
-                 if row and any(c.strip() for c in row)]
-        if not lines:
-            raise DatasetError("CSV has no data rows")
-        # One bulk parse (numpy reads cells by int()'s rules); on failure the
-        # first error in row order: row length, non-integer cell, overflow.
+        # loadtxt reads a subset of the cells int() reads, to the same values;
+        # it refuses quotes, a bare '\r', overflow and (by warning) no rows.
+        # It strips \x1c-\x1f, which int() refuses, and has no field size
+        # limit, which csv.reader has: texts that could see either skip it.
         data = None
-        with contextlib.suppress(ValueError, OverflowError):
-            data = np.array([row for _, row in lines], dtype=np.int64)
+        if not any(map(text.__contains__, "\x1c\x1d\x1e\x1f")) and max(
+            map(len, text.split("\n"))
+        ) <= csv.field_size_limit():
+            with warnings.catch_warnings(), contextlib.suppress(ValueError, UserWarning):
+                warnings.simplefilter("error", UserWarning)
+                data = np.loadtxt(io.StringIO(text), np.int64, comments=None, delimiter=",",
+                                  skiprows=reader.line_num, ndmin=2)
+        if data is None or data.shape[1] != len(names):
+            lines = [(row_no, row) for row_no, row in enumerate(reader, start=2)
+                     if row and any(c.strip() for c in row)]
+            if not lines:
+                raise DatasetError("CSV has no data rows")
+            # numpy reads cells by int()'s rules; on failure the first error
+            # in row order: row length, non-integer cell, overflow.
+            with contextlib.suppress(ValueError, OverflowError):
+                data = np.array([row for _, row in lines], dtype=np.int64)
         if data is None or data.shape[1] != len(names):
             for row_no, row in lines:
                 if len(row) != len(names):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 import tracemalloc
+import warnings
 from bisect import bisect_left
 from itertools import chain, combinations, combinations_with_replacement
 from unittest import mock
@@ -244,17 +246,34 @@ def test_roundtrip_is_identity(data):
 NAME_POOL = ["A", "B", "x1", "Gene_7", "node-9", "Z", "q", "LONGER_NAME_42"]
 
 
+# Line breaks that str.splitlines honours and split("\n") does not, and
+# separators that str.split() honours and split(" ") does not.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+GAPS = [" ", "  ", "\t", " \t ", "\xa0", "\u3000"]
+
+
 def _noisy(rng, text):
-    """The same score file with comments, blank lines and irregular whitespace."""
+    """The same score file with comments, blank lines, irregular whitespace
+    and assorted line breaks."""
     out = []
     for line in text.splitlines():
         if rng.random() < 0.2:
             out.append(rng.choice(["", "   ", "# a comment", "\t# another one"]))
-        gaps = [rng.choice([" ", "  ", "\t", " \t "]) for _ in range(line.count(" "))]
+        gaps = [rng.choice(GAPS) for _ in range(line.count(" "))]
         parts = line.split(" ")
         joined = parts[0] + "".join(g + p for g, p in zip(gaps, parts[1:]))
         out.append(rng.choice(["", " ", "\t"]) + joined + rng.choice(["", " ", "\t "]))
-    return "\n".join(out) + rng.choice(["", "\n", "\n\n# end\n"])
+    breaks = rng.choice(LINE_BREAKS, size=len(out))
+    return "".join(chain.from_iterable(zip(out, breaks))) + rng.choice(["", "\n", "\n\n# end\n"])
+
+
+def _bulk_agrees(text, want):
+    """The bulk pass either declines the text or gives the reference table."""
+    try:
+        got = scores_io._parse_well_formed(text)
+    except (ValueError, LookupError):
+        return True
+    return got == want and got.names == want.names
 
 
 @given(st.integers(0, 2**31), st.integers(1, 8), st.booleans())
@@ -269,6 +288,33 @@ def test_round_trip_matches_record_by_record_reference(seed, n, noisy):
     if noisy:
         text = _noisy(rng, text)
     got, want = parse_scores(text), reference_parse_scores(text)
+    assert got == want == t
+    assert got.names == want.names == names
+    assert _bulk_agrees(text, want)
+
+
+def test_benchmark_scale_round_trip_matches_reference():
+    # The csv-to-dag shape: n = 17, every parent set up to size 3, F = 11,849.
+    rng = np.random.default_rng(27)
+    n = 17
+    families = [
+        (i, sum(1 << j for j in parents))
+        for i in range(n)
+        for size in range(4)
+        for parents in combinations([j for j in range(n) if j != i], size)
+    ]
+    scores = -rng.exponential(500.0, len(families))
+    scores[rng.choice(np.flatnonzero([mask for _, mask in families]), 5)] = -math.inf
+    # Unsorted names, and records that name variables declared after their own.
+    names = tuple(f"V{k}" for k in rng.permutation(n))
+    nodes, masks = zip(*families)
+    t = LocalScoreTable.from_arrays(n, nodes, masks, scores, names)
+    assert t.total_entries == 11_849
+    text = write_scores(t)
+    assert text == reference_write_scores(t)
+    assert scores_io._parse_well_formed(text) == t  # the writer's output takes the bulk pass
+    noisy = _noisy(rng, text)
+    got, want = parse_scores(noisy), reference_parse_scores(noisy)
     assert got == want == t
     assert got.names == want.names == names
 
@@ -308,6 +354,18 @@ PARSE_ERROR_CASES = {
     "duplicate-set-on-hit": "2\nA 1\n0.0 0\nB 3\n0.0 0\n1.0 1 A\n2.0 1\tA\n",
     "duplicate-set-same-text": "3\nA 1\n0.0 0\nB 3\n0.0 0\n1.0 1 A\n2.0 1 A\nC 1\n0.0 0\n",
     "missing-empty-set": "2\nA 1\n1.0 1 B\nB 1\n0.0 0\n",
+    "record-over-two-lines": "2\nA 2\n0.0 0\n1.0\n1 B\nB 1\n0.0 0\n",
+    "two-records-on-one-line": "2\nA 2\n0.0 0 1.0 1 B\nB 1\n0.0 0\n",
+    "two-records-on-one-line-count-ok": "2\nA 2\n0.0 2 1.0 1\nB 1\n0.0 0\n",
+    "count-line-over-two-lines": "2\nA\n1\n0.0 0\nB 1\n0.0 0\n",
+    "crlf-unknown-name": "2\r\nA 2\r\n0.0 0\r\n1.0 1 Z\r\nB 1\r\n0.0 0\r\n",
+    "cr-self-parent": "2\rA 1\r0.0 0\rB 2\r0.0 0\r1.0 1 B\r",
+    "vt-ff-duplicate-set": "2\x0bA 1\x0c0.0 0\x0bB 3\x0c0.0 0\n1.0 1 A\x0b2.0 1 A\n",
+    "fs-nel-trailing": "1\x1cA 1\x850.0 0\u20280.0 0\n",
+    "ls-missing-empty-set": "2\u2028A 1\u20281.0 1 B\u2028B 1\u20280.0 0\u2028",
+    "tab-nbsp-repeated-parent": "3\nA 2\n0.0\t0\n1.0\xa02\u3000B\tB\nB 1\n0.0 0\nC 1\n0.0 0\n",
+    "nbsp-count-mismatch": "2\nA 2\n0.0 0\n1.0\xa02\xa0B\nB 1\n0.0 0\n",
+    "ideographic-space-eof": "2\nA\u30002\n0.0\u30000\n",
 }
 
 
@@ -320,6 +378,8 @@ def test_parse_errors_match_reference(text):
     assert type(got.value) is type(want.value)
     assert getattr(got.value, "line_no", None) == getattr(want.value, "line_no", None)
     assert str(got.value) == str(want.value)
+    with pytest.raises((ValueError, LookupError)):
+        scores_io._parse_well_formed(text)
 
 
 def test_bic_single_binary_variable_hand_value():
@@ -778,6 +838,14 @@ def test_dataset_rejects_an_arity_that_is_not_an_integer():
         DiscreteDataset(("A", "B"), [[0, 1], [1, 0]], (2.5, 2))
 
 
+def test_dataset_rejects_an_arity_above_2_63():
+    # A cell of 2**63 passed the range check under a larger arity and then
+    # failed the int64 cast with numpy's OverflowError.
+    with pytest.raises(DatasetError, match=re.escape("column 'A' has arity above 2**63")):
+        DiscreteDataset(("A",), [[2**63]], (2**64,))
+    assert DiscreteDataset(("A",), [[2**63 - 1]], (2**63,)).arities == (2**63,)
+
+
 def test_dataset_takes_integer_and_bool_cells_as_int64():
     want = [[0, 1], [1, 0]]
     for rows in (want, np.array(want, dtype=np.uint8), np.array(want, dtype=bool),
@@ -809,35 +877,63 @@ def test_from_csv_infers_arity_and_checks_cells():
             DiscreteDataset.from_csv(text)
 
 
-# Cells int() and numpy's int64 parse treat alike, except the overflow ones.
+# Cells int() and numpy's int64 parse treat alike, except the overflow ones;
+# quoted cells, which csv.reader unquotes and a bulk reader need not; and
+# \x1c-\x1f, which int() refuses and np.loadtxt strips as whitespace.
 CSV_CELLS = st.sampled_from(
     ["0", "1", "2", " 3", "3 ", "+3", "-1", "1_0", "_1", "\u0663", "3.0", "1e3", "x", "",
-     " ", str(2**63 - 1), str(2**63), str(-(2**63) - 1), "9" * 25]
+     " ", str(2**63 - 1), str(2**63), str(-(2**63) - 1), "9" * 25, '"1"', '"1,2"', "#1"]
 )
+# Cells both readers take as integers, or (\x1c-\x1f) only np.loadtxt does.
+CSV_NEAR_INTS = st.sampled_from(["0", "1", "2", " 3", "+1", "\x0c1", "1\x85", "1\x1c", "\x1f2"])
+# Whole rows csv.reader skips or reads as one cell: blank, whitespace-only, '#'-led.
+CSV_ROWS = st.sampled_from(["", "   ", "\t", " , ", "#", "#0,1", "# x"])
+# The first header name: plain, quoted, or quoted around a comma or a line break.
+CSV_FIRST_NAMES = st.sampled_from(["X0", '"X0"', '"X0,Y"', '"X\n0"', '"X\r\n0"'])
 
 
 def _outcome(parse, text):
     try:
         data = parse(text)
-    except DatasetError as err:
-        return str(err)
+    except (DatasetError, csv.Error) as err:
+        return type(err).__name__, str(err)
     return data.names, data.rows.tolist(), data.arities
 
 
 @given(
     st.integers(1, 4).flatmap(
         lambda width: st.lists(
-            st.lists(CSV_CELLS, min_size=width - 1, max_size=width + 1)
-            | st.lists(st.sampled_from(["0", "1", "2"]), min_size=width, max_size=width),
+            st.lists(CSV_CELLS, min_size=width - 1, max_size=width + 1).map(",".join)
+            | st.lists(CSV_NEAR_INTS, min_size=width, max_size=width).map(",".join)
+            | CSV_ROWS,
             max_size=6,
         ).map(lambda rows: (width, rows))
-    )
+    ),
+    CSV_FIRST_NAMES,
+    st.sampled_from(["\n", "\r\n", "\r"]),
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_bulk_csv_parse_matches_per_row_parse(case):
+def test_bulk_csv_parse_matches_per_row_parse(case, first_name, ending):
     width, rows = case
-    text = ",".join(f"X{j}" for j in range(width)) + "\n"
-    text += "".join(",".join(row) + "\n" for row in rows)
+    text = ",".join([first_name, *(f"X{j}" for j in range(1, width))]) + ending
+    text += "".join(row + ending for row in rows)
+    assert _outcome(DiscreteDataset.from_csv, text) == _outcome(from_csv_by_rows, text)
+
+
+@pytest.mark.parametrize("text", ["A,B\n", "A,B", "A,B\n\n\n", "A,B\r\n\r\n", "A,B\n  \n\t\n"])
+def test_from_csv_without_data_rows_warns_nothing(text):
+    # np.loadtxt warns on an empty body; the warning must not escape.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetError, match="CSV has no data rows"):
+            DiscreteDataset.from_csv(text)
+
+
+def test_from_csv_keeps_csv_readers_field_size_limit():
+    # np.loadtxt has no field size limit; csv.reader refuses a longer field.
+    text = "A\n0\n" + " " * csv.field_size_limit() + "1\n"
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        DiscreteDataset.from_csv(text)
     assert _outcome(DiscreteDataset.from_csv, text) == _outcome(from_csv_by_rows, text)
 
 
