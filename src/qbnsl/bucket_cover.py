@@ -18,7 +18,7 @@ block of size s has C(s, ceil(s/2)) splits (:func:`member_radix`) and
 Relabelled by slot (block, half, rank within the half), every member of
 an (n, k) partition has the same downset lattice.  :class:`LatticeTemplate`
 holds it, kept per shape when small: the downsets as slot masks and the
-covering edges as CSR arrays in cardinality layers.  A
+covering edges as CSR arrays, both indexed by downset.  A
 :class:`DownsetIndex` is a thin view that adds one member's slot -> node
 map.
 """
@@ -112,22 +112,18 @@ class BlockPartition:
 
     @classmethod
     def contiguous(cls, n: int, k: int) -> "BlockPartition":
-        sizes = _block_sizes(n, k)
-        blocks = []
-        start = 0
-        for size in sizes:
-            blocks.append(NodeSet.from_nodes(range(start, start + size)))
-            start += size
-        return cls(n, k, tuple(blocks))
+        return cls._cut(n, k, range(n))
 
     @classmethod
     def shuffled(cls, n: int, k: int, seed: int) -> "BlockPartition":
-        sizes = _block_sizes(n, k)
-        nodes = rng_for(seed, "block-partition").permutation(n)
-        blocks = []
-        start = 0
-        for size in sizes:
-            blocks.append(NodeSet.from_nodes(int(v) for v in nodes[start : start + size]))
+        return cls._cut(n, k, rng_for(seed, "block-partition").permutation(n).tolist())
+
+    @classmethod
+    def _cut(cls, n: int, k: int, nodes) -> "BlockPartition":
+        """The blocks of ``_block_sizes(n, k)``, cut from ``nodes`` in order."""
+        blocks, start = [], 0
+        for size in _block_sizes(n, k):
+            blocks.append(NodeSet.from_nodes(nodes[start : start + size]))
             start += size
         return cls(n, k, tuple(blocks))
 
@@ -236,13 +232,15 @@ def lattice_edge_count_formula(n: int, k: int) -> int:
 def lattice_build_bytes(n: int, k: int) -> int:
     """Bytes that building an (n, k) :class:`LatticeTemplate` peaks at, bounded.
 
-    With D downsets and E edges the template keeps three E-long and four
-    D-long int64 arrays: edge slots, children and cells; masks, order,
-    position and edge pointers.  While it places the edges, the build also
-    holds the downset indices and cardinalities, each downset's next free
-    edge place and per-block trace tables, and the edge count pass takes up
-    to 3D of temporaries: 8 * (3E + 10D) bytes, plus 64 KiB for a tiny
-    lattice's small objects and 32 per entry of ``slot_of``'s split tables.
+    With D downsets and E edges the template keeps three E-long and two
+    D-long int64 arrays: edge slots, children and cells; masks and edge
+    pointers.  While it places the edges, the build also holds the downset
+    indices, each downset's next free edge place and per-block trace
+    tables, and the edge count pass takes up to 3D of temporaries.  The
+    rest of the 10D covers the layer order and cardinalities that
+    ``padded_steps`` holds while it is built: 8 * (3E + 10D) bytes, plus
+    64 KiB for a tiny lattice's small objects and 32 per entry of
+    ``slot_of``'s split tables.
     """
     downsets = downset_count_formula(n, k)
     splits = sum(member_radix(s) * s for s in set(_block_sizes(n, k)))
@@ -279,10 +277,9 @@ class LatticeTemplate:
     block axis for :func:`~qbnsl.dp_exact._fold_sub_downsets` as (radix,
     Boolean parts), a part being (first digit, bits).
 
-    The covering edges are CSR arrays in cardinality layers.  ``order``
-    lists downset indices by (cardinality, index) and ``position`` inverts
-    it.  The downset at order position p has the edges
-    ``edge_ptr[p]:edge_ptr[p + 1]``, in ascending slot order: ``edge_slot``
+    The covering edges are CSR arrays, indexed like every per-downset
+    array by downset index: downset d's edges are
+    ``edge_ptr[d]:edge_ptr[d + 1]``, in ascending slot order: ``edge_slot``
     is the removed slot and ``edge_child`` the index of the downset left
     behind.  The removable slots of a block trace are its second-half part
     if nonempty, else all of it.  ``padded_steps[c - 1]``, built on first
@@ -323,10 +320,6 @@ class LatticeTemplate:
         self.masks = masks
 
         index = np.arange(size, dtype=np.int64)
-        cardinality = np.bitwise_count(masks)
-        self.order = order = np.argsort(cardinality, kind="stable")
-        self.position = position = np.empty(size, dtype=np.int64)
-        position[order] = index
         # Per block, each trace's removable slots: the second-half part if
         # nonempty, else all of it.  Temporaries are dropped as soon as they
         # are used up, as lattice_build_bytes counts on.
@@ -338,14 +331,14 @@ class LatticeTemplate:
         for t, (weight, radix) in enumerate(zip(self.weights, self.radices)):
             counts += np.bitwise_count(movable[t])[(index // weight) % radix]
         self.edge_ptr = edge_ptr = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(counts[order], out=edge_ptr[1:])
+        np.cumsum(counts, out=edge_ptr[1:])
         del counts
         self.edge_slot, self.edge_child, self.edge_cell = np.empty((3, edge_ptr[-1]), np.int64)
         # Slots ascend block by block, so each edge goes to the next free
         # place of its downset's list.  Block t's digit g downsets are
         # ``base + g * weight``, where base holds its digit 0 downsets, in
         # the order of their other-block downsets.
-        cursor = edge_ptr[position]
+        cursor = edge_ptr[:-1].copy()
         for t, (offset, h, weight) in enumerate(zip(self.offsets, self.halves, self.weights)):
             stride = self.radices[t] * weight
             base = (np.arange(0, size, stride)[:, None] + np.arange(weight)).ravel()
@@ -364,25 +357,29 @@ class LatticeTemplate:
                     self.edge_cell[at] = self.own_cells[t][q, child] + others
                     cursor[parents] = at + 1
         del cursor, traces, movable
-        for array in (masks, order, position, edge_ptr, self.edge_slot, self.edge_child,
-                      self.edge_cell, *self.own_cells):
+        for array in (masks, edge_ptr, self.edge_slot, self.edge_child, self.edge_cell,
+                      *self.own_cells):
             array.flags.writeable = False
 
     @functools.cached_property
     def padded_steps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per cardinality layer 1..n: its downsets and a (w, downsets) int32 edge table.
+        """Per cardinality layer 1..n: its downsets by index and a (w, downsets) int32 edge table.
 
         Row j holds each downset's j-th edge, the last one repeated once its
         edges run out, so a max down the rows is the max over its edges.  w
         is the layer's most edges of one downset, at most the block halves'
         sum.
         """
-        ptr, counts = self.edge_ptr, np.diff(self.edge_ptr)
-        layers = np.searchsorted(np.bitwise_count(self.masks[self.order]), range(1, self.n + 2))
+        cardinality = np.bitwise_count(self.masks)
+        order = np.argsort(cardinality, kind="stable")  # downsets by (cardinality, index)
+        order.flags.writeable = False
+        layers = np.searchsorted(cardinality[order], range(1, self.n + 2))
+        ptr, counts = self.edge_ptr[:-1], np.diff(self.edge_ptr)
         steps = []
         for lo, hi in zip(layers[:-1], layers[1:]):
-            pad = np.minimum(np.arange(counts[lo:hi].max())[:, None], counts[lo:hi] - 1)
-            steps.append((self.order[lo:hi], (pad + ptr[lo:hi]).astype(np.int32)))
+            downsets = order[lo:hi]
+            pad = np.minimum(np.arange(counts[downsets].max())[:, None], counts[downsets] - 1)
+            steps.append((downsets, (pad + ptr[downsets]).astype(np.int32)))
             steps[-1][1].flags.writeable = False
         return tuple(steps)
 
@@ -482,7 +479,7 @@ class DownsetIndex:
 
     def by_cardinality(self) -> list[tuple[int, int]]:
         """(index, bitmask) pairs sorted by (cardinality, index)."""
-        order = self.template.order
+        order = np.argsort(np.bitwise_count(self.template.masks), kind="stable")
         return list(zip(order.tolist(), self._masks()[order].tolist()))
 
     def edges(self) -> list[list[tuple[int, int]]]:
@@ -497,9 +494,5 @@ class DownsetIndex:
         ptr = template.edge_ptr.tolist()
         slots = template.edge_slot.tolist()
         children = template.edge_child.tolist()
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.size)]
-        for p, d in enumerate(template.order.tolist()):
-            out[d] = sorted(
-                (self.nodes[slots[e]], children[e]) for e in range(ptr[p], ptr[p + 1])
-            )
-        return out
+        return [sorted((self.nodes[slots[e]], children[e]) for e in range(lo, hi))
+                for lo, hi in zip(ptr, ptr[1:])]

@@ -16,12 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bucket_cover import (
-    BlockPartition,
-    InvalidKError,
-    cover_size,
-    downset_count_formula,
-)
+from .bucket_cover import BlockPartition, InvalidKError, cover_size
 from .dp_exact import DAG_BRUTE_CAP, brute_force_dags, brute_force_orders, solve_dp
 from .grover_sim import (
     DomainTooLargeError,
@@ -179,7 +174,6 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     table = parse_scores(Path(args.scores).read_text(encoding="utf-8"))
-    names = table.names or tuple(f"X{i}" for i in range(table.n))
     ledger = None
     dag = None
     if args.algo == "dp":
@@ -204,23 +198,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
         check = total_score(dag, table)
         if abs(check - score) > 1e-9:
             raise RuntimeError("witness DAG does not rescore to the printed value")
-        edge_text = _edge_list(dag, names)
+        edge_text = _edge_list(dag, table.names)
         if args.out:
             Path(args.out).write_text(edge_text, encoding="utf-8")
-            Path(args.out).with_suffix(".dot").write_text(
-                _dot(dag, names), encoding="utf-8"
-            )
+            Path(args.out).with_suffix(".dot").write_text(_dot(dag, table.names), encoding="utf-8")
         else:
             sys.stdout.write(edge_text)
     return 0
 
 
 def cmd_cover_stats(args: argparse.Namespace) -> int:
-    members = cover_size(args.n, args.k)
-    downsets = downset_count_formula(args.n, args.k)
     report = cost_report(args.n, args.entries, args.k)
     lines = report.lines()
-    lines.append(f"work_proxy = {members * downsets}")
+    lines.append(f"work_proxy = {report.cover_members * report.downsets_per_member}")
     _emit(lines, args.report)
     return 0
 

@@ -5,7 +5,7 @@ precedence constraints; the best network score over those orders is
 computed by dynamic programming whose states are the member's downsets.
 Every member of every (n, k) partition shares one slot-space lattice
 (:class:`~qbnsl.bucket_cover.LatticeTemplate`, the downset masks and the
-covering edges in cardinality layers), kept per shape when small, and
+covering edges by downset index), kept per shape when small, and
 members are solved by three numpy kernels over it, each working on a
 batch of members at once:
 
@@ -59,7 +59,7 @@ from .bucket_cover import (
 )
 from .dp_exact import DP_CAP, _fold_sub_downsets, solve_dp
 from .grover_sim import MAX_SIM_DOMAIN, MaxOracle, QueryLedger, max_find, quantum_charge
-from .instance import Dag, InstanceTooLargeError, LocalScoreTable, NodeSet
+from .instance import Dag, InstanceTooLargeError, LocalScoreTable
 
 # Unused here, but perfbench/spans.py wraps these two names in this module.
 from .bucket_cover import member_by_index  # noqa: F401
@@ -308,12 +308,12 @@ def _trace(
     edges, ptr = len(template.edge_slot), template.edge_ptr
     cand = np.take(value, template.edge_child, axis=0)
     cand += np.take(cells, template.edge_cell, axis=0)
-    tight = cand == np.take(value, np.repeat(template.order, np.diff(ptr)), axis=0)
+    tight = cand == np.take(value, np.repeat(np.arange(template.size), np.diff(ptr)), axis=0)
     del cand
     key = np.take(nodes * edges, template.edge_slot, axis=0)
     key += np.arange(edges)[:, None]
     key[~tight] = n * edges
-    # Row p - 1: the smallest tight key of the downset at order position p.
+    # Row d - 1: the smallest tight key of downset d.
     smallest = np.minimum.reduceat(key, ptr[1:-1], axis=0)
     del key, tight
     columns = np.arange(width)
@@ -321,7 +321,7 @@ def _trace(
     left = np.full(width, (1 << n) - 1)
     allowed = np.empty((width, n), dtype=np.int64)
     for _ in range(n):
-        sink, edge = np.divmod(smallest[template.position[downset] - 1, columns], edges)
+        sink, edge = np.divmod(smallest[downset - 1, columns], edges)
         left ^= 1 << sink
         allowed[columns, sink] = left
         downset = template.edge_child[edge]
@@ -337,10 +337,6 @@ def _trace(
     for i in range(n):
         totals += chosen[:, i]
     return totals, table.masks[entry]
-
-
-def _dag(n: int, parents: np.ndarray) -> Dag:
-    return Dag(n, tuple(NodeSet(mask) for mask in parents.tolist()))
 
 
 def solve_member(table: LocalScoreTable, member: CoverMember) -> tuple[float, Dag]:
@@ -361,7 +357,7 @@ def solve_member(table: LocalScoreTable, member: CoverMember) -> tuple[float, Da
     cells[template.edge_cell, 0] = best[nodes[template.edge_slot, 0], template.edge_child]
     value = _member_dp(cells, template)
     totals, parents = _trace(table, template, nodes, cells, value)
-    return float(totals[0]), _dag(table.n, parents[0])
+    return float(totals[0]), Dag.from_masks(table.n, parents[0])
 
 
 def solve_cover(
@@ -433,7 +429,7 @@ def solve_cover(
         oracle = MaxOracle(members, totals.__getitem__, ledger)
         best, _, _ = max_find(oracle, members, "sim", rng_seed=seed)
         ledger.count_classical()
-        return float(totals[best]), _dag(n, parents[best]), ledger
+        return float(totals[best]), Dag.from_masks(n, parents[best]), ledger
 
     top = float(optima.max())
     tol = _near_tol(top)
@@ -446,7 +442,7 @@ def solve_cover(
             f"DP gave {float(optima[off[0]])!r}"
         )
     best = near[np.argmax(totals[near])]
-    score, dag = float(totals[best]), _dag(n, parents[best])
+    score, dag = float(totals[best]), Dag.from_masks(n, parents[best])
     if strategy == "classical-scan":
         ledger.count_classical(members)
         return score, dag, ledger

@@ -346,13 +346,17 @@ class DiscreteDataset:
         """Read a header + integer-cell CSV; each column's arity is its max + 1.
 
         The body is read by ``np.loadtxt`` first; a body it refuses is read
-        row by row by ``csv.reader``, and the first bad row raises.
+        row by row by ``csv.reader``, and the first bad row raises.  A
+        ``csv.Error`` (a field over ``csv.field_size_limit()``, a bare
+        ``\r`` in a row) raises as a ``DatasetError`` naming its line.
         """
         reader = csv.reader(io.StringIO(text))
         try:
             header = next(reader)
         except StopIteration:
             raise DatasetError("empty CSV") from None
+        except csv.Error as exc:
+            raise DatasetError(f"row {reader.line_num}: {exc}") from None
         names = tuple(h.strip() for h in header)
         # loadtxt reads a subset of the cells int() reads, to the same values;
         # it refuses quotes, a bare '\r', overflow and (by warning) no rows.
@@ -367,23 +371,25 @@ class DiscreteDataset:
                 data = np.loadtxt(io.StringIO(text), np.int64, comments=None, delimiter=",",
                                   skiprows=reader.line_num, ndmin=2)
         if data is None or data.shape[1] != len(names):
-            lines = [(row_no, row) for row_no, row in enumerate(reader, start=2)
-                     if row and any(c.strip() for c in row)]
-            if not lines:
+            rows = []
+            try:
+                for row_no, row in enumerate(reader, start=2):
+                    if not row or all(not c.strip() for c in row):
+                        continue
+                    if len(row) != len(names):
+                        raise DatasetError(f"row {row_no}: expected {len(names)} cells")
+                    try:
+                        rows.append([int(c) for c in row])
+                    except ValueError:
+                        raise DatasetError(f"row {row_no}: non-integer cell") from None
+            except csv.Error as exc:
+                raise DatasetError(f"row {reader.line_num}: {exc}") from None
+            if not rows:
                 raise DatasetError("CSV has no data rows")
-            # numpy reads cells by int()'s rules; on failure the first error
-            # in row order: row length, non-integer cell, overflow.
-            with contextlib.suppress(ValueError, OverflowError):
-                data = np.array([row for _, row in lines], dtype=np.int64)
-        if data is None or data.shape[1] != len(names):
-            for row_no, row in lines:
-                if len(row) != len(names):
-                    raise DatasetError(f"row {row_no}: expected {len(names)} cells")
-                try:
-                    [int(c) for c in row]
-                except ValueError:
-                    raise DatasetError(f"row {row_no}: non-integer cell") from None
-            raise DatasetError("cells must be state indices below 2**63")
+            try:
+                data = np.array(rows, dtype=np.int64)
+            except OverflowError:
+                raise DatasetError("cells must be state indices below 2**63") from None
         if data.min() < 0:
             raise DatasetError("cells must be non-negative state indices")
         return cls(names, data, tuple(int(v) + 1 for v in data.max(axis=0)))

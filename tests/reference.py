@@ -244,24 +244,27 @@ def from_csv_by_rows(text: str) -> DiscreteDataset:
     """``DiscreteDataset.from_csv`` as a per-row loop with ``int()`` per cell.
 
     The bulk parse replaced it; both must give the same dataset, or the
-    same ``DatasetError`` message, for every input.
+    same ``DatasetError`` message, for every input.  A ``csv.Error`` raises
+    as a ``DatasetError`` naming the reader's line.
     """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
+        names = tuple(h.strip() for h in header)
+        rows: list[list[int]] = []
+        for row_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(names):
+                raise DatasetError(f"row {row_no}: expected {len(names)} cells")
+            try:
+                rows.append([int(c) for c in row])
+            except ValueError:
+                raise DatasetError(f"row {row_no}: non-integer cell") from None
     except StopIteration:
         raise DatasetError("empty CSV") from None
-    names = tuple(h.strip() for h in header)
-    rows: list[list[int]] = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(names):
-            raise DatasetError(f"row {row_no}: expected {len(names)} cells")
-        try:
-            rows.append([int(c) for c in row])
-        except ValueError:
-            raise DatasetError(f"row {row_no}: non-integer cell") from None
+    except csv.Error as exc:
+        raise DatasetError(f"row {reader.line_num}: {exc}") from None
     if not rows:
         raise DatasetError("CSV has no data rows")
     try:

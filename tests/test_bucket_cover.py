@@ -411,9 +411,8 @@ def test_lattice_template_is_cached_per_shape_and_read_only():
     template = lattice_template(9, 4)
     assert lattice_template(9, 4) is template
     assert lattice_template(9, 2) is not template
-    arrays = [template.masks, template.order, template.position, template.edge_ptr,
-              template.edge_slot, template.edge_child, template.edge_cell,
-              *template.slot_of, *template.own_cells]
+    arrays = [template.masks, template.edge_ptr, template.edge_slot, template.edge_child,
+              template.edge_cell, *template.slot_of, *template.own_cells]
     arrays += [array for step in template.padded_steps for array in step]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -443,16 +442,13 @@ def test_kept_templates_are_bounded_by_their_build_bytes():
 def reference_layers(template: LatticeTemplate):
     """The covering edges as the sort-based build made them before the
     template placed each edge directly: every (parent, slot, child) triple,
-    then one lexsort by (parent position, slot).  Per cardinality layer,
-    each downset's edge list is padded with its last edge to the layer's
-    longest list, one row per list place."""
+    then one lexsort by (parent index, slot).  Per cardinality layer, its
+    downsets by index, each one's edge list padded with its last edge to the
+    layer's longest list, one row per list place."""
     size = template.size
     n = template.n
     index = np.arange(size, dtype=np.int64)
     cardinality = np.bitwise_count(template.masks)
-    order = np.argsort(cardinality, kind="stable")
-    position = np.empty(size, dtype=np.int64)
-    position[order] = index
     parents, slots, children = [], [], []
     for t, (offset, size_t, h) in enumerate(
         zip(template.offsets, template.block_sizes, template.halves)
@@ -471,19 +467,17 @@ def reference_layers(template: LatticeTemplate):
                 slots.append(np.full(len(downsets), offset + low.bit_length() - 1))
                 children.append(downsets + (child - digit) * weight)
     parent, slot, child = map(np.concatenate, (parents, slots, children))
-    by_position = np.lexsort((slot, position[parent]))
-    edge_slot, edge_child = slot[by_position], child[by_position]
+    by_parent = np.lexsort((slot, parent))
+    edge_slot, edge_child = slot[by_parent], child[by_parent]
     edge_ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(position[parent], minlength=size), out=edge_ptr[1:])
-    layer_ptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(cardinality, minlength=n + 1), out=layer_ptr[1:])
+    np.cumsum(np.bincount(parent, minlength=size), out=edge_ptr[1:])
     steps = []
     for c in range(1, n + 1):
-        lo, hi = int(layer_ptr[c]), int(layer_ptr[c + 1])
-        lists = [range(edge_ptr[p], edge_ptr[p + 1]) for p in range(lo, hi)]
+        layer = index[cardinality == c]
+        lists = [range(edge_ptr[d], edge_ptr[d + 1]) for d in layer]
         rows = [[e[min(j, len(e) - 1)] for e in lists] for j in range(max(map(len, lists)))]
-        steps.append((order[lo:hi], np.array(rows, dtype=np.int32)))
-    return order, position, edge_ptr, edge_slot, edge_child, steps
+        steps.append((layer, np.array(rows, dtype=np.int32)))
+    return edge_ptr, edge_slot, edge_child, steps
 
 
 def same_array(a: np.ndarray, b: np.ndarray) -> bool:
@@ -501,9 +495,9 @@ def test_template_edges_match_sort_based_reference(n, k, seed):
     else:
         partition = BlockPartition.shuffled(n, k, seed)
     template = LatticeTemplate(n, k)
-    order, position, edge_ptr, edge_slot, edge_child, steps = reference_layers(template)
-    for name, want in [("order", order), ("position", position), ("edge_ptr", edge_ptr),
-                       ("edge_slot", edge_slot), ("edge_child", edge_child)]:
+    edge_ptr, edge_slot, edge_child, steps = reference_layers(template)
+    for name, want in [("edge_ptr", edge_ptr), ("edge_slot", edge_slot),
+                       ("edge_child", edge_child)]:
         assert same_array(getattr(template, name), want), name
     assert len(template.padded_steps) == len(steps)
     for got, want in zip(template.padded_steps, steps):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 import resource
 import subprocess
@@ -235,6 +236,7 @@ def test_io_and_parse_errors_exit_three(tmp_path, capsys):
         ("a b,c\n0,1\n", (), 3),
         ("#a,c\n0,1\n", (), 3),
         ("a,,c\n0,1,0\n", (), 3),
+        ("A,B\n0,1\n" + " " * (csv.field_size_limit() + 1) + "1,0\n", (), 3),
     ],
     ids=[
         "pair",
@@ -247,6 +249,7 @@ def test_io_and_parse_errors_exit_three(tmp_path, capsys):
         "name-with-space",
         "name-starts-with-hash",
         "empty-name",
+        "field-over-csv-limit",
     ],
 )
 def test_score_exit_codes(tmp_path, capsys, csv_text, argv, expected):
@@ -256,6 +259,8 @@ def test_score_exit_codes(tmp_path, capsys, csv_text, argv, expected):
     code, _, err = run(capsys, "score", csv_path, "--out", out_path, *argv)
     assert code == expected
     assert (code == 0) == (err == "")
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_score_then_solve_round_trip(tmp_path, capsys):

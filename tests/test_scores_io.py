@@ -895,7 +895,7 @@ CSV_FIRST_NAMES = st.sampled_from(["X0", '"X0"', '"X0,Y"', '"X\n0"', '"X\r\n0"']
 def _outcome(parse, text):
     try:
         data = parse(text)
-    except (DatasetError, csv.Error) as err:
+    except DatasetError as err:
         return type(err).__name__, str(err)
     return data.names, data.rows.tolist(), data.arities
 
@@ -932,7 +932,22 @@ def test_from_csv_without_data_rows_warns_nothing(text):
 def test_from_csv_keeps_csv_readers_field_size_limit():
     # np.loadtxt has no field size limit; csv.reader refuses a longer field.
     text = "A\n0\n" + " " * csv.field_size_limit() + "1\n"
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+    with pytest.raises(DatasetError, match="row 3: field larger than field limit"):
+        DiscreteDataset.from_csv(text)
+    assert _outcome(DiscreteDataset.from_csv, text) == _outcome(from_csv_by_rows, text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("A,B\n0,1\r2,3\n", "row 2: new-line character seen in unquoted field"),
+        (" " * (csv.field_size_limit() + 1) + "A\n0\n",
+         rf"row 1: field larger than field limit \({csv.field_size_limit()}\)"),
+    ],
+    ids=["bare-cr-in-a-row", "long-field-in-the-header"],
+)
+def test_from_csv_raises_csv_reader_faults_as_dataset_errors(text, message):
+    with pytest.raises(DatasetError, match=message):
         DiscreteDataset.from_csv(text)
     assert _outcome(DiscreteDataset.from_csv, text) == _outcome(from_csv_by_rows, text)
 
