@@ -20,7 +20,7 @@ The cover scan runs the kernels over chunks of B members, B * max(E, F)
 <= 2^16, on the E cells the DP reads, one per edge, and traces witnesses
 from the same chunks.  A member below f(running max), f(x) = x - 1e-9 *
 (1 + |x|), never comes within tol = 1e-9 * (1 + |max optimum|) of the
-maximum, so only the others are buffered and traced, B or more at once.
+maximum, so only the others are buffered, and traced at most B at once.
 The traceback is vectorized over the batch: a segmented minimum over the
 tight edges picks each downset's smallest sink, and a (B, F) fit mask
 gives each node its first listed entry with the best score inside the
@@ -39,7 +39,8 @@ built.  This is correct for arbitrary listed parent sets.
 
 from __future__ import annotations
 
-import math
+import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ from .bucket_cover import (
     lattice_radix,
     lattice_template,
 )
-from .dp_exact import DP_CAP, _fold_sub_downsets, solve_dp
+from .dp_exact import DP_CAP, _fold_sub_downsets, _plan_bytes, solve_dp
 from .grover_sim import MAX_SIM_DOMAIN, MaxOracle, QueryLedger, max_find, quantum_charge
 from .instance import Dag, InstanceTooLargeError, LocalScoreTable
 
@@ -68,7 +69,9 @@ from .instance import total_score  # noqa: F401
 COVER_STRATEGIES = ("classical-scan", "grover-sim", "grover-cost-model")
 # Members times downsets: (21, 4), at 2.6e8, runs; (22, 4) at 7.8e8 does not.
 SCAN_WORK_CAP = 1 << 28
-# 80 MiB: solve_dp's n * 2^(n-1) float64 subset tables at n = 20; it peaks at ~2.1x.
+# 80 MiB: solve_dp's n * 2^(n-1) float64 subset tables at n = 20.  It bounds
+# the scan; solve_dp, in layer slices, peaks at about 1.2x the tables (93 MiB
+# counted at n = 20) and is bounded by DP_CAP alone.
 LATTICE_BYTES_CAP = DP_CAP * (1 << (DP_CAP - 1)) * 8
 _NEG_INF = float("-inf")
 _CHUNK_ELEMENTS = 1 << 16  # values in one per-chunk array of the member pass
@@ -169,23 +172,34 @@ def downset_best_parents(
 
 def _scan_plan(n: int, k: int, entries: int) -> tuple[int, tuple, tuple]:
     """B, B * max(E, F) <= 2^16 for E edges and F entries; (shape, dtype) of
-    each array ``_scan`` allocates, in its order; and of each temporary, at
-    the bound beside it.  The byte cap adds ``lattice_build_bytes`` to them."""
+    each array ``_scan`` allocates, in its order; and of each phase's
+    temporaries, at the bound beside each.  The phases never live at once,
+    so ``_plan_bytes`` counts the largest, and the byte cap adds
+    ``lattice_build_bytes``."""
     members, downsets = cover_size(n, k), downset_count_formula(n, k)
     edges, blocks = lattice_edge_count_formula(n, k), -(-n // k)
     batch = max(1, min(members, _CHUNK_ELEMENTS // max(edges, entries)))
     rows = edges + downsets // lattice_radix(n % k or k)  # E edge cells, then a sink trace
-    traced, i64, f64 = 2 * batch - 1, np.int64, np.float64  # under 2B buffered or traced
+    column = rows + downsets + n + 1  # a buffered member's cells, DP values, nodes and index
+    i64, f64, flag = np.dtype(np.int64), np.dtype(np.float64), np.dtype(np.bool_)
     held = (((entries * batch,), i64), ((rows * batch,), f64),  # entry cells, cell table
             ((downsets * batch,), f64), ((entries * batch,), f64),  # DP values, laid scores
             ((members,), f64), ((members,), f64), ((members, n), i64))  # optima, totals, parents
-    return batch, held, (
-        (((n + 1) // 2, downsets), np.int32),  # padded edges, <= h per block of first half h
-        ((2 * k + blocks + 6, entries), i64),  # once: entry copies, patterns, 2 (F, k) bit tables
+    live = (  # through the member loop
+        (((n + 1) // 2, downsets), np.dtype(np.int32)),  # padded edges, <= h per first half h
+        ((blocks + 6, entries), i64),  # entry copies and patterns, each entry's pattern
         ((batch, 3 * k + blocks + 2, min(entries, 1 << k)), i64),  # digits, 2 (B, k, P) cell rows
-        ((batch, 3 * n + entries + edges + downsets), i64),  # slot maps, F offsets, DP gathers
-        ((traced, (1 + (batch > 1)) * (rows + downsets + n + 1)), f64),  # buffer, twice joined
-        ((traced, max(3 * edges + downsets, 4 * entries)), f64),  # 3 (E, B) + (D, B), or 4 (B, F)
+        ((2, np.getbufsize()), f64),  # at most two ufunc buffers
+    )
+    traced = live + (((2 * batch - 1, column), f64),)  # B traced; or fewer, and B left buffered
+    return batch, held, (
+        (((2 * k + blocks + 6, entries), i64),),  # set-up, with 2 (F, k) bit tables
+        live + (((batch, 3 * n + entries + edges + downsets), i64),  # slot maps, F offsets, DP
+                ((batch - 1, column), f64)),  # gathers; and under B columns left buffered
+        live + (((3 * batch - 2, column), f64),),  # the buffer's masking copies, or a join
+        traced + (((batch, 2 * edges), f64), ((batch, edges), flag),  # the trace's (E, B)
+                  ((edges,), i64)),  # arrays, then its (B, F) arrays
+        traced + (((batch, 2 * entries), f64), ((batch, 2 * entries), flag), ((entries,), i64)),
     )
 
 
@@ -202,7 +216,8 @@ def _scan(
     downset.  The optimum is the DP value of the full set.  ``every`` traces every member;
     otherwise the members at or above f(running max) after each chunk join
     a buffer, buffered members that have fallen below it are dropped, and
-    the buffer is traced once it holds B columns, and at the last chunk.
+    the buffer is traced once it holds B columns, and at the last chunk,
+    in leading pieces of at most B columns.
     Returns the optima, and per member the rescored total and parent
     masks, set for every traced member.
     """
@@ -273,19 +288,24 @@ def _scan(
             floor = top - _near_tol(top)
         nodes = np.empty((n, width), dtype=np.int64)  # each member's node in each slot
         nodes[np.hstack(places).T + shift, np.arange(width)] = ranked[:, None]
-        # Masking copies: the chunk's arrays are reused.
+        # Masking copies, as the chunk's arrays are reused; row-major, as the
+        # trace's row gathers would otherwise copy a column-major buffer.
         buffered.append([np.arange(lo, hi), nodes, reduced, value])
-        buffered = [[a[..., keep] for a in piece] for piece in buffered
+        buffered = [[a.compress(keep, axis=-1) for a in piece] for piece in buffered
                     if (keep := optima[piece[0]] >= floor).any()]
         if hi == members:
             # Freed first, so that the last trace does not add to the chunk arrays.
             del cells_at, reduced_at, value_at, laid_at, laid, cells, reduced, value
-        if buffered and (hi == members or sum(len(piece[0]) for piece in buffered) >= batch):
+        # The leading pieces of at most B columns in all are traced at once
+        # (a piece is one chunk's, at most B), so no trace is wider than B.
+        while buffered and (hi == members or sum(len(piece[0]) for piece in buffered) >= batch):
+            widths = itertools.accumulate(len(piece[0]) for piece in buffered)
+            count = bisect.bisect_right(list(widths), batch)
             # A single piece is traced as it is, not joined into a copy.
             index, nodes, cells, value = (
-                a[0] if len(a) == 1 else np.concatenate(a, axis=-1) for a in zip(*buffered)
+                a[0] if len(a) == 1 else np.concatenate(a, axis=-1) for a in zip(*buffered[:count])
             )
-            buffered = []
+            del buffered[:count]
             totals[index], parents[index] = _trace(table, template, nodes, cells, value)
     return optima, totals, parents
 
@@ -393,7 +413,8 @@ def solve_cover(
     the arrays of ``_scan_plan`` would exceed ``LATTICE_BYTES_CAP``; and
     the work cap, when members times downsets exceeds ``SCAN_WORK_CAP``.
     grover-cost-model's ``solve_dp`` check is bounded by ``DP_CAP``, not by
-    the byte cap.
+    the byte cap: it holds its plan's bytes (``dp_exact._dp_plan``), about
+    1.2x its subset tables, which a byte cap would refuse at n = 20.
     """
     if strategy not in COVER_STRATEGIES:
         raise StrategyUnavailableError(f"strategy {strategy!r} not in {COVER_STRATEGIES}")
@@ -407,9 +428,7 @@ def solve_cover(
         )
     downsets = downset_count_formula(n, k)
     plan = _scan_plan(n, k, len(table.scores))
-    needed = lattice_build_bytes(n, k) + sum(
-        math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in plan[1] + plan[2]
-    )
+    needed = lattice_build_bytes(n, k) + _plan_bytes(*plan[1:])
     if needed > LATTICE_BYTES_CAP:
         raise InstanceTooLargeError(
             f"lattice of {downsets} downsets and {lattice_edge_count_formula(n, k)} edges "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,9 @@ from qbnsl.dp_exact import (
     DAG_BRUTE_CAP,
     DP_CAP,
     ORDER_BRUTE_CAP,
+    _dp_plan,
     _fold_sub_downsets,
+    _plan_bytes,
     best_parents_all_subsets,
     brute_force_dags,
     brute_force_orders,
@@ -235,13 +238,17 @@ def with_minus_inf_sets(rng, table):
     )
 
 
+def sink_reference_input(seed, tie_heavy, minus_inf, n):
+    """A random or tie-heavy table, with some sets at -inf if ``minus_inf``."""
+    rng = np.random.default_rng(seed)
+    t = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
+    return with_minus_inf_sets(rng, t) if minus_inf else t
+
+
 @given(st.integers(0, 2**31), st.booleans(), st.booleans(), st.integers(1, 12))
 @settings(max_examples=80, deadline=None)
 def test_solve_dp_matches_sink_table_reference(seed, tie_heavy, minus_inf, n):
-    rng = np.random.default_rng(seed)
-    t = tie_heavy_table(rng, n) if tie_heavy else random_table(rng, n)
-    if minus_inf:
-        t = with_minus_inf_sets(rng, t)
+    t = sink_reference_input(seed, tie_heavy, minus_inf, n)
     score, dag = solve_dp(t)
     assert is_acyclic(dag) and total_score(dag, t) == score
     try:
@@ -250,6 +257,33 @@ def test_solve_dp_matches_sink_table_reference(seed, tie_heavy, minus_inf, n):
         assert score == -np.inf
         return
     assert (repr(score), dag) == (repr(want_score), want_dag)
+
+
+@given(st.integers(0, 2**31), st.booleans(), st.booleans(), st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_solve_dp_slices_match_whole_layers(seed, tie_heavy, minus_inf, n):
+    # At n <= 12 one slice holds a whole layer; slices of 1 and 3 sets split
+    # every layer of 2 or more, and slices of 3 leave ragged last slices.
+    t = sink_reference_input(seed, tie_heavy, minus_inf, n)
+    score, dag = solve_dp(t)
+    for sets in (1, 3):
+        with mock.patch.object(dp_exact, "_SLICE_SETS", sets):
+            sliced_score, sliced_dag = solve_dp(t)
+        assert (repr(sliced_score), sliced_dag) == (repr(score), dag), sets
+
+
+@pytest.mark.parametrize("n,most", [(16, 1.4), (17, 1.3), (18, 1.3)])
+def test_solve_dp_peak_within_its_plan(n, most):
+    table = random_table(np.random.default_rng(5), n)
+    tracemalloc.start()
+    try:
+        solve_dp(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _plan_bytes(*_dp_plan(n, len(table.scores))[1:])
+    # Over the n * 2^(n-1) float64 subset tables: opt, the layer order and one slice.
+    assert peak <= most * n * (1 << (n - 1)) * 8
 
 
 def test_solve_dp_single_node():

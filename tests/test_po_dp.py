@@ -24,7 +24,7 @@ from qbnsl.bucket_cover import (
     lattice_template,
     member_by_index,
 )
-from qbnsl.dp_exact import solve_dp
+from qbnsl.dp_exact import _dp_plan, _plan_bytes, solve_dp
 from qbnsl.grover_sim import MaxOracle, QueryLedger, max_find, quantum_charge
 from qbnsl.instance import (
     Dag,
@@ -413,6 +413,32 @@ def test_classical_scan_traces_only_candidates(seed, tie_heavy, shuffled):
         assert ledger.classical_evals == len(optima)
 
 
+@pytest.mark.parametrize("batch", [2, 3])
+def test_no_trace_is_wider_than_a_chunk(batch):
+    # Tie-heavy scores leave members of a chunk buffered, and the next
+    # chunk's candidates can take the buffer past B: it is traced first.
+    table, partition = random_cover_case(3, True, False, "trace-width")
+    optima = member_optima(table, partition)
+    candidates = set(np.flatnonzero(optima >= optima.max() - tie_tolerance(optima)).tolist())
+    member_of = {DownsetIndex(member_by_index(partition, i)).nodes: i for i in range(len(optima))}
+    row = max(lattice_edge_count_formula(partition.n, partition.k), len(table.scores))
+    widths, traced, trace = [], [], po_dp._trace
+
+    def recording(table, template, nodes, *arrays):
+        widths.append(nodes.shape[1])
+        traced.extend(member_of[tuple(column)] for column in nodes.T.tolist())
+        return trace(table, template, nodes, *arrays)
+
+    with mock.patch.object(po_dp, "_trace", recording), mock.patch.object(
+        po_dp, "_CHUNK_ELEMENTS", batch * row
+    ):
+        score, dag, _ = solve_cover(table, partition, "classical-scan")
+    assert max(widths) <= batch and min(widths[:-1]) < batch
+    assert len(traced) == len(set(traced)) and candidates <= set(traced)
+    want_score, want_dag, _ = solve_cover(table, partition, "classical-scan")
+    assert (repr(score), dag) == (repr(want_score), want_dag)
+
+
 def assert_grover_table_orders_like_rescored(table, partition, seed):
     members = cover_size(partition.n, partition.k)
     rescored = np.array(
@@ -657,7 +683,7 @@ def test_work_cap_counts_members_times_downsets(n, k, admitted):
 # refused at n = 22, for its bytes.
 CAP_VERDICTS = {
     2: "aaaaaaaaaaaaaaaaaaaabbbbbbbbb",
-    4: "aaaaaaaaaaaaaaaaaawwbbbbbbb",
+    4: "aaaaaaaaaaaaaaaaaawwwbbbbbb",
     6: "aaaaaaaaaaaaaaawwwwbbbbbb",
     8: "aaaaaaaaaaaaawwwbbbbbbb",
     10: "aaaaaaaaaaawwwbbbbbbb",
@@ -754,8 +780,11 @@ def test_scan_peak_within_counted_bytes(n, k, kind, strategy):
     }[kind]()
     partition = BlockPartition.contiguous(n, k)
     peak = traced_peak(lambda: solve_cover(table, partition, strategy))
-    # The cost model's solve_dp check is bounded by DP_CAP, not by the byte cap.
-    allowance = traced_peak(lambda: solve_dp(table)) if strategy == "grover-cost-model" else 0
+    # The cost model's solve_dp check is bounded by DP_CAP, not by the byte
+    # cap; it is allowed the bytes of its own plan.
+    allowance = 0
+    if strategy == "grover-cost-model":
+        allowance = _plan_bytes(*_dp_plan(n, len(table.scores))[1:])
     # The byte check counts at least the peak: a cap one byte below refuses.
     with mock.patch.object(po_dp, "LATTICE_BYTES_CAP", peak - allowance - 1):
         with pytest.raises(InstanceTooLargeError, match="byte cap"):
@@ -764,11 +793,11 @@ def test_scan_peak_within_counted_bytes(n, k, kind, strategy):
         return
 
     # Where every member is traced, or every pattern is in play, the count
-    # stays within 3x the peak.
+    # stays within 1.5x the peak.
     class Admitted(Exception):
         pass
 
-    with mock.patch.object(po_dp, "LATTICE_BYTES_CAP", 3 * peak), mock.patch.object(
+    with mock.patch.object(po_dp, "LATTICE_BYTES_CAP", 3 * peak // 2), mock.patch.object(
         po_dp, "lattice_template", side_effect=Admitted
     ):
         with pytest.raises(Admitted):

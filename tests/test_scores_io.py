@@ -890,6 +890,9 @@ CSV_NEAR_INTS = st.sampled_from(["0", "1", "2", " 3", "+1", "\x0c1", "1\x85", "1
 CSV_ROWS = st.sampled_from(["", "   ", "\t", " , ", "#", "#0,1", "# x"])
 # The first header name: plain, quoted, or quoted around a comma or a line break.
 CSV_FIRST_NAMES = st.sampled_from(["X0", '"X0"', '"X0,Y"', '"X\n0"', '"X\r\n0"'])
+# Drawn per line: io.StringIO splits lines on \n only, so a row ended by a
+# bare \r runs into the next one, where csv.reader faults in the body.
+CSV_LINE_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 def _outcome(parse, text):
@@ -903,20 +906,23 @@ def _outcome(parse, text):
 @given(
     st.integers(1, 4).flatmap(
         lambda width: st.lists(
-            st.lists(CSV_CELLS, min_size=width - 1, max_size=width + 1).map(",".join)
-            | st.lists(CSV_NEAR_INTS, min_size=width, max_size=width).map(",".join)
-            | CSV_ROWS,
+            st.tuples(
+                st.lists(CSV_CELLS, min_size=width - 1, max_size=width + 1).map(",".join)
+                | st.lists(CSV_NEAR_INTS, min_size=width, max_size=width).map(",".join)
+                | CSV_ROWS,
+                CSV_LINE_ENDINGS,
+            ),
             max_size=6,
         ).map(lambda rows: (width, rows))
     ),
     CSV_FIRST_NAMES,
-    st.sampled_from(["\n", "\r\n", "\r"]),
+    CSV_LINE_ENDINGS,
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_bulk_csv_parse_matches_per_row_parse(case, first_name, ending):
     width, rows = case
     text = ",".join([first_name, *(f"X{j}" for j in range(1, width))]) + ending
-    text += "".join(row + ending for row in rows)
+    text += "".join(row + row_ending for row, row_ending in rows)
     assert _outcome(DiscreteDataset.from_csv, text) == _outcome(from_csv_by_rows, text)
 
 
