@@ -4,9 +4,9 @@ The subset DP runs in O(2^n * n^2) after one (2^(n-1), n) subset-max
 array is folded by :func:`_fold_sub_downsets`, as the cover scan's cells
 are; it is the reference solver for n up to ``DP_CAP``, its only limit.
 Column i holds values only, over the other n-1 nodes (bit i squeezed out),
-as does the DP table: the traceback recovers sinks, then witness parents by
-``best_parents_in``.  It runs each layer in bounded slices, and
-``_dp_plan`` counts the arrays it holds.
+as does the DP table: the traceback recovers sinks, then witness parents
+by ``instance.choose_parents``, the cover trace's parent rule.  It runs
+each layer in bounded slices, and ``_dp_plan`` counts the arrays it holds.
 The brute forcers are test oracles, over all node orderings and over all
 parent assignments that form a DAG.  Each solver refuses an instance
 over its size cap, a module constant read at call time.
@@ -19,15 +19,11 @@ import math
 
 import numpy as np
 
-from .instance import (
-    Dag,
-    InstanceTooLargeError,
-    LocalScoreTable,
-    NodeSet,
-    best_parents_in,
-    is_acyclic,
-    total_score,
-)
+from .instance import Dag, InstanceTooLargeError, LocalScoreTable, NodeSet
+from .instance import choose_parents, is_acyclic
+
+# Unused here, but perfbench/spans.py wraps these two names in this module.
+from .instance import best_parents_in, total_score  # noqa: F401
 
 DP_CAP = 20
 ORDER_BRUTE_CAP = 8
@@ -90,15 +86,16 @@ def _plan_bytes(held: tuple, phases: tuple) -> int:
 def _dp_plan(n: int, entries: int) -> tuple[int, tuple, tuple]:
     """C, the widest slice of a layer; (shape, dtype) of the subset tables,
     held throughout; and of each phase's own arrays, at the bound beside
-    each, for ``solve_dp`` on F entries.  The per-node item views that the
-    traceback may build belong to the table and are not counted."""
-    half, i64, f64 = 1 << (n - 1), np.dtype(np.int64), np.dtype(np.float64)
+    each, for ``solve_dp`` on F entries."""
+    half, i64, f64, flag = 1 << (n - 1), np.dtype(np.int64), np.dtype(np.float64), np.dtype(bool)
     width = min(_SLICE_SETS, math.comb(n - 1, (n - 1) // 2))  # the middle layer is the widest
+    kept = (((2 * half,), f64), ((half,), i64))  # opt, the layer order
     return width, (((half, n), f64),), (
         (((5, entries), i64),),  # seeding: squeezed masks, with up to four of their parts
-        (((2 * half,), f64), ((half,), i64),  # opt, the layer order
-         ((n, width), i64), ((2, n, width), f64),  # a slice's targets, candidates, gathered rows
-         ((2, np.getbufsize()), f64)),  # and at most two ufunc buffers
+        kept + (((n, width), i64), ((2, n, width), f64),  # a slice's targets, candidates,
+                ((2, np.getbufsize()), f64)),  # gathered rows, and at most two ufunc buffers
+        # the traceback's one choose_parents row: (1, F) arrays, as _scan_plan counts a trace's
+        kept + (((1, 2 * entries), f64), ((1, 2 * entries), flag), ((entries,), i64)),
     )
 
 
@@ -110,7 +107,8 @@ def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:
     optimal total score together with a witness DAG whose rescoring equals
     the returned value.  opt holds values only; the traceback takes each
     set's smallest sink whose candidate, re-added from the same two floats,
-    equals opt[S].  Parent ties go to the smallest (cardinality, bitmask).
+    equals opt[S]; one ``choose_parents`` row then gives every sink its
+    parents and adds the total in node order.
     Each layer runs in slices of at most ``_SLICE_SETS`` sets, which bound
     its temporaries: the peak is about 1.3x the subset tables at n = 16
     and 1.2x at n = 18.  ``DP_CAP`` is the only limit; no byte cap applies.
@@ -148,17 +146,16 @@ def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:
             # alive while the next slice's are made.
             del targets, candidates, row, sink_targets
         start = end
-    parents: list[NodeSet] = [NodeSet(0)] * n
+    allowed = np.empty((1, n), dtype=np.int64)  # each sink's set left behind
     mask = size - 1
     while mask:
         for i in NodeSet(mask):
             rest, below = mask ^ (1 << i), (1 << i) - 1
             if opt[rest] + best_parent_values[rest & below | (rest >> 1) & ~below, i] == opt[mask]:
                 break
-        mask = rest
-        parents[i] = best_parents_in(table, i, mask)[1]
-    dag = Dag(n, tuple(parents))
-    return total_score(dag, table), dag
+        mask = allowed[0, i] = rest
+    totals, entry = choose_parents(table, allowed)
+    return float(totals[0]), Dag.from_masks(n, table.masks[entry[0]])
 
 
 def brute_force_orders(table: LocalScoreTable) -> float:
@@ -174,9 +171,10 @@ def brute_force_orders(table: LocalScoreTable) -> float:
         raise InstanceTooLargeError(f"n={n} exceeds the order brute-force cap {ORDER_BRUTE_CAP}")
     best_in = [[0.0] * (1 << n) for _ in range(n)]
     for i in range(n):
+        items = table.items(i)
         for mask in range(1 << n):
             if not (mask >> i) & 1:  # the empty set always qualifies
-                best_in[i][mask] = max(score for pset, score in table.items(i) if not pset & ~mask)
+                best_in[i][mask] = max(score for pset, score in items if not pset & ~mask)
     best_total = -float("inf")
     for perm in itertools.permutations(range(n)):
         placed, acc = 0, 0.0
@@ -203,7 +201,8 @@ def brute_force_dags(table: LocalScoreTable) -> float:
     n = table.n
     if n > DAG_BRUTE_CAP:
         raise InstanceTooLargeError(f"n={n} exceeds the DAG brute-force cap {DAG_BRUTE_CAP}")
+    scores = [dict(table.items(i)) for i in range(n)]
     # The empty assignment is always acyclic, so there is at least one DAG.
     return max(
-        sum(table.score(i, dag.parents[i]) for i in range(n)) for dag in enumerate_dags(table)
+        sum(scores[i][dag.parents[i].bits] for i in range(n)) for dag in enumerate_dags(table)
     )

@@ -44,9 +44,11 @@ class QueryLedger:
     """Separate meters for classical objective evaluations and oracle calls.
 
     ``classical_evals`` counts honest evaluations of the objective by
-    classical code (including verifications of measured outcomes);
-    ``charged_quantum_queries`` counts applications of the phase oracle in
-    simulation, or the analytic charge when running the cost model.
+    classical code (including verifications of measured outcomes).
+    ``charged_quantum_queries`` counts, per ``solve_cover`` strategy:
+    grover-sim's simulated phase-oracle applications over its 7
+    repetitions; grover-cost-model's one analytic charge ceil(sqrt(m)) *
+    ceil(log2(m)) for m members (``quantum_charge``); 0 for classical-scan.
     """
 
     classical_evals: int = 0

@@ -9,10 +9,10 @@ A problem instance is a :class:`LocalScoreTable`: per node i, a finite
 collection of candidate parent sets J (never containing i) with a real
 score s_i(J).  The table keeps every entry in one flat layout, read-only
 node, bitmask and score arrays sorted by (node, cardinality, bitmask)
-with per-node offsets, which bulk readers slice; scalar reads go through
-per-node views built from a node's slice.  A DAG's total score is the
-sum of its per-node local scores, which is what every solver in this
-package maximizes.
+with per-node offsets, which bulk readers and scalar reads both slice.
+A DAG's total score is the sum of its per-node local scores, which is
+what every solver in this package maximizes; :func:`choose_parents` is
+the one parent rule the solvers' witnesses come from.
 """
 
 from __future__ import annotations
@@ -105,14 +105,13 @@ class LocalScoreTable:
     set: that guarantees every node ordering admits at least one feasible
     parent assignment, so solvers never hit dead ends.
 
-    Bulk readers slice the arrays.  Per-node reads (``items``, ``score``,
-    ``set_count``) go through one view, which raises
-    ``ValueError`` for a node outside 0..n-1: a tuple of (bitmask, score)
-    pairs and a dict over it, built in bulk from the node's slice on first
-    use.  ``names`` is display metadata only and is excluded from equality.
+    Bulk readers slice the arrays, and so do the per-node reads
+    (``items``, ``score``, ``set_count``), which raise ``ValueError`` for
+    a node outside 0..n-1; a table holds each entry once.  ``names`` is
+    display metadata only and is excluded from equality.
     """
 
-    __slots__ = ("n", "names", "nodes", "masks", "scores", "offsets", "_views")
+    __slots__ = ("n", "names", "nodes", "masks", "scores", "offsets")
 
     def __init__(
         self,
@@ -189,22 +188,17 @@ class LocalScoreTable:
         offsets = np.searchsorted(nodes, np.arange(n + 1))
         for array in (nodes, masks, scores, offsets):
             array.flags.writeable = False
-        values = (n, names, nodes, masks, scores, offsets, [None] * n)  # slot order
+        values = (n, names, nodes, masks, scores, offsets)  # slot order
         for attr, value in zip(self.__slots__, values):
             object.__setattr__(self, attr, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LocalScoreTable is immutable")
 
-    def _view(self, i: int) -> tuple[tuple[tuple[int, float], ...], dict[int, float]]:
+    def _slice(self, i: int) -> slice:
         if not 0 <= i < self.n:
             raise ValueError(f"node index {i} out of range")
-        view = self._views[i]
-        if view is None:
-            lo, hi = self.offsets[i], self.offsets[i + 1]
-            items = tuple(zip(self.masks[lo:hi].tolist(), self.scores[lo:hi].tolist()))
-            view = self._views[i] = items, dict(items)
-        return view
+        return slice(self.offsets[i], self.offsets[i + 1])
 
     @property
     def total_entries(self) -> int:
@@ -212,18 +206,20 @@ class LocalScoreTable:
         return len(self.masks)
 
     def set_count(self, i: int) -> int:
-        return len(self.items(i))
+        return len(self.masks[self._slice(i)])
 
     def items(self, i: int) -> tuple[tuple[int, float], ...]:
         """Raw (bitmask, score) pairs for node i in (cardinality, mask) order."""
-        return self._view(i)[0]
+        at = self._slice(i)
+        return tuple(zip(self.masks[at].tolist(), self.scores[at].tolist()))
 
     def score(self, i: int, parents: "NodeSet | int") -> float:
-        mask = int(parents)
-        try:
-            return self._view(i)[1][mask]
-        except KeyError:
-            raise MissingParentSetError(i, NodeSet(mask)) from None
+        """s_i(parents); a float mask raises ``TypeError``, not truncated."""
+        at, mask = self._slice(i), operator.index(parents)
+        hit = np.flatnonzero(self.masks[at] == mask) if 0 <= mask < 1 << self.n else ()
+        if not len(hit):
+            raise MissingParentSetError(i, NodeSet(mask))
+        return float(self.scores[at][hit[0]])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LocalScoreTable):
@@ -327,26 +323,37 @@ def total_score(dag: Dag, table: LocalScoreTable) -> float:
     return sum(table.score(i, dag.parents[i]) for i in range(dag.n))
 
 
+def choose_parents(table: LocalScoreTable, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's parents inside each row of ``allowed``, a (B, n) int array.
+
+    Node i of row b takes its first entry, in (cardinality, bitmask) order,
+    with the best score inside ``allowed[b, i]`` (the empty set always fits),
+    by a (B, F) fit mask and two segmented reductions.  Returns (B,) totals,
+    added in node order as ``total_score`` adds them, and (B, n) entries.
+    """
+    fits = (table.masks & ~allowed[:, table.nodes]) == 0
+    scores = np.where(fits, table.scores, -np.inf)
+    starts = table.offsets[:-1]
+    best = np.maximum.reduceat(scores, starts, axis=1)
+    first = np.where(fits & (scores == best[:, table.nodes]), np.arange(len(fits[0])), len(fits[0]))
+    entry = np.minimum.reduceat(first, starts, axis=1)
+    chosen = table.scores[entry]
+    totals = np.zeros(len(allowed))
+    for i in range(table.n):
+        totals += chosen[:, i]
+    return totals, entry
+
+
 def best_parents_in(
     table: LocalScoreTable, i: int, allowed: "NodeSet | int"
 ) -> tuple[float, NodeSet]:
-    """Best listed parent set for node i inside ``allowed``.
-
-    Returns (score, parent set).  ``allowed`` must exclude i.  Ties prefer
-    smaller cardinality, then smaller bitmask; the empty set is always
-    listed, so the scan always succeeds.
-    """
-    items = table.items(i)
-    allowed_bits = int(allowed)
-    if (allowed_bits >> i) & 1:
+    """(score, parent set) of node i's :func:`choose_parents` pick inside
+    ``allowed``, which must exclude i; its bits at or above n are ignored."""
+    table._slice(i)  # the node's range check
+    mask = operator.index(allowed) & (1 << table.n) - 1
+    if mask >> i & 1:
         raise ValueError("allowed set must exclude the child node")
-    best_score = None
-    best_mask = 0
-    for mask, score in items:
-        if mask & ~allowed_bits:
-            continue
-        if best_score is None or score > best_score:
-            best_score = score
-            best_mask = mask
-    assert best_score is not None  # empty set is always present
-    return best_score, NodeSet(best_mask)
+    row = np.zeros((1, table.n), dtype=np.int64)
+    row[0, i] = mask
+    entry = choose_parents(table, row)[1][0, i]
+    return float(table.scores[entry]), NodeSet(int(table.masks[entry]))

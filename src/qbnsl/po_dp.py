@@ -22,9 +22,9 @@ from the same chunks.  A member below f(running max), f(x) = x - 1e-9 *
 (1 + |x|), never comes within tol = 1e-9 * (1 + |max optimum|) of the
 maximum, so only the others are buffered, and traced at most B at once.
 The traceback is vectorized over the batch: a segmented minimum over the
-tight edges picks each downset's smallest sink, and a (B, F) fit mask
-gives each node its first listed entry with the best score inside the
-downset left behind, ``best_parents_in``'s tie rule.  Totals add up in
+tight edges picks each downset's smallest sink, and ``choose_parents``,
+``solve_dp``'s parent rule too, gives each node its first listed entry
+with the best score inside the downset left behind.  Totals add up in
 node order, as ``total_score`` does, so a total differs from its DP value
 only by summation order.  :func:`solve_member` is the same DP and trace
 for one member, on the E cells read from :func:`downset_best_parents`.
@@ -60,7 +60,7 @@ from .bucket_cover import (
 )
 from .dp_exact import DP_CAP, _fold_sub_downsets, _plan_bytes, solve_dp
 from .grover_sim import MAX_SIM_DOMAIN, MaxOracle, QueryLedger, max_find, quantum_charge
-from .instance import Dag, InstanceTooLargeError, LocalScoreTable
+from .instance import Dag, InstanceTooLargeError, LocalScoreTable, choose_parents
 
 # Unused here, but perfbench/spans.py wraps these two names in this module.
 from .bucket_cover import member_by_index  # noqa: F401
@@ -87,7 +87,7 @@ class DownsetScoreTable:
 
     ``values[i, d]`` is max{ s_i(J) : J listed for i, J inside downset d },
     an (n, D) float array.  It holds values only: the witness parent set
-    of node i inside a downset is ``best_parents_in(table, i, downset)``.
+    of node i inside a downset is the one ``choose_parents`` gives it.
     ``edge_visits`` is the sweep's count of elementwise max folds, n per
     covering edge of the downset lattice, for work-bound checks.
     """
@@ -151,7 +151,7 @@ def downset_best_parents(
     sub-downset fold kernels with a batch of one.  The downset lattice is
     the product of the block lattices, so folding the bucket maxima block
     axis by block axis yields the max over all sub-downsets.  Values only:
-    the traceback picks witnesses by ``best_parents_in``'s (cardinality,
+    the traceback picks witnesses by ``choose_parents``'s (cardinality,
     bitmask) tie rule.
     """
     n = table.n
@@ -321,8 +321,8 @@ def _trace(
     From the full set down, each downset gives up its smallest node whose
     edge is tight, value[child] + cells[edge_cell[edge]] == value[downset]: one
     segmented minimum over the CSR rows keyed by (node, edge), then n
-    gathers.  A node's parents are its first listed entry with the best
-    score inside the downset left behind, and totals add up in node order.
+    gathers.  ``choose_parents`` gives each node its parents inside the
+    downset left behind, and the totals.
     """
     n, width = nodes.shape
     edges, ptr = len(template.edge_slot), template.edge_ptr
@@ -346,16 +346,7 @@ def _trace(
         allowed[columns, sink] = left
         downset = template.edge_child[edge]
     del smallest
-    fits = (table.masks & ~allowed[:, table.nodes]) == 0
-    scores = np.where(fits, table.scores, _NEG_INF)
-    starts = table.offsets[:-1]
-    best = np.maximum.reduceat(scores, starts, axis=1)
-    first = np.where(fits & (scores == best[:, table.nodes]), np.arange(len(fits[0])), len(fits[0]))
-    entry = np.minimum.reduceat(first, starts, axis=1)
-    chosen = table.scores[entry]
-    totals = np.zeros(width)
-    for i in range(n):
-        totals += chosen[:, i]
+    totals, entry = choose_parents(table, allowed)
     return totals, table.masks[entry]
 
 
@@ -397,15 +388,15 @@ def solve_cover(
     the members within tol of the maximum: the highest total wins, ties to
     the lowest member index, and one off its DP value by more than tol / 2
     raises ``RuntimeError``.  It books every member as one classical
-    evaluation.  grover-cost-model returns the scan's answer, checks it
-    against ``solve_dp`` to 1e-9 where n <= ``DP_CAP``, and books one
-    classical evaluation plus the charge ceil(sqrt(members)) *
-    ceil(log2(members)) instead of simulating.  grover-sim traces every
+    evaluation and no quantum query.  grover-cost-model returns the scan's
+    answer, checks it against ``solve_dp`` to 1e-9 where n <= ``DP_CAP``,
+    and books one classical evaluation plus the charge ceil(sqrt(m)) *
+    ceil(log2(m)) for m members instead of simulating.  grover-sim traces every
     member, because its oracle table must order members exactly as totals
     do, and members sharing a constrained optimum tie, so near ties are the
     rule; it runs simulated quantum maximum finding over the totals,
-    charging oracle applications to the ledger, and books the winner's
-    witness as one more classical evaluation.
+    charging every simulated oracle application of its 7 repetitions, and
+    books the winner's witness as one more classical evaluation.
 
     Before the shared ``lattice_template`` is looked up or built, the caps
     raise ``InstanceTooLargeError``, in order: for grover-sim, more members

@@ -659,7 +659,7 @@ def prune_dominated(table: LocalScoreTable) -> LocalScoreTable:
     keep: list[bool] = []
     for i in range(table.n):
         source = dict(table.items(i))
-        for mask, score in table.items(i):
+        for mask, score in source.items():
             sub, dominated = mask, False
             while sub and not dominated:  # strict subsets, down to the empty set
                 sub = (sub - 1) & mask

@@ -4,8 +4,8 @@ The solvers work on the lattice template's arrays and never ask these
 questions one subset at a time.  The tests do, to check the solvers, the
 cover property and the template against independent pure-Python answers.
 The module also holds the readers that only tests need: every member's
-optimum from the cover scan, one Grover trial's per-point law, and a
-table's membership test.
+optimum from the cover scan, one Grover trial's per-point law, a table's
+membership test, and the per-entry scan for a node's best parents.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -36,7 +37,6 @@ from qbnsl.instance import (
     LocalScoreTable,
     NodeSet,
     _sink_first_order,
-    best_parents_in,
     total_score,
 )
 from qbnsl.scores_io import DatasetError, DiscreteDataset
@@ -207,6 +207,26 @@ def contains(table: LocalScoreTable, i: int, parents: "NodeSet | int") -> bool:
     return any(listed == mask for listed, _ in table.items(i))
 
 
+def scan_best_parents(table, i: int, allowed: "NodeSet | int") -> tuple[float, NodeSet]:
+    """Node i's best listed parent set inside ``allowed``, by a scan of
+    ``table.items(i)`` in which the first entry with the best score wins.
+
+    The pure-Python form of the rule ``instance.choose_parents`` vectorizes,
+    duck-typed over ``n`` and ``items``.  It raises ``ValueError`` for a node
+    outside 0..n-1 or an ``allowed`` that holds i, as ``best_parents_in`` does.
+    """
+    if not 0 <= i < table.n:
+        raise ValueError(f"node index {i} out of range")
+    allowed_bits = operator.index(allowed)
+    if (allowed_bits >> i) & 1:
+        raise ValueError("allowed set must exclude the child node")
+    best_score, best_mask = None, 0
+    for mask, score in table.items(i):
+        if not mask & ~allowed_bits and (best_score is None or score > best_score):
+            best_score, best_mask = score, mask
+    return best_score, NodeSet(best_mask)
+
+
 def member_optima(table: LocalScoreTable, partition: BlockPartition) -> np.ndarray:
     """Every member's optimum, in ``member_by_index`` order, from the cover scan."""
     if table.n != partition.n:
@@ -314,6 +334,6 @@ def solve_dp_with_sink_table(table) -> tuple[float, Dag]:
         i = int(chosen_sink[mask])
         assert i >= 0
         mask ^= 1 << i
-        parents[i] = best_parents_in(table, i, mask)[1]
+        parents[i] = scan_best_parents(table, i, mask)[1]
     dag = Dag(n, tuple(parents))
     return total_score(dag, table), dag

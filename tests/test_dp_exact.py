@@ -35,13 +35,13 @@ from qbnsl.instance import (
     total_score,
 )
 from qbnsl.tables import random_table
-from reference import solve_dp_with_sink_table
+from reference import scan_best_parents, solve_dp_with_sink_table
 
 
 # Reference: the subset-max transform with an argmax table, which the
 # values-only library transform replaced.  Ties prefer the smaller
 # (cardinality, bitmask), packed into one int64 key.  The library must
-# reproduce its values exactly, and best_parents_in its argmax.
+# reproduce its values exactly, and the per-entry scan its argmax.
 
 _KEY_SHIFT = 30
 _UNSET_KEY = np.int64(1) << 62
@@ -102,7 +102,7 @@ def reference_solve_dp(table):
     while mask:
         i = int(chosen_sink[mask])
         mask ^= 1 << i
-        parents[i] = best_parents_in(table, i, mask)[1]
+        parents[i] = scan_best_parents(table, i, mask)[1]
     dag = Dag(n, tuple(parents))
     return total_score(dag, table), dag
 
@@ -163,7 +163,7 @@ def test_subset_max_equals_scan_oracle(seed):
     assert values.shape == (1 << (n - 1),)
     for mask in range(1 << n):
         allowed = mask & ~(1 << i)
-        score, parents = best_parents_in(t, i, allowed)
+        score, parents = scan_best_parents(t, i, allowed)
         assert values[squeeze(allowed, i)] == pytest.approx(score, abs=0)
         assert int(argmax[allowed]) == int(parents)
 
@@ -272,18 +272,32 @@ def test_solve_dp_slices_match_whole_layers(seed, tie_heavy, minus_inf, n):
         assert (repr(sliced_score), sliced_dag) == (repr(score), dag), sets
 
 
-@pytest.mark.parametrize("n,most", [(16, 1.4), (17, 1.3), (18, 1.3)])
-def test_solve_dp_peak_within_its_plan(n, most):
-    table = random_table(np.random.default_rng(5), n)
+def solve_dp_peak(table) -> int:
+    """tracemalloc's peak while ``solve_dp`` solves the table."""
     tracemalloc.start()
     try:
         solve_dp(table)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n,most", [(16, 1.4), (17, 1.3), (18, 1.3)])
+def test_solve_dp_peak_within_its_plan(n, most):
+    table = random_table(np.random.default_rng(5), n)
+    peak = solve_dp_peak(table)
     assert peak <= _plan_bytes(*_dp_plan(n, len(table.scores))[1:])
     # Over the n * 2^(n-1) float64 subset tables: opt, the layer order and one slice.
     assert peak <= most * n * (1 << (n - 1)) * 8
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_dense_solve_dp_peak_within_its_plan(n):
+    # Every parent set of every node: the seeding phase's (5, F) arrays,
+    # about 5x the subset tables, set the peak, and the traceback's (1, F)
+    # arrays are counted beside them.
+    table = full_table(np.random.default_rng(n), n)
+    assert solve_dp_peak(table) <= _plan_bytes(*_dp_plan(n, len(table.scores))[1:])
 
 
 def test_solve_dp_single_node():

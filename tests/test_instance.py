@@ -19,11 +19,19 @@ from qbnsl.instance import (
     MissingParentSetError,
     NodeSet,
     best_parents_in,
+    choose_parents,
     is_acyclic,
     total_score,
 )
 from qbnsl.tables import random_table
-from reference import LinearOrder, contains, prefixes, sorted_remaining_order, topological_order
+from reference import (
+    LinearOrder,
+    contains,
+    prefixes,
+    scan_best_parents,
+    sorted_remaining_order,
+    topological_order,
+)
 
 EMPTY_SET = NodeSet(0)
 
@@ -112,6 +120,16 @@ def test_table_score_and_missing_entry():
         t.score(1, NodeSet.of(0))
     assert err.value.node == 1
     assert err.value.parents == NodeSet.of(0)
+    # A mask is a NodeSet or an integer; a float, even a whole one, is not
+    # truncated to one (int(2.7) would read the entry of {1}).
+    for mask in (NodeSet.of(1), 2, np.int64(2), np.uint8(2)):
+        assert t.score(0, mask) == -1.0
+        assert best_parents_in(t, 0, mask) == (-1.0, NodeSet.of(1))
+    for mask in (2.0, 2.7, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            t.score(0, mask)
+        with pytest.raises(TypeError):
+            best_parents_in(t, 0, mask)
 
 
 @pytest.mark.parametrize("bad", [-1, -2, 2, 3])
@@ -121,7 +139,7 @@ def test_table_reads_reject_nodes_outside_the_table(bad):
     for read in reads:
         with pytest.raises(ValueError, match=f"node index {bad} out of range"):
             read(bad)
-    # A rejected read caches nothing: both nodes still read their own entries.
+    # A rejected read changes nothing: both nodes still read their own entries.
     assert t.items(1) == ((0, -2.0), (1, -0.5)) and t.set_count(1) == 2
     assert t.score(1, 0b01) == -0.5 and contains(t, 0, 0b10)
     assert total_score(Dag.from_masks(2, [0, 0b01]), t) == -2.0
@@ -403,12 +421,42 @@ def test_array_table_matches_dict_reference(data):
                 with pytest.raises(MissingParentSetError):
                     got.score(i, mask)
             if not mask >> i & 1:
-                assert best_parents_in(got, i, mask) == best_parents_in(want, i, mask)
+                assert best_parents_in(got, i, mask) == scan_best_parents(want, i, mask)
     other = _draw_entries(data, n, tie_heavy)
     assert (LocalScoreTable(n, other) == got) == (DictScoreTable(n, other) == want)
     assert LocalScoreTable(n, entries, None) == got
     dag = Dag.from_masks(n, [0] * n)
     assert total_score(dag, got) == total_score(dag, want)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_choose_parents_matches_the_per_entry_scan(data):
+    # Random or tie-heavy scores, -inf among them, and allowed masks with
+    # bits at and above n, which no entry holds.
+    n = data.draw(st.integers(1, 8))
+    t = LocalScoreTable(n, _draw_entries(data, n, data.draw(st.booleans())))
+    masks = st.lists(st.integers(0, (1 << 62) - 1), min_size=n, max_size=n)
+    rows = [
+        [mask & ~(1 << i) for i, mask in enumerate(row)]
+        for row in data.draw(st.lists(masks, min_size=1, max_size=4))
+    ]
+    totals, entry = choose_parents(t, np.array(rows, dtype=np.int64))
+    assert totals.shape == (len(rows),) and entry.shape == (len(rows), n)
+    for b, row in enumerate(rows):
+        want = [scan_best_parents(t, i, row[i]) for i in range(n)]
+        assert [(t.scores[e], NodeSet(int(t.masks[e]))) for e in entry[b]] == want
+        assert repr(totals[b]) == repr(np.float64(sum(score for score, _ in want)))
+        for i in range(n):
+            assert best_parents_in(t, i, row[i]) == want[i]
+            assert best_parents_in(t, i, row[i] | 1 << 70) == want[i]
+    i = data.draw(st.integers(0, n - 1))
+    for node, mask in ((data.draw(st.sampled_from([-2, -1, n, n + 1])), 0), (i, 1 << i)):
+        with pytest.raises(ValueError) as want_error:
+            scan_best_parents(t, node, mask)
+        with pytest.raises(ValueError) as got_error:
+            best_parents_in(t, node, mask)
+        assert str(got_error.value) == str(want_error.value)
 
 
 # (n, entries, names): each row breaks one rule, or two where the first

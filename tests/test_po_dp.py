@@ -53,6 +53,7 @@ from reference import (
     ledger_counts,
     member_optima,
     prefixes,
+    scan_best_parents,
 )
 
 
@@ -245,7 +246,7 @@ def test_downset_best_parents_equals_scan_oracle(seed):
     for d in range(idx.size):
         s = int(downset_by_index(idx, d))
         for i in range(n):
-            score, parents = best_parents_in(table, i, s & ~(1 << i))
+            score, parents = scan_best_parents(table, i, s & ~(1 << i))
             assert best.values[i][d] == pytest.approx(score, abs=0)
             assert reference_argmax[i][d] == int(parents)
 
@@ -505,7 +506,7 @@ def brute_best_over_extensions(table, member):
         order = LinearOrder(perm)
         if not extended_by(member, order):
             continue
-        total = sum(best_parents_in(table, node, preds)[0] for node, preds in prefixes(order))
+        total = sum(scan_best_parents(table, node, preds)[0] for node, preds in prefixes(order))
         best = max(best, total)
     return best
 

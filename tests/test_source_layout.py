@@ -6,7 +6,9 @@ outside its own definition: in the package (``__init__.py`` aside), in
 ``scripts/`` or in ``perfbench/``, where the names that
 ``perfbench/spans.py``'s ``BOUNDARIES`` wraps count as uses.  Helpers only
 tests call live in ``tests/reference.py``.  ``__init__.py`` re-exports
-nothing, so each name is imported from the module that defines it.
+nothing, so each name is imported from the module that defines it.  A
+module imports a name it does not use (``# noqa: F401``) only where
+``BOUNDARIES`` wraps that name in that module.
 """
 
 from __future__ import annotations
@@ -46,17 +48,17 @@ def _uses(tree: ast.AST):
         stack.extend((child, here) for child in ast.iter_child_nodes(node))
 
 
-def _boundary_names(tree: ast.Module) -> set[str]:
-    """Each dotted part of the owner paths and attributes in ``BOUNDARIES``."""
+def _boundaries(tree: ast.Module) -> set[tuple[str, str]]:
+    """(owner path, attribute) of each entry in ``BOUNDARIES``."""
     for node in tree.body:
         if isinstance(node, ast.AnnAssign) and node.target.id == "BOUNDARIES":
-            return {
-                part
-                for boundary in node.value.elts
-                for field in boundary.elts[:2]
-                for part in field.value.split(".")
-            }
+            return {(b.elts[0].value, b.elts[1].value) for b in node.value.elts}
     raise AssertionError("perfbench/spans.py has no BOUNDARIES list")
+
+
+def _boundary_names(tree: ast.Module) -> set[str]:
+    """Each dotted part of the owner paths and attributes in ``BOUNDARIES``."""
+    return {part for pair in _boundaries(tree) for field in pair for part in field.split(".")}
 
 
 def _definitions(module: str, tree: ast.Module):
@@ -115,3 +117,14 @@ def test_every_package_definition_has_a_non_test_caller():
         if all(id(node) in outer for outer in uses.get(name, ()))
     }
     assert unused == ALLOWED_UNUSED
+
+
+def test_unused_imports_are_the_names_the_benchmark_wraps_there():
+    wrapped = _boundaries(_parse(ROOT / "perfbench" / "spans.py"))
+    unused = set()
+    for path in PACKAGE.glob("*.py"):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.end_lineno - 1]:
+                unused |= {(path.stem, alias.name) for alias in node.names}
+    assert unused and not unused - wrapped, unused - wrapped
