@@ -71,6 +71,13 @@ def _block_sizes(n: int, k: int) -> list[int]:
     return sizes
 
 
+def _partition_sizes(n: int, k: int) -> list[int]:
+    """``_block_sizes`` of a partition an instance may hold: n <= ``MAX_NODES``."""
+    if n > MAX_NODES:
+        raise ValueError(f"n must be at most {MAX_NODES}, got {n}")
+    return _block_sizes(n, k)
+
+
 def _unrank_combination(rank: int, size: int, count: int) -> int:
     """rank-th ``count``-subset of positions 0..size-1 in colex order, as a bitmask."""
     mask = 0
@@ -95,9 +102,7 @@ class BlockPartition:
     blocks: tuple[NodeSet, ...]
 
     def __post_init__(self) -> None:
-        if self.n > MAX_NODES:
-            raise ValueError(f"n must be at most {MAX_NODES}, got {self.n}")
-        sizes = _block_sizes(self.n, self.k)
+        sizes = _partition_sizes(self.n, self.k)
         if len(self.blocks) != len(sizes):
             raise ValueError(f"expected {len(sizes)} blocks, got {len(self.blocks)}")
         union = 0
@@ -116,13 +121,18 @@ class BlockPartition:
 
     @classmethod
     def shuffled(cls, n: int, k: int, seed: int) -> "BlockPartition":
+        _partition_sizes(n, k)  # before the permutation, which grows with n
         return cls._cut(n, k, rng_for(seed, "block-partition").permutation(n).tolist())
 
     @classmethod
     def _cut(cls, n: int, k: int, nodes) -> "BlockPartition":
-        """The blocks of ``_block_sizes(n, k)``, cut from ``nodes`` in order."""
+        """The blocks of ``_block_sizes(n, k)``, cut from ``nodes`` in order.
+
+        n and k are checked before any block is cut: a block of n-bit
+        masks per k nodes would take memory growing as n^2.
+        """
         blocks, start = [], 0
-        for size in _block_sizes(n, k):
+        for size in _partition_sizes(n, k):
             blocks.append(NodeSet.from_nodes(nodes[start : start + size]))
             start += size
         return cls(n, k, tuple(blocks))
@@ -238,13 +248,16 @@ def lattice_build_bytes(n: int, k: int) -> int:
     indices, each downset's next free edge place and per-block trace
     tables, and the edge count pass takes up to 3D of temporaries.  The
     rest of the 10D covers the layer order and cardinalities that
-    ``padded_steps`` holds while it is built: 8 * (3E + 10D) bytes, plus
-    64 KiB for a tiny lattice's small objects and 32 per entry of
-    ``slot_of``'s split tables.
+    ``padded_steps`` holds while it is built: 8 * (3E + 10D) bytes.  Its two
+    int32 gather rows, kept with the template, take 8 bytes per padded edge,
+    at most (n + 1) // 2 per downset.  Plus 64 KiB for a tiny lattice's
+    small objects and 32 per entry of ``slot_of``'s split tables.
     """
     downsets = downset_count_formula(n, k)
     splits = sum(member_radix(s) * s for s in set(_block_sizes(n, k)))
-    return 8 * (3 * lattice_edge_count_formula(n, k) + 10 * downsets) + (1 << 16) + 32 * splits
+    padded = (n + 1) // 2 * downsets
+    return (8 * (3 * lattice_edge_count_formula(n, k) + 10 * downsets + padded) + (1 << 16)
+            + 32 * splits)
 
 
 def closure_digit(local, h: int):
@@ -283,7 +296,8 @@ class LatticeTemplate:
     is the removed slot and ``edge_child`` the index of the downset left
     behind.  The removable slots of a block trace are its second-half part
     if nonempty, else all of it.  ``padded_steps[c - 1]``, built on first
-    use, holds cardinality c's downsets and their edges padded for the DP.
+    use, holds cardinality c's downsets and, for the DP's two gathers, the
+    child and the cell of each of their edges, padded to a table.
 
     The member DP reads node i's best parents in downset c only along the
     edge removing i's slot j from c + {j}; ``edge_cell`` maps each edge to
@@ -362,13 +376,15 @@ class LatticeTemplate:
             array.flags.writeable = False
 
     @functools.cached_property
-    def padded_steps(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per cardinality layer 1..n: its downsets by index and a (w, downsets) int32 edge table.
+    def padded_steps(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per cardinality layer 1..n: its downsets by index, and two (w,
+        downsets) int32 gather rows, ``edge_child`` and ``edge_cell`` at each
+        padded edge.
 
-        Row j holds each downset's j-th edge, the last one repeated once its
-        edges run out, so a max down the rows is the max over its edges.  w
-        is the layer's most edges of one downset, at most the block halves'
-        sum.
+        Place j holds each downset's j-th edge, the last one repeated once
+        its edges run out, so a max down the rows is the max over its edges.
+        w is the layer's most edges of one downset, at most the block
+        halves' sum.
         """
         cardinality = np.bitwise_count(self.masks)
         order = np.argsort(cardinality, kind="stable")  # downsets by (cardinality, index)
@@ -378,9 +394,12 @@ class LatticeTemplate:
         steps = []
         for lo, hi in zip(layers[:-1], layers[1:]):
             downsets = order[lo:hi]
-            pad = np.minimum(np.arange(counts[downsets].max())[:, None], counts[downsets] - 1)
-            steps.append((downsets, (pad + ptr[downsets]).astype(np.int32)))
-            steps[-1][1].flags.writeable = False
+            edges = np.minimum(np.arange(counts[downsets].max())[:, None], counts[downsets] - 1)
+            edges += ptr[downsets]
+            rows = [row.take(edges).astype(np.int32) for row in (self.edge_child, self.edge_cell)]
+            for row in rows:
+                row.flags.writeable = False
+            steps.append((downsets, *rows))
         return tuple(steps)
 
     @functools.cached_property
@@ -432,8 +451,8 @@ class LatticeTemplate:
 
 def lattice_template(n: int, k: int) -> LatticeTemplate:
     """The (n, k) template; one whose build takes at most 256 KiB is kept,
-    and a larger one is built per call.  Only 45 shapes, all with n <= 16,
-    are that small, 5.1 MiB of build bytes in all."""
+    and a larger one is built per call.  Only 43 shapes, all with n <= 15,
+    are that small, 5.0 MiB of build bytes and gather rows in all."""
     small = lattice_build_bytes(n, k) <= 1 << 18
     return (_kept_templates if small else LatticeTemplate)(n, k)
 

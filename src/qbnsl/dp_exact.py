@@ -137,7 +137,7 @@ def solve_dp(table: LocalScoreTable) -> tuple[float, Dag]:
             targets = squeezed & high
             targets += squeezed  # S minus i: the bits at and above i move up one
             candidates = opt[targets]
-            candidates += np.take(best_parent_values, squeezed, axis=0).T
+            candidates += best_parent_values.take(squeezed, axis=0).T
             targets |= 1 << nodes
             for row, sink_targets in zip(candidates, targets):
                 np.maximum(row, opt[sink_targets], out=row)

@@ -341,10 +341,16 @@ def cost_report(n: int, total_entries: int | None = None, k: int = 2) -> CostRep
     ``total_entries`` defaults to full tables, n * 2^(n-1).  Exact integer
     quantities stay exact; everything else, the 26-block root constants
     included, is evaluated in a 40-digit decimal context, and the roots are
-    reported to 30 significant digits.
+    reported to 30 significant digits.  n < 1 and a negative
+    ``total_entries`` raise ``ValueError``, and a k that no (n, k) cover
+    has raises ``InvalidKError``, each naming its argument.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if total_entries is None:
         total_entries = n * (1 << (n - 1))
+    elif total_entries < 0:
+        raise ValueError(f"total_entries must be non-negative, got {total_entries}")
     members = cover_size(n, k)
     downsets = downset_count_formula(n, k)
     with localcontext() as ctx:

@@ -282,7 +282,8 @@ class Dag:
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable["NodeSet | int"]) -> "Dag":
-        return cls(n, tuple(NodeSet(int(m)) for m in masks))
+        """One parent mask per node; a float mask raises ``TypeError``, not truncated."""
+        return cls(n, tuple(NodeSet(operator.index(m)) for m in masks))
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Yield (parent, child) pairs in (child, parent) index order."""

@@ -14,7 +14,7 @@ batch of members at once:
   ``np.maximum.at`` keeps each cell's best score;
 - ``dp_exact._fold_sub_downsets``, folding cell maxima into superset cells axis by axis;
 - the member DP, one cardinality layer at a time over the template's
-  padded edge tables, O(E) per member for E edges.
+  padded gather rows, O(E) per member for E edges.
 
 The cover scan runs the kernels over chunks of B members, B * max(E, F)
 <= 2^16, on the E cells the DP reads, one per edge, and traces witnesses
@@ -40,6 +40,7 @@ built.  This is correct for arbitrary listed parent sets.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -127,17 +128,19 @@ def _member_dp(
     ``cells[edge_cell[e]]`` holds, per member of the batch, the best parent
     score of the node removed along CSR edge e within the edge's child
     downset; 1-D ``cells`` are one member and give 1-D values.  Per
-    cardinality layer, over the template's padded edge tables: two gathers,
-    an add and a max down the padded rows, an elementwise max of contiguous
-    blocks (a ``maximum.reduceat`` over the CSR segments is about 2x slower).
+    cardinality layer, over the template's padded gather rows, which hold
+    each padded edge's child and cell: two gathers, an add and a max down
+    the padded rows, an elementwise max of contiguous blocks (a
+    ``maximum.reduceat`` over the CSR segments is about 2x slower).
     """
     if value is None:
         value = np.empty((template.size,) + cells.shape[1:])
     value[0] = 0.0
-    for downsets, edges in template.padded_steps:
-        # np.take gathers rows several times faster than fancy indexing.
-        cand = np.take(value, np.take(template.edge_child, edges), axis=0)
-        cand += np.take(cells, np.take(template.edge_cell, edges), axis=0)
+    for downsets, child, cell in template.padded_steps:
+        # take gathers rows several times faster than fancy indexing, and
+        # the method skips np.take's Python wrapper.
+        cand = value.take(child, axis=0)
+        cand += cells.take(cell, axis=0)
         value[downsets] = cand.max(axis=0)
     return value
 
@@ -170,15 +173,21 @@ def downset_best_parents(
     return DownsetScoreTable(by_downset.T, n * len(template.edge_child))
 
 
-def _scan_plan(n: int, k: int, entries: int) -> tuple[int, tuple, tuple]:
-    """B, B * max(E, F) <= 2^16 for E edges and F entries; (shape, dtype) of
-    each array ``_scan`` allocates, in its order; and of each phase's
-    temporaries, at the bound beside each.  The phases never live at once,
-    so ``_plan_bytes`` counts the largest, and the byte cap adds
-    ``lattice_build_bytes``."""
+def _scan_plan(n: int, k: int, entries: int) -> tuple[int, tuple, int]:
+    """``_sized_plan`` at the chunk budget and ufunc buffer size in force."""
+    return _sized_plan(n, k, entries, _CHUNK_ELEMENTS, np.getbufsize())
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _sized_plan(n: int, k: int, entries: int, chunk: int, bufsize: int) -> tuple[int, tuple, int]:
+    """B, B * max(E, F) <= ``chunk`` for E edges and F entries; (shape,
+    dtype) of each array ``_scan`` allocates, in its order; and the bytes the
+    byte cap counts: ``lattice_build_bytes``, the arrays and the largest
+    phase's temporaries, at the bound beside each (the phases never live at
+    once).  Cached, as solves repeat their keys."""
     members, downsets = cover_size(n, k), downset_count_formula(n, k)
     edges, blocks = lattice_edge_count_formula(n, k), -(-n // k)
-    batch = max(1, min(members, _CHUNK_ELEMENTS // max(edges, entries)))
+    batch = max(1, min(members, chunk // max(edges, entries)))
     rows = edges + downsets // lattice_radix(n % k or k)  # E edge cells, then a sink trace
     column = rows + downsets + n + 1  # a buffered member's cells, DP values, nodes and index
     i64, f64, flag = np.dtype(np.int64), np.dtype(np.float64), np.dtype(np.bool_)
@@ -186,26 +195,26 @@ def _scan_plan(n: int, k: int, entries: int) -> tuple[int, tuple, tuple]:
             ((downsets * batch,), f64), ((entries * batch,), f64),  # DP values, laid scores
             ((members,), f64), ((members,), f64), ((members, n), i64))  # optima, totals, parents
     live = (  # through the member loop
-        (((n + 1) // 2, downsets), np.dtype(np.int32)),  # padded edges, <= h per first half h
         ((blocks + 6, entries), i64),  # entry copies and patterns, each entry's pattern
         ((batch, 3 * k + blocks + 2, min(entries, 1 << k)), i64),  # digits, 2 (B, k, P) cell rows
-        ((2, np.getbufsize()), f64),  # at most two ufunc buffers
+        ((2, bufsize), f64),  # at most two ufunc buffers
     )
     traced = live + (((2 * batch - 1, column), f64),)  # B traced; or fewer, and B left buffered
-    return batch, held, (
-        (((2 * k + blocks + 6, entries), i64),),  # set-up, with 2 (F, k) bit tables
+    return batch, held, lattice_build_bytes(n, k) + _plan_bytes(held, (
+        (((2 * k + blocks + 6, entries), i64),  # set-up, with 2 (F, k) bit tables
+         ((1 << k,), i64)),  # and one block's 2^s pattern ranks
         live + (((batch, 3 * n + entries + edges + downsets), i64),  # slot maps, F offsets, DP
                 ((batch - 1, column), f64)),  # gathers; and under B columns left buffered
         live + (((3 * batch - 2, column), f64),),  # the buffer's masking copies, or a join
         traced + (((batch, 2 * edges), f64), ((batch, edges), flag),  # the trace's (E, B)
                   ((edges,), i64)),  # arrays, then its (B, F) arrays
         traced + (((batch, 2 * entries), f64), ((batch, 2 * entries), flag), ((entries,), i64)),
-    )
+    ))
 
 
 def _scan(
     table: LocalScoreTable, partition: BlockPartition, template: LatticeTemplate,
-    plan: tuple[int, tuple, tuple], every: bool = False,
+    plan: tuple[int, tuple, int], every: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every member's optimum, in ``member_by_index`` order, and witnesses.
 
@@ -232,9 +241,13 @@ def _scan(
     masks, scores, position = table.masks[order], table.scores[order], rank % k
     blocks = []  # (pattern bits, entry -> pattern, own entry -> position * P + pattern)
     for t, block in enumerate(partition.blocks):
-        patterns, which = np.unique(
-            _block_patterns(masks, np.array(list(block))), return_inverse=True
-        )
+        local = _block_patterns(masks, np.array(list(block)))
+        # Patterns ranked in a 2^s table: np.unique's sort costs more.
+        dense = np.zeros(1 << len(block), dtype=np.int64)
+        dense[local] = 1
+        patterns = dense.nonzero()[0]
+        dense[patterns] = np.arange(len(patterns))
+        which = dense.take(local)
         bits = [(patterns >> p) & 1 for p in range(len(block))]
         lo, hi = bounds[t], bounds[t + 1]
         blocks.append((bits, which, position[lo:hi] * len(patterns) + which[lo:hi]))
@@ -267,13 +280,13 @@ def _scan(
         for t, ((_, _, own), lo_t, hi_t) in enumerate(zip(blocks, bounds, bounds[1:])):
             # (B, s, P): the cell of a node at each position with each pattern.
             at = places[t][:, :, None] * template.radices[t] + digits[t][:, None]
-            rows = np.take(template.own_cells[t] * width, at)
+            rows = (template.own_cells[t] * width).take(at)
             rows += np.arange(width)[:, None, None]
             segment = cells[lo_t * width : hi_t * width].reshape(width, -1)
-            np.take(rows.reshape(width, -1), own, axis=1, out=segment, mode="clip")
+            rows.reshape(width, -1).take(own, axis=1, out=segment, mode="clip")
             for digit, (_, which, _), weight in zip(digits, blocks, template.other_weights[t]):
                 if weight:
-                    segment += np.take(digit * (weight * width), which[lo_t:hi_t], axis=1)
+                    segment += (digit * (weight * width)).take(which[lo_t:hi_t], axis=1)
         laid = laid_at[: len(cells)]
         if lo == 0 or width < batch:  # the first chunk and a ragged last one
             for a, b in zip(bounds, bounds[1:]):
@@ -326,11 +339,11 @@ def _trace(
     """
     n, width = nodes.shape
     edges, ptr = len(template.edge_slot), template.edge_ptr
-    cand = np.take(value, template.edge_child, axis=0)
-    cand += np.take(cells, template.edge_cell, axis=0)
-    tight = cand == np.take(value, np.repeat(np.arange(template.size), np.diff(ptr)), axis=0)
+    cand = value.take(template.edge_child, axis=0)
+    cand += cells.take(template.edge_cell, axis=0)
+    tight = cand == np.repeat(value, np.diff(ptr), axis=0)  # each edge's downset's value
     del cand
-    key = np.take(nodes * edges, template.edge_slot, axis=0)
+    key = (nodes * edges).take(template.edge_slot, axis=0)
     key += np.arange(edges)[:, None]
     key[~tight] = n * edges
     # Row d - 1: the smallest tight key of downset d.
@@ -419,7 +432,7 @@ def solve_cover(
         )
     downsets = downset_count_formula(n, k)
     plan = _scan_plan(n, k, len(table.scores))
-    needed = lattice_build_bytes(n, k) + _plan_bytes(*plan[1:])
+    needed = plan[2]
     if needed > LATTICE_BYTES_CAP:
         raise InstanceTooLargeError(
             f"lattice of {downsets} downsets and {lattice_edge_count_formula(n, k)} edges "

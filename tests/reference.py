@@ -5,7 +5,8 @@ questions one subset at a time.  The tests do, to check the solvers, the
 cover property and the template against independent pure-Python answers.
 The module also holds the readers that only tests need: every member's
 optimum from the cover scan, one Grover trial's per-point law, a table's
-membership test, and the per-entry scan for a node's best parents.
+membership test, the per-entry scan for a node's best parents, and a
+node's best scores inside every allowed set at once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from qbnsl.instance import (
     LocalScoreTable,
     NodeSet,
     _sink_first_order,
+    choose_parents,
     total_score,
 )
 from qbnsl.scores_io import DatasetError, DiscreteDataset
@@ -225,6 +227,19 @@ def scan_best_parents(table, i: int, allowed: "NodeSet | int") -> tuple[float, N
         if not mask & ~allowed_bits and (best_score is None or score > best_score):
             best_score, best_mask = score, mask
     return best_score, NodeSet(best_mask)
+
+
+def best_scores_in_every_set(table: LocalScoreTable, i: int) -> np.ndarray:
+    """Node i's ``choose_parents`` score inside every set of the other nodes.
+
+    Row a is the a-th such set by bitmask, and one ``choose_parents`` call
+    over all 2^(n-1) rows gives them all, as ``best_parents_in`` would one
+    set at a time.
+    """
+    masks = np.arange(1 << table.n)
+    allowed = np.zeros((1 << (table.n - 1), table.n), dtype=np.int64)
+    allowed[:, i] = masks[(masks >> i) & 1 == 0]
+    return table.scores[choose_parents(table, allowed)[1][:, i]]
 
 
 def member_optima(table: LocalScoreTable, partition: BlockPartition) -> np.ndarray:

@@ -99,6 +99,24 @@ def test_partition_validation():
         BlockPartition.contiguous(0, 2)
 
 
+@pytest.mark.parametrize("cut", [BlockPartition.contiguous,
+                                 lambda n, k: BlockPartition.shuffled(n, k, seed=1)],
+                         ids=["contiguous", "shuffled"])
+def test_partition_checks_n_before_cutting_blocks(cut):
+    # Cutting first, n = 8,000 in pairs took 2.4 MiB of n-bit block masks,
+    # and the memory grows as n^2.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n must be at most"):
+            cut(8_000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 << 10
+    with pytest.raises(InvalidKError):
+        cut(8, 3)
+
+
 def test_contiguous_blocks_and_remainder():
     p = BlockPartition.contiguous(10, 4)
     assert [sorted(b) for b in p.blocks] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
@@ -423,20 +441,22 @@ def test_lattice_template_is_cached_per_shape_and_read_only():
 
 
 def test_kept_templates_are_bounded_by_their_build_bytes():
-    # lattice_template keeps every shape whose build takes at most 256 KiB,
-    # with no count; build bytes grow with n, so no shape past n = 16 is
-    # kept, and these 45 bound what the cache can ever hold.
+    # lattice_template keeps every shape whose build, with its gather rows,
+    # takes at most 256 KiB, with no count; build bytes grow with n, so no
+    # shape past n = 15 is kept, and these 43 bound what the cache can ever
+    # hold.  (16, 8) and (14, 4) were kept while the rows went uncounted.
     kept = [
         (n, k)
         for n in range(1, 65)
         for k in range(2, n + 1, 2)
         if lattice_build_bytes(n, k) <= 1 << 18
     ]
-    assert len(kept) == 45
-    assert max(n for n, _ in kept) == 16
-    assert sum(lattice_build_bytes(n, k) for n, k in kept) == 5_321_736  # 5.1 MiB
+    assert len(kept) == 43
+    assert max(n for n, _ in kept) == 15
+    assert sum(lattice_build_bytes(n, k) for n, k in kept) == 5_244_016  # 5.0 MiB
     _kept_templates.cache_clear()
-    assert lattice_template(16, 8) is lattice_template(16, 8)
+    assert lattice_template(15, 8) is lattice_template(15, 8)
+    assert lattice_template(16, 8) is not lattice_template(16, 8)
 
 
 def reference_layers(template: LatticeTemplate):
@@ -500,15 +520,18 @@ def test_template_edges_match_sort_based_reference(n, k, seed):
                        ("edge_child", edge_child)]:
         assert same_array(getattr(template, name), want), name
     assert len(template.padded_steps) == len(steps)
-    for got, want in zip(template.padded_steps, steps):
-        assert all(same_array(g, w) for g, w in zip(got, want))
+    for (downsets, child, cell), (layer, padded) in zip(template.padded_steps, steps):
+        # The gather rows hold each padded edge's child and cell.
+        assert same_array(downsets, layer)
+        assert same_array(child, edge_child[padded].astype(np.int32))
+        assert same_array(cell, template.edge_cell[padded].astype(np.int32))
 
 
 @pytest.mark.parametrize("n,k", [(20, 2), (16, 4)])
 def test_template_build_peak_within_counted_bytes(n, k):
     tracemalloc.start()
     try:
-        LatticeTemplate(n, k)
+        LatticeTemplate(n, k).padded_steps  # the gather rows are kept and counted too
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

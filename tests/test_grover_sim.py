@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbnsl.bucket_cover import cover_size, downset_count_formula
+from qbnsl.bucket_cover import InvalidKError, cover_size, downset_count_formula
 from qbnsl.grover_sim import (
     _EXTRA_TRIALS,
     _GROWTH,
@@ -487,6 +487,19 @@ def test_cost_report_prints_bounds_beyond_float_range(n):
         for key, value in want.items():
             assert value > mp.mpf(np.finfo(float).max)
             assert abs(mp.mpf(printed[key]) / value - 1) < mp.mpf("1e-15"), key
+
+
+@pytest.mark.parametrize(
+    "args,error,name",
+    [((0,), ValueError, "n must be positive"), ((-3, 10, 2), ValueError, "n must be positive"),
+     ((8, -5, 2), ValueError, "total_entries"), ((8, None, 3), InvalidKError, "k must be"),
+     ((8, None, 10), InvalidKError, "k must be"), ((8, None, 0), InvalidKError, "k must be")],
+)
+def test_cost_report_names_a_bad_argument(args, error, name):
+    # Before the checks, n < 1 ended in "negative shift count" and a negative
+    # total_entries in decimal.InvalidOperation.
+    with pytest.raises(error, match=name):
+        cost_report(*args)
 
 
 def test_cost_report_block_constants_thirty_digits():

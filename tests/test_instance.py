@@ -556,6 +556,15 @@ def test_table_rejects_a_fractional_parent_set_key():
         LocalScoreTable(2, [{0: 1.0, 2.7: 3.0}, {0: 0.0}])
 
 
+@pytest.mark.parametrize("masks", [[2.7, 0, 0], [0, 0, 1.0], [np.float64(2.0), 0, 0], ["2", 0, 0]])
+def test_dag_from_masks_rejects_non_integer_masks(masks):
+    # int() would truncate 2.7 to {1}, a parent set the caller never gave.
+    with pytest.raises(TypeError):
+        Dag.from_masks(3, masks)
+    assert Dag.from_masks(3, [np.int64(2), NodeSet(1), 0]).parents == (
+        NodeSet(2), NodeSet(1), NodeSet(0))
+
+
 def test_from_arrays_takes_integer_and_bool_arrays():
     want = LocalScoreTable(2, [{0: 1.0}, {0: 2.0, 1: 0.5}])
     for kind in (np.uint8, np.uint64, np.int32, object):

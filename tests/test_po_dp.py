@@ -681,10 +681,12 @@ def test_work_cap_counts_members_times_downsets(n, k, admitted):
 
 # Per even k, one letter per n = k..30: the cover is admitted (a), refused
 # by the byte cap (b) or refused by the work cap (w).  k = 2 is first
-# refused at n = 22, for its bytes.
+# refused at n = 22, for its bytes.  (24, 4), over both caps, meets the
+# byte cap first since the template's gather rows count as 8 bytes per
+# padded edge.
 CAP_VERDICTS = {
     2: "aaaaaaaaaaaaaaaaaaaabbbbbbbbb",
-    4: "aaaaaaaaaaaaaaaaaawwwbbbbbb",
+    4: "aaaaaaaaaaaaaaaaaawwbbbbbbb",
     6: "aaaaaaaaaaaaaaawwwwbbbbbb",
     8: "aaaaaaaaaaaaawwwbbbbbbb",
     10: "aaaaaaaaaaawwwbbbbbbb",
@@ -741,6 +743,37 @@ def test_scan_plan_holds_the_template_cell_table():
         batch, held, _ = po_dp._scan_plan(n, k, 1)
         template = lattice_template(n, k)
         assert held[1][0] == ((template.sink_row + max(template.cell_stride)) * batch,), (n, k)
+
+
+def test_cached_plan_follows_the_chunk_budget():
+    # The plan is cached per key, and the chunk budget in force is part of
+    # the key: patching it still sets the scan's B, one DP call per chunk.
+    n, k = 6, 2  # 8 members
+    table = random_table(rng_for(6, "plan-cache"), n)
+    partition = BlockPartition.contiguous(n, k)
+    row = max(lattice_edge_count_formula(n, k), len(table.scores))
+    member_dp = po_dp._member_dp
+
+    def chunk_widths(chunk):
+        widths = []
+
+        def recording(cells, template, value=None):
+            widths.append(cells.shape[1])
+            return member_dp(cells, template, value)
+
+        with mock.patch.object(po_dp, "_member_dp", recording), mock.patch.object(
+            po_dp, "_CHUNK_ELEMENTS", chunk
+        ):
+            score, dag, _ = solve_cover(table, partition, "classical-scan")
+        return widths, (repr(score), dag)
+
+    widths, want = chunk_widths(po_dp._CHUNK_ELEMENTS)
+    assert widths == [8]
+    hits = po_dp._sized_plan.cache_info().hits
+    for chunk, want_widths in ((row, [1] * 8), (3 * row, [3, 3, 2]),
+                               (po_dp._CHUNK_ELEMENTS, [8]), (row, [1] * 8)):
+        assert chunk_widths(chunk) == (want_widths, want), chunk
+    assert po_dp._sized_plan.cache_info().hits >= hits + 2  # the repeated budgets
 
 
 def traced_peak(run):

@@ -128,3 +128,17 @@ def test_unused_imports_are_the_names_the_benchmark_wraps_there():
             if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.end_lineno - 1]:
                 unused |= {(path.stem, alias.name) for alias in node.names}
     assert unused and not unused - wrapped, unused - wrapped
+
+
+def test_no_np_take_calls_in_the_package():
+    # numpy's Python-level np.take wrapper cost about a tenth of an
+    # oracle-sweep op; the ndarray.take method does the same gather without it.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "take" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    ]
+    assert not found, found
